@@ -13,8 +13,7 @@ import sys
 import time
 
 import chevbasis as cb
-from chevbasis.closedform import closed_table
-from chevbasis.folding import fold, fold_source, folded_table
+from chevbasis.folding import independent_table
 from chevbasis.verify import chevalley_audit, differential, jacobi_sweep
 
 TYPES = [
@@ -27,18 +26,6 @@ TYPES = [
 ]
 
 
-def independent_table(rs, eps):
-    if rs.cartan.simply_laced:
-        return closed_table(rs, eps), "closed"
-    parent_cm, auto = fold_source(rs.cartan.type_label, rs.cartan.rank)
-    parent_rs = cb.generate_roots(parent_cm)
-    parent_eps = cb.default_epsilon(parent_cm)
-    fs = fold(parent_rs, parent_eps, auto)
-    if fs.folded_eps.values != eps.values:
-        fs = fold(parent_rs, parent_eps.flipped(), auto)
-    return folded_table(fs), f"fold({parent_cm.label})"
-
-
 def run() -> int:
     failures = 0
     for label in TYPES:
@@ -48,7 +35,8 @@ def run() -> int:
         status = []
         for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
             t = cb.build_inductive(rs, eps)
-            other, route = independent_table(rs, eps)
+            other, meta = independent_table(rs, eps)
+            route = f"fold({meta['parent']})" if meta else "closed"
             for report in (jacobi_sweep(t), chevalley_audit(t), differential(t, other)):
                 if not report.passed:
                     failures += 1

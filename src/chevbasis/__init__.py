@@ -13,7 +13,6 @@ from .cartan import (
     SignFunction,
     build_cartan,
     default_epsilon,
-    flip,
     parse_type_label,
     standard_automorphism,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "constant_sign",
     "default_epsilon",
     "differential",
-    "flip",
     "flip_epsilon_table",
     "fold",
     "fold_source",

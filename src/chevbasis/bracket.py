@@ -23,11 +23,11 @@ argument follow from N_{-a,-b} = -N_{a,b}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
-
 from .cartan import SignFunction
-from .errors import InternalInconsistency, InvalidEpsilon, NotARoot
-from .roots import Root, RootSystem, add, negate, root_height, sub
+import numpy as np
+
+from .errors import InternalInconsistency, InvalidEpsilon
+from .roots import Root, RootSystem, root_height
 
 
 @dataclass
@@ -56,10 +56,6 @@ class BracketTable:
         b = self.rs.index_of(beta)
         return self.n.get((a, b), 0)
 
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        for (a, b), value in self.n.items():
-            yield a, b, value
-
     def opposite_bracket(self, k: int) -> Root:
         """[e_alpha, e_{-alpha}] for root index k, as an h-coordinate vector."""
         sign = -1 if root_height(self.rs.roots[k]) % 2 else 1
@@ -69,20 +65,10 @@ class BracketTable:
 def _base_constants(rs: RootSystem, eps: SignFunction) -> dict[tuple[int, int], int]:
     """All N with a simple first argument: N_{alpha_i,beta} = eps(i)(q+1)."""
     n: dict[tuple[int, int], int] = {}
-    idx = rs.index
     for i in rs.cartan.nodes:
-        si = rs.simple_root(i)
-        a = idx[si]
-        for b, beta in enumerate(rs.roots):
-            total = add(si, beta)
-            if total not in idx:
-                continue
-            q = 0
-            gamma = sub(beta, si)
-            while gamma in idx:
-                q += 1
-                gamma = sub(gamma, si)
-            n[(a, b)] = eps.value(i) * (q + 1)
+        a = rs.index_of(rs.simple_root(i))
+        for b in np.flatnonzero(rs.sum_index[a] >= 0).tolist():
+            n[(a, b)] = eps.value(i) * (rs.string_lengths_at(a, b)[1] + 1)
     return n
 
 
@@ -99,12 +85,12 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
         raise ValueError("tie_break must be 'min' or 'max'")
     pick = min if tie_break == "min" else max
 
-    idx = rs.index
     roots = rs.roots
     pos = rs.positive_count
+    si = rs.sum_index
     n = _base_constants(rs, eps)
 
-    simple_idx = {i: idx[rs.simple_root(i)] for i in rs.cartan.nodes}
+    simple_idx = {i: rs.index_of(rs.simple_root(i)) for i in rs.cartan.nodes}
     # H[k] = [e_alpha, e_{-alpha}] as an h-coordinate vector, positive k only.
     hvec: dict[int, Root] = {}
     for i in rs.cartan.nodes:
@@ -119,18 +105,18 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
             continue
         for m in by_height[h]:
             mu = roots[m]
-            ls = [i for i in rs.cartan.nodes if sub(mu, rs.simple_root(i)) in idx]
-            l = pick(ls)
-            nu = sub(mu, rs.simple_root(l))
-            v = idx[nu]
+            row_m = si[m].tolist()
+            l = pick(i for i in rs.cartan.nodes if row_m[rs.neg_index(simple_idx[i])] >= 0)
             sl = simple_idx[l]
+            neg_sl = rs.neg_index(sl)
+            v = row_m[neg_sl]
             d = n[(sl, v)]
             neg_m = rs.neg_index(m)
-            neg_v = idx[negate(nu)]
-            neg_sl = idx[negate(rs.simple_root(l))]
+            neg_v = rs.neg_index(v)
+            row_v, row_sl = si[v].tolist(), si[sl].tolist()
 
-            for b, beta in enumerate(roots):
-                if b == neg_m or add(mu, beta) not in idx:
+            for b, total in enumerate(row_m):
+                if total < 0:
                     continue
                 if b == v:
                     n[(m, b)] = -n[(v, m)]
@@ -140,16 +126,14 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
                     n[(m, b)] = n[(sl, neg_m)]
                 else:
                     t1 = t2 = 0
-                    s1 = add(nu, beta)
-                    if s1 in idx:
-                        t1 = n[(v, b)] * n[(sl, idx[s1])]
-                    s2 = add(rs.simple_root(l), beta)
-                    if s2 in idx:
-                        t2 = n[(sl, b)] * n[(v, idx[s2])]
+                    if row_v[b] >= 0:
+                        t1 = n[(v, b)] * n[(sl, row_v[b])]
+                    if row_sl[b] >= 0:
+                        t2 = n[(sl, b)] * n[(v, row_sl[b])]
                     num = t1 - t2
                     if num % d:
                         raise InternalInconsistency(
-                            f"non-exact division for N at {mu}, {beta}"
+                            f"non-exact division for N at {mu}, {roots[b]}"
                         )
                     n[(m, b)] = num // d
 
@@ -179,12 +163,8 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
         if a < pos:
             n[(rs.neg_index(a), rs.neg_index(b))] = -value
 
-    action = tuple(
-        tuple(rs.pairing_simple(i, beta) for beta in roots)
-        for i in rs.cartan.nodes
-    )
     opposite = tuple(rs.coroot(beta) for beta in roots)
-    return BracketTable(rs=rs, eps=eps, n=n, cartan_action=action, opposite=opposite)
+    return BracketTable(rs=rs, eps=eps, n=n, cartan_action=rs.cartan_action(), opposite=opposite)
 
 
 def flip_epsilon_table(t: BracketTable) -> BracketTable:
@@ -218,10 +198,3 @@ def check_negation_symmetry(t: BracketTable):
         if got != -value:
             report.record((t.rs.roots[a], t.rs.roots[b]), -value, got)
     return report
-
-
-def constant_by_coeffs(t: BracketTable, alpha: Root, beta: Root) -> int:
-    """Constant lookup that validates its arguments."""
-    if not t.rs.contains(alpha) or not t.rs.contains(beta):
-        raise NotARoot("both arguments must be roots")
-    return t.constant(alpha, beta)

@@ -204,11 +204,6 @@ class SignFunction:
         )
 
 
-def flip(eps: SignFunction) -> SignFunction:
-    """The other sign function on the same connected diagram."""
-    return eps.flipped()
-
-
 # Anchor node and value fixing which of the two colorings is the default.
 _EPSILON_ANCHOR = {
     "A": (1, 1),
@@ -268,9 +263,6 @@ class DiagramAutomorphism:
             if i in orbit:
                 return orbit
         raise ValueError(f"node {i} not covered by orbits")
-
-    def orbit_size(self, i: int) -> int:
-        return len(self.orbit_of(i))
 
     def validate(self, cm: CartanMatrix) -> None:
         """Check the two folding conditions against a Cartan matrix.

@@ -22,7 +22,7 @@ from .errors import (
     NotARoot,
     NotSimplyLaced,
 )
-from .folding import fold, fold_source, folded_table
+from .folding import fold_onto, folded_type, independent_table
 from .report import VerificationReport
 from .roots import generate_roots
 from .serialize import (
@@ -47,25 +47,16 @@ def _epsilon_for(cm, choice: str):
 def _build(family: str, rank: int, eps_choice: str, method: str) -> tuple[BracketTable, dict]:
     """Build a table for the requested type by the requested route."""
     cm = build_cartan(family, rank)
+    eps = _epsilon_for(cm, eps_choice)
     if method == "inductive":
-        rs = generate_roots(cm)
-        return build_inductive(rs, _epsilon_for(cm, eps_choice)), {}
+        return build_inductive(generate_roots(cm), eps), {}
     if method == "closed":
         if not cm.simply_laced:
             raise NotSimplyLaced(f"--method closed needs a simply-laced type, not {cm.label}")
-        rs = generate_roots(cm)
-        return closed_table(rs, _epsilon_for(cm, eps_choice)), {}
+        return closed_table(generate_roots(cm), eps), {}
     if method == "fold":
-        parent_cm, auto = fold_source(family, rank)
-        parent_rs = generate_roots(parent_cm)
-        fs = fold(parent_rs, _epsilon_for(parent_cm, eps_choice), auto)
-        meta = {"parent": parent_cm.label, "orbits": [list(o) for o in auto.orbits]}
-        return folded_table(fs), meta
+        return fold_onto(cm, eps)
     raise IllegalType(f"unknown method {method!r}")
-
-
-def _default_method(family: str) -> str:
-    return "closed" if family in ("A", "D", "E") else "fold"
 
 
 def _write_outputs(table: BracketTable, method: str, meta: dict, out: str, csv: str | None) -> None:
@@ -77,7 +68,7 @@ def _write_outputs(table: BracketTable, method: str, meta: dict, out: str, csv: 
 
 def _cmd_gen(args) -> int:
     family, rank = parse_type_label(args.type)
-    method = args.method or _default_method(family)
+    method = args.method or ("closed" if family in ("A", "D", "E") else "fold")
     table, meta = _build(family, rank, args.epsilon, method)
     _write_outputs(table, "folded" if method == "fold" else method, meta, args.out, args.csv)
     print(f"wrote {table.rs.cartan.label} table ({method}) to {args.out}")
@@ -87,42 +78,18 @@ def _cmd_gen(args) -> int:
 def _cmd_fold(args) -> int:
     family, rank = parse_type_label(args.type)
     cm = build_cartan(family, rank)
-    auto = standard_automorphism(cm)
-    rs = generate_roots(cm)
-    fs = fold(rs, _epsilon_for(cm, args.epsilon), auto)
-    table = folded_table(fs)
-    meta = {"parent": cm.label, "orbits": [list(o) for o in auto.orbits]}
+    table, meta = _build(*folded_type(cm, standard_automorphism(cm).order), args.epsilon, "fold")
     _write_outputs(table, "folded", meta, args.out, args.csv)
-    print(f"folded {cm.label} onto {fs.folded_cartan.label}, wrote {args.out}")
+    print(f"folded {cm.label} onto {table.rs.cartan.label}, wrote {args.out}")
     return 0
-
-
-def _complementary_table(table: BracketTable, doc: dict) -> BracketTable:
-    """An independently constructed table for differential comparison."""
-    family, rank = parse_type_label(doc["type"])
-    method = doc["provenance"]["method"]
-    if method in ("closed", "folded"):
-        return build_inductive(table.rs, table.eps)
-    if table.rs.cartan.simply_laced:
-        return closed_table(table.rs, table.eps)
-    parent_cm, auto = fold_source(family, rank)
-    parent_rs = generate_roots(parent_cm)
-    parent_eps = default_epsilon(parent_cm)
-    fs = fold(parent_rs, parent_eps, auto)
-    if fs.folded_eps.values != table.eps.values:
-        fs = fold(parent_rs, parent_eps.flipped(), auto)
-    return folded_table(fs)
 
 
 def _cmd_verify(args) -> int:
     doc = from_json_bytes(Path(args.infile).read_bytes())
     table = table_from_document(doc)
     family, rank = parse_type_label(doc["type"])
-    suites = args.suite.split(",") if args.suite else None
-    if suites is None:
-        suites = ["jacobi", "chevalley", "differential"]
-        if family == "A" and 1 <= rank <= 7:
-            suites.append("slN")
+    default = ["jacobi", "chevalley", "differential"] + (["slN"] if family == "A" and rank <= 7 else [])
+    suites = args.suite.split(",") if args.suite else default
     reports: list[VerificationReport] = []
     for suite in suites:
         if suite == "jacobi":
@@ -130,13 +97,15 @@ def _cmd_verify(args) -> int:
         elif suite == "chevalley":
             reports.append(chevalley_audit(table))
         elif suite == "differential":
-            reports.append(differential(table, _complementary_table(table, doc)))
+            if doc["provenance"]["method"] in ("closed", "folded"):
+                other = build_inductive(table.rs, table.eps)
+            else:
+                other, _ = independent_table(table.rs, table.eps)
+            reports.append(differential(table, other))
         elif suite == "slN":
             if family != "A" or not 1 <= rank <= 7:
                 raise IllegalType("slN suite needs an A-type table of rank <= 7")
-            report = sl_n_oracle(rank + 1, table.eps)
-            report.merge(differential(table, build_inductive(table.rs, table.eps)))
-            reports.append(report)
+            reports.append(sl_n_oracle(rank + 1, table=table))
         else:
             raise IllegalType(f"unknown suite {suite!r}")
     if args.json:
@@ -155,8 +124,6 @@ def _cmd_show(args) -> int:
     rs = table.rs
     alpha = parse_coeffs(args.alpha, rs.rank)
     beta = parse_coeffs(args.beta, rs.rank)
-    if not rs.contains(alpha) or not rs.contains(beta):
-        raise NotARoot("alpha and beta must be roots of the table's system")
     value = table.constant(alpha, beta)
     print(f"N[{render_root(alpha)}, {render_root(beta)}] = {value}")
     p, q = rs.string_lengths(alpha, beta)

@@ -10,15 +10,21 @@ and since every exponent only matters mod 2 the product reduces to a bit
 parity.  An equivalent single-index form replaces the double sum in the
 exponent by n_i <alpha_i, beta>.  Together with q = 0 for simply-laced
 string lengths this gives the whole table without any recursion.
+
+:func:`pair_signs` evaluates the formula on arrays of root indices and is
+what the table builders use; the scalar functions on coefficient tuples
+are the reference implementations it is tested against.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .bracket import BracketTable
 from .cartan import SignFunction
 from .errors import NotARoot, NotSimplyLaced
 from .report import VerificationReport
-from .roots import Root, RootSystem, add, negate, root_sign, sub
+from .roots import Root, RootSystem, add, negate, root_sign
 
 
 def _require_summing_pair(rs: RootSystem, alpha: Root, beta: Root) -> None:
@@ -62,6 +68,25 @@ def closed_constant(rs: RootSystem, eps: SignFunction, alpha: Root, beta: Root) 
     return sign * (q + 1)
 
 
+def pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """constant_sign for index arrays a, b whose sums are roots, as int64 +-1.
+
+    The exponent n diag[eps = -1] A m is read mod 2 from one nr x nr
+    uint8 product of 0/1 matrices (uint8 sums wrap mod 256, which keeps
+    the parity); root signs are read off the index, negative roots coming
+    after positive_count.
+    """
+    coeffs = np.array(rs.roots, dtype=np.int64)
+    odd = np.array(eps.values) == -1
+    left = ((coeffs[:, odd] @ np.array(rs.cartan.entries)[odd]) % 2).astype(np.uint8)
+    right = (coeffs % 2).astype(np.uint8)
+    parity = (left @ right.T)[a, b] & 1
+    s = rs.sum_index[a, b]
+    pos = rs.positive_count
+    bit = parity ^ (a >= pos) ^ (b >= pos) ^ (s >= pos)
+    return 1 - 2 * bit.astype(np.int64)
+
+
 def closed_table(rs: RootSystem, eps: SignFunction) -> BracketTable:
     """Assemble a complete bracket table from the closed formula alone.
 
@@ -73,19 +98,13 @@ def closed_table(rs: RootSystem, eps: SignFunction) -> BracketTable:
     """
     if not rs.cartan.simply_laced:
         raise NotSimplyLaced("closed tables exist only for symmetric Cartan matrices")
-    n: dict[tuple[int, int], int] = {}
-    idx = rs.index
-    for a, alpha in enumerate(rs.roots):
-        for b, beta in enumerate(rs.roots):
-            total = add(alpha, beta)
-            if total in idx:
-                n[(a, b)] = closed_constant(rs, eps, alpha, beta)
-    action = tuple(
-        tuple(rs.pairing_simple(i, beta) for beta in rs.roots)
-        for i in rs.cartan.nodes
-    )
+    a, b = np.nonzero(rs.sum_index >= 0)
+    ids = list(range(len(rs.roots)))  # keys share these ints, which saves memory
+    # q = 0 for every simply-laced pair, so N is the sign alone.
+    signs = pair_signs(rs, eps, a, b).tolist()
+    n = {(ids[x], ids[y]): sign for x, y, sign in zip(a.tolist(), b.tolist(), signs)}
     opposite = tuple(rs.coroot(beta) for beta in rs.roots)
-    return BracketTable(rs=rs, eps=eps, n=n, cartan_action=action, opposite=opposite)
+    return BracketTable(rs=rs, eps=eps, n=n, cartan_action=rs.cartan_action(), opposite=opposite)
 
 
 def check_split_identity(rs: RootSystem, eps: SignFunction) -> VerificationReport:

@@ -15,16 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bracket import BracketTable
 from .cartan import (
     CartanMatrix,
     DiagramAutomorphism,
     SignFunction,
     build_cartan,
+    default_epsilon,
     standard_automorphism,
     swap_fork_automorphism,
 )
-from .closedform import constant_sign
+from .closedform import closed_table, constant_sign, pair_signs
 from .errors import (
     FoldingPreconditionViolated,
     IllegalType,
@@ -52,7 +55,8 @@ _FOLDED_TYPE = {
 }
 
 
-def _folded_type(cm: CartanMatrix, order: int) -> tuple[str, int]:
+def folded_type(cm: CartanMatrix, order: int) -> tuple[str, int]:
+    """The (family, rank) that folding cm by an automorphism of this order gives."""
     key = (cm.type_label, cm.rank, order)
     if key in _FOLDED_TYPE:
         return _FOLDED_TYPE[key]
@@ -124,7 +128,7 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
         for s in range(m):
             a = cm.a(reps[r], reps[s])
             ent[r][s] = sizes[r] * a if sizes[r] > sizes[s] == 1 else a
-    family, rank = _folded_type(cm, auto.order)
+    family, rank = folded_type(cm, auto.order)
     reference = build_cartan(family, rank)
     if tuple(tuple(row) for row in ent) != reference.entries:
         raise InternalInconsistency(
@@ -135,23 +139,14 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
     if eps.is_coloring_of(cm) and not folded_eps.is_coloring_of(reference):
         raise InternalInconsistency("restricted epsilon lost the coloring property")
 
-    seen = [False] * len(rs.roots)
     root_orbits: list[tuple[int, ...]] = []
     orbit_id = [-1] * len(rs.roots)
     for k, alpha in enumerate(rs.roots):
-        if seen[k]:
-            continue
-        cycle = [k]
-        seen[k] = True
-        beta = permute_root(auto, alpha)
-        while beta != alpha:
-            j = rs.index_of(beta)
-            cycle.append(j)
-            seen[j] = True
-            beta = permute_root(auto, beta)
-        for j in cycle:
-            orbit_id[j] = len(root_orbits)
-        root_orbits.append(tuple(cycle))
+        if orbit_id[k] < 0:
+            cycle = tuple(rs.index_of(beta) for beta in root_orbit(auto, alpha))
+            for j in cycle:
+                orbit_id[j] = len(root_orbits)
+            root_orbits.append(cycle)
 
     node_orbits = [auto.orbit_of(i) for i in reps]
     restriction = []
@@ -253,38 +248,30 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
     """
     rs = fs.parent
     rs_f = fs.folded_rs
-    idx_f = rs_f.index
-    n: dict[tuple[int, int], int] = {}
-    for fa, fra in enumerate(rs_f.roots):
-        orbit_a = fs.parents_of(fa)
-        alpha = rs.roots[orbit_a[0]]
-        for fb, frb in enumerate(rs_f.roots):
-            if add(fra, frb) not in idx_f:
-                continue
-            beta = None
-            for k in fs.parents_of(fb):
-                cand = rs.roots[k]
-                if rs.contains(add(alpha, cand)):
-                    beta = cand
-                    break
-            if beta is None:
-                raise RepresentativeNotFound(
-                    f"no representative pair for folded {fra} + {frb}"
-                )
-            _, q_string = rs_f.string_lengths(fra, frb)
-            q_count = q_tilde_by_count(fs, alpha, beta)
-            q_case = q_tilde_by_case(fs, alpha, beta)
-            if not q_string == q_count == q_case:
-                raise InternalInconsistency(
-                    f"q disagreement at {fra},{frb}: "
-                    f"string {q_string}, count {q_count}, case {q_case}"
-                )
-            n[(fa, fb)] = constant_sign(rs, fs.eps, alpha, beta) * (q_string + 1)
+    xs, ys = np.nonzero(rs_f.sum_index >= 0)
+    reps, q_plus_one = [], []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        ka = fs.parents_of(x)[0]
+        kb = next((k for k in fs.parents_of(y) if rs.sum_index[ka, k] >= 0), None)
+        if kb is None:
+            raise RepresentativeNotFound(
+                f"no representative pair for folded {rs_f.roots[x]} + {rs_f.roots[y]}"
+            )
+        _, q = rs_f.string_lengths_at(x, y)
+        alpha, beta = rs.roots[ka], rs.roots[kb]
+        q_count = q_tilde_by_count(fs, alpha, beta)
+        q_case = q_tilde_by_case(fs, alpha, beta)
+        if not q == q_count == q_case:
+            raise InternalInconsistency(
+                f"q disagreement at {rs_f.roots[x]},{rs_f.roots[y]}: "
+                f"string {q}, count {q_count}, case {q_case}"
+            )
+        reps.append((ka, kb))
+        q_plus_one.append(q + 1)
+    ka, kb = np.array(reps, dtype=np.intp).reshape(-1, 2).T
+    values = pair_signs(rs, fs.eps, ka, kb) * np.array(q_plus_one, dtype=np.int64)
+    n = dict(zip(zip(xs.tolist(), ys.tolist()), values.tolist()))
 
-    action = tuple(
-        tuple(rs_f.pairing_simple(i, beta) for beta in rs_f.roots)
-        for i in rs_f.cartan.nodes
-    )
     node_orbits = [fs.auto.orbit_of(i) for i in fs.reps]
     opposite = []
     for fa, fra in enumerate(rs_f.roots):
@@ -311,7 +298,7 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
         rs=rs_f,
         eps=fs.folded_eps,
         n=n,
-        cartan_action=action,
+        cartan_action=rs_f.cartan_action(),
         opposite=tuple(opposite),
     )
 
@@ -378,3 +365,30 @@ def fold_source(family: str, rank: int) -> tuple[CartanMatrix, DiagramAutomorphi
         cm = build_cartan("E", 6)
         return cm, standard_automorphism(cm)
     raise IllegalType(f"{family}{rank} is not a folded type")
+
+
+def fold_onto(cm: CartanMatrix, eps: SignFunction) -> tuple[BracketTable, dict]:
+    """The folded table of a B, C, F4 or G2 type with sign function ``eps``.
+
+    The parent comes from :func:`fold_source`; its epsilon is the parent
+    default when ``eps`` is the default of ``cm`` (the parent default
+    restricts to it, see ``default_epsilon``) and its flip otherwise.  The
+    second value is the provenance: parent label and node orbits.
+    """
+    parent_cm, auto = fold_source(cm.type_label, cm.rank)
+    parent_eps = default_epsilon(parent_cm)
+    if eps != default_epsilon(cm):
+        parent_eps = parent_eps.flipped()
+    fs = fold(generate_roots(parent_cm), parent_eps, auto)
+    return folded_table(fs), {"parent": parent_cm.label, "orbits": [list(o) for o in auto.orbits]}
+
+
+def independent_table(rs: RootSystem, eps: SignFunction) -> tuple[BracketTable, dict]:
+    """The table of (rs, eps) by the route independent of build_inductive.
+
+    The closed formula for A, D and E; folding for B, C, F4 and G2.  The
+    second value is the provenance, empty for closed tables.
+    """
+    if rs.cartan.simply_laced:
+        return closed_table(rs, eps), {}
+    return fold_onto(rs.cartan, eps)

@@ -31,13 +31,6 @@ class VerificationReport:
         if len(self.violations) < self.max_recorded:
             self.violations.append((site, expected, got))
 
-    def merge(self, other: "VerificationReport") -> None:
-        self.checked += other.checked
-        self.violation_count += other.violation_count
-        for v in other.violations:
-            if len(self.violations) < self.max_recorded:
-                self.violations.append(v)
-
     def to_json(self) -> dict[str, Any]:
         return {
             "suite": self.suite,

@@ -5,6 +5,13 @@ alpha_i is the i-th unit vector.  A root is added at height h+1 exactly
 when the backward string length q and the pairing <alpha_i, beta> allow
 it: beta + alpha_i is a root iff q - <alpha_i, beta> > 0.  Everything
 here is exact integer arithmetic.
+
+Every layer asks "is alpha + beta a root, and which one?" through one
+table, ``RootSystem.sum_index``: an nr x nr int32 array whose entry
+[a, b] is the index of roots[a] + roots[b], or -1 when the sum is not a
+root (in particular when b is the negative of a).  It is built once by
+:func:`generate_roots` and read-only afterwards; root strings are walks
+over it.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .cartan import CartanMatrix
 from .errors import DegeneratePair, InternalInconsistency, NotARoot
@@ -52,14 +61,17 @@ class RootSystem:
 
     ``roots`` lists the positive roots sorted by (height, coefficients)
     followed by their negatives in the same order, so index k and index
-    k + positive_count are a root and its negative.  Instances are never
-    mutated after construction and are safe to share between threads.
+    k + positive_count are a root and its negative.  ``sum_index[a, b]``
+    is the index of roots[a] + roots[b], or -1 when that is not a root.
+    Instances are never mutated after construction and are safe to share
+    between threads.
     """
 
     cartan: CartanMatrix
     roots: tuple[Root, ...]
     positive_count: int
     index: dict[Root, int] = field(repr=False)
+    sum_index: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._coroots: list[Root | None] = [None] * len(self.roots)
@@ -92,26 +104,30 @@ class RootSystem:
 
     def string_lengths(self, alpha: Root, beta: Root) -> tuple[int, int]:
         """(p, q) with p = max{i >= 0 : beta + i alpha root}, q backwards."""
-        if beta == alpha or beta == negate(alpha):
+        return self.string_lengths_at(self.index_of(alpha), self.index_of(beta))
+
+    def string_lengths_at(self, a: int, b: int) -> tuple[int, int]:
+        """(p, q) for root indices a, b, by walking ``sum_index``."""
+        neg_a = self.neg_index(a)
+        if b == a or b == neg_a:
             raise DegeneratePair("string through beta = +/- alpha is undefined")
-        if not self.contains(alpha) or not self.contains(beta):
-            raise NotARoot("string endpoints must be roots")
-        p = 0
-        gamma = add(beta, alpha)
-        while gamma in self.index:
-            p += 1
-            gamma = add(gamma, alpha)
-        q = 0
-        gamma = sub(beta, alpha)
-        while gamma in self.index:
-            q += 1
-            gamma = sub(gamma, alpha)
-        return p, q
+        return self._walk(a, b), self._walk(neg_a, b)
+
+    def _walk(self, a: int, b: int) -> int:
+        """Number of steps b -> b + a that stay in the root system."""
+        steps = 0
+        while (b := int(self.sum_index[a, b])) >= 0:
+            steps += 1
+        return steps
 
     def pairing_simple(self, i: int, beta: Root) -> int:
         """<alpha_i, beta> = beta(h_i), the i-th Cartan row applied to beta."""
         row = self.cartan.entries[i - 1]
         return sum(a * m for a, m in zip(row, beta))
+
+    def cartan_action(self) -> tuple[tuple[int, ...], ...]:
+        """Row i - 1 lists alpha(h_i) for every root alpha, in root order."""
+        return tuple(tuple(self.pairing_simple(i, beta) for beta in self.roots) for i in self.cartan.nodes)
 
     def pairing(self, alpha: Root, beta: Root) -> int:
         """<alpha, beta> = beta(h_alpha), via the co-root coordinates of alpha."""
@@ -218,4 +234,35 @@ def generate_roots(cm: CartanMatrix) -> RootSystem:
     ordered = sorted(positive, key=lambda r: (root_height(r), r))
     roots = tuple(ordered) + tuple(negate(r) for r in ordered)
     index = {r: k for k, r in enumerate(roots)}
-    return RootSystem(cartan=cm, roots=roots, positive_count=len(ordered), index=index)
+    return RootSystem(cartan=cm, roots=roots, positive_count=len(ordered), index=index,
+                      sum_index=_sum_index(roots))
+
+
+def _sum_index(roots: tuple[Root, ...]) -> np.ndarray:
+    """The read-only table of root-sum indices (-1 where a + b is not a root).
+
+    Keys are linear mod 2^64 (key(a + b) = key(a) + key(b)), distinct on
+    roots, and exact while base^rank < 2^63.  Key sums are looked up in the
+    sorted keys by row blocks; every hit is confirmed on the coefficients.
+    """
+    coeffs = np.array(roots, dtype=np.int64)
+    nr, rank = coeffs.shape
+    base = 4 * int(np.abs(coeffs).max()) + 1
+    weights = np.array([pow(base, i, 2**64) for i in range(rank)], dtype=np.uint64)
+    keys = (coeffs.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise InternalInconsistency("two roots share a sum-index key")
+    out = np.full((nr, nr), -1, dtype=np.int32)
+    step = max(1, 2**12 // nr)
+    for lo in range(0, nr, step):
+        block = keys[lo:lo + step, None] + keys[None, :]
+        pos = np.minimum(np.searchsorted(sorted_keys, block), nr - 1)
+        a, b = np.nonzero(sorted_keys[pos] == block)
+        c = order[pos[a, b]]
+        a += lo
+        ok = np.all(coeffs[c] == coeffs[a] + coeffs[b], axis=1)
+        out[a[ok], b[ok]] = c[ok]
+    out.flags.writeable = False
+    return out

@@ -30,11 +30,9 @@ def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any]
     for (a, b), value in t.n.items():
         if t.n.get((b, a)) != -value:
             raise ChevBasisError(f"table is not antisymmetric at {(a, b)}; refusing to serialise")
-    constants = sorted(
-        [a, b, rs.index_of(tuple(x + y for x, y in zip(rs.roots[a], rs.roots[b]))), value]
-        for (a, b), value in t.n.items()
-        if a < b
-    )
+    constants = sorted([a, b, int(rs.sum_index[a, b]), value] for (a, b), value in t.n.items() if a < b)
+    if any(s < 0 for _, _, s, _ in constants):
+        raise NotARoot("a stored pair does not sum to a root; refusing to serialise")
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "type": rs.cartan.label,
@@ -65,12 +63,21 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
     if doc["positive_count"] != rs.positive_count:
         raise ChevBasisError("positive_count mismatch")
     eps = SignFunction(tuple(doc["epsilon"]))
+    if not isinstance(doc["constants"], list):
+        raise ChevBasisError("constants must be a list")
+    nr = len(rs.roots)
     n: dict[tuple[int, int], int] = {}
-    for a, b, s, value in doc["constants"]:
-        if not a < b:
-            raise ChevBasisError(f"constant entry {(a, b)} violates the index order")
-        total = tuple(x + y for x, y in zip(rs.roots[a], rs.roots[b]))
-        if rs.index_of(total) != s:
+    for entry in doc["constants"]:
+        if not (isinstance(entry, list) and len(entry) == 4 and all(type(x) is int for x in entry)):
+            raise ChevBasisError(f"constant entry {entry!r} is not a list of four integers")
+        a, b, s, value = entry
+        if not (0 <= a < b < nr and 0 <= s < nr):
+            raise ChevBasisError(f"constant entry {entry} needs 0 <= a < b < {nr} and 0 <= sum < {nr}")
+        if not -2**63 <= value < 2**63:
+            raise ChevBasisError(f"constant entry {entry} is outside the int64 range")
+        if (a, b) in n:
+            raise ChevBasisError(f"constant entry {(a, b)} appears twice")
+        if rs.sum_index[a, b] != s:
             raise ChevBasisError(f"constant entry {(a, b, s)} has a wrong sum index")
         n[(a, b)] = value
         n[(b, a)] = -value

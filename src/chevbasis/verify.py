@@ -19,25 +19,18 @@ from .bracket import BracketTable, build_inductive
 from .cartan import SignFunction, build_cartan, default_epsilon
 from .errors import IncompatibleTables
 from .report import VerificationReport
-from .roots import Root, RootSystem, add, generate_roots, negate, root_height, root_sign
+from .roots import Root, add, generate_roots, root_sign
 
 
 def _table_arrays(t: BracketTable):
     """Dense integer views of a table: constants, sums, actions, Cartan vectors."""
     rs = t.rs
     nr = len(rs.roots)
-    idx = rs.index
     nn = np.zeros((nr, nr), dtype=np.int64)
     for (a, b), value in t.n.items():
         nn[a, b] = value
-    total = np.full((nr, nr), nr, dtype=np.intp)  # nr = sentinel "no root"
-    valid = np.zeros((nr, nr), dtype=bool)
-    for a, alpha in enumerate(rs.roots):
-        for b, beta in enumerate(rs.roots):
-            k = idx.get(add(alpha, beta))
-            if k is not None:
-                total[a, b] = k
-                valid[a, b] = True
+    valid = rs.sum_index >= 0
+    total = np.where(valid, rs.sum_index, nr)  # nr = sentinel "no root"
     neg = np.array([rs.neg_index(k) for k in range(nr)], dtype=np.intp)
     act = np.array(t.cartan_action, dtype=np.int64)
     w = np.array([t.opposite_bracket(k) for k in range(nr)], dtype=np.int64)
@@ -124,15 +117,14 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
     # non-zero term is a multiple of e_{a+b+c}; inner brackets that land
     # on e_{-x} feed through the Cartan vectors via wact.
     wact = w @ act  # wact[b, a] = value of alpha_a on [e_b, e_{-b}]
-    sum_safe = np.where(valid, total, nr)
     report.checked += nr ** 3 - len(bs)
     for a in range(nr):
-        f1 = nn * nn_ext[a][sum_safe]
+        f1 = nn * nn_ext[a][total]
         f1[arange, neg] = -wact[:, a]
-        s2 = sum_safe[:, a]
+        s2 = total[:, a]
         f2 = nn[:, s2 % nr] * (nn[:, a] * (s2 < nr))[None, :]
         f2[:, neg[a]] = -wact[neg[a], :]
-        s3 = sum_safe[a, :]
+        s3 = total[a, :]
         f3 = (nn[a, :] * (s3 < nr))[:, None] * nn[:, s3 % nr].T
         f3[neg[a], :] = -wact[a, :]
         j = f1 + f2 + f3
@@ -147,11 +139,10 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     report = VerificationReport(suite="chevalley")
     rs = t.rs
     for (a, b), value in t.n.items():
-        alpha, beta = rs.roots[a], rs.roots[b]
-        _, q = rs.string_lengths(alpha, beta)
+        _, q = rs.string_lengths_at(a, b)
         report.checked += 1
         if abs(value) != q + 1:
-            report.record((alpha, beta), q + 1, value)
+            report.record((rs.roots[a], rs.roots[b]), q + 1, value)
     for k, alpha in enumerate(rs.roots):
         report.checked += 1
         if t.opposite[k] != rs.coroot(alpha):
@@ -276,28 +267,25 @@ def sl_n_oracle(
     if not 2 <= n <= 8:
         raise ValueError("the matrix oracle is wired for 2 <= n <= 8")
     cm = build_cartan("A", n - 1)
-    rs = generate_roots(cm)
-    if eps is None:
-        eps = default_epsilon(cm)
     if table is None:
-        table = build_inductive(rs, eps)
-    else:
-        rs, eps = table.rs, table.eps
-        if rs.cartan.label != cm.label:
-            raise IncompatibleTables(f"oracle for {cm.label} got a {rs.cartan.label} table")
+        table = build_inductive(generate_roots(cm), eps or default_epsilon(cm))
+    elif table.rs.cartan.label != cm.label:
+        raise IncompatibleTables(f"oracle for {cm.label} got a {table.rs.cartan.label} table")
+    rs, eps = table.rs, table.eps
     model = MatrixModel(n, eps)
     mats = [model.root_matrix(alpha) for alpha in rs.roots]
     cartans = [model.cartan_matrix(k) for k in range(1, n)]
     report = VerificationReport(suite="sl_n")
 
     for a, alpha in enumerate(rs.roots):
+        sums = rs.sum_index[a].tolist()
         for b, beta in enumerate(rs.roots):
             comm = mats[a] @ mats[b] - mats[b] @ mats[a]
             if b == rs.neg_index(a):
                 coeffs = table.opposite_bracket(a)
                 expected = sum(c * h for c, h in zip(coeffs, cartans))
-            elif rs.contains(add(alpha, beta)):
-                expected = table.n.get((a, b), 0) * mats[rs.index_of(add(alpha, beta))]
+            elif sums[b] >= 0:
+                expected = table.n.get((a, b), 0) * mats[sums[b]]
             else:
                 expected = np.zeros((n, n), dtype=np.int64)
             report.checked += 1

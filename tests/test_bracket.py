@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import chevbasis as cb
-from chevbasis.bracket import check_negation_symmetry, constant_by_coeffs
+from chevbasis.bracket import check_negation_symmetry
 from chevbasis.errors import InvalidEpsilon, NotARoot
 from chevbasis.roots import negate, root_height
 from conftest import DESK_TYPES, system, table, with_flipped_constant
@@ -134,7 +134,7 @@ def test_negation_symmetry_report():
 def test_constant_lookup_validates():
     t = table("A2")
     with pytest.raises(NotARoot):
-        constant_by_coeffs(t, (2, 0), (0, 1))
+        t.constant((2, 0), (0, 1))
 
 
 def test_every_summing_pair_is_stored():

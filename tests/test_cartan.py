@@ -99,10 +99,10 @@ def test_exactly_two_colorings():
 
 def test_flip():
     eps = cb.SignFunction((1, -1))
-    assert cb.flip(eps).values == (-1, 1)
-    assert cb.flip(cb.flip(eps)).values == eps.values
+    assert eps.flipped().values == (-1, 1)
+    assert eps.flipped().flipped().values == eps.values
     f4 = cb.default_epsilon(cb.build_cartan("F", 4))
-    assert cb.flip(f4).values == (1, -1, 1, -1)
+    assert f4.flipped().values == (1, -1, 1, -1)
 
 
 def test_sign_function_validation():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from chevbasis.cli import main
 from chevbasis.serialize import from_json_bytes
 
@@ -135,3 +137,18 @@ def test_byte_determinism(tmp_path):
     for path in (a, b):
         assert run("gen", "--type", "F4", "--out", str(path)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("epsilon", ["default", "flipped"])
+@pytest.mark.parametrize("parent,target", [
+    ("A3", "C2"), ("A5", "C3"), ("A7", "C4"), ("D4", "G2"), ("D5", "B4"), ("D7", "B6"), ("E6", "F4"),
+])
+def test_fold_equals_gen_fold(tmp_path, parent, target, epsilon):
+    paths = {name: (tmp_path / f"{name}.json", tmp_path / f"{name}.csv") for name in ("fold", "gen")}
+    assert run("fold", "--type", parent, "--epsilon", epsilon,
+               "--out", str(paths["fold"][0]), "--csv", str(paths["fold"][1])) == 0
+    assert run("gen", "--type", target, "--method", "fold", "--epsilon", epsilon,
+               "--out", str(paths["gen"][0]), "--csv", str(paths["gen"][1])) == 0
+    for folded, generated in zip(paths["fold"], paths["gen"]):
+        assert folded.read_bytes() == generated.read_bytes()
+    assert from_json_bytes(paths["fold"][0].read_bytes())["provenance"]["parent"] == parent

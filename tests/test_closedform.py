@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from chevbasis.closedform import (
     closed_table,
     constant_sign,
     constant_sign_reduced,
+    pair_signs,
 )
 from chevbasis.errors import NotARoot, NotSimplyLaced
 from chevbasis.roots import add, negate
@@ -128,3 +130,12 @@ def test_sign_times_q_plus_one_matches_table(label, data):
     a, b = data.draw(st.sampled_from(sorted(t.n)))
     alpha, beta = rs.roots[a], rs.roots[b]
     assert closed_constant(rs, t.eps, alpha, beta) == t.n[(a, b)]
+
+
+@pytest.mark.parametrize("label", ("A2", "A5", "D4", "D6", "E6", "E7"))
+def test_pair_signs_match_scalar_formula(label):
+    rs = system(label)
+    a, b = np.nonzero(rs.sum_index >= 0)
+    for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
+        expected = [constant_sign(rs, eps, rs.roots[x], rs.roots[y]) for x, y in zip(a, b)]
+        assert pair_signs(rs, eps, a, b).tolist() == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,3 +216,30 @@ def test_reflection_closure_property(label, data):
     beta = data.draw(st.sampled_from(rs.roots))
     m = rs.pairing(alpha, beta)
     assert rs.contains(tuple(b - m * a for a, b in zip(alpha, beta)))
+
+
+@pytest.mark.parametrize("label", DESK_TYPES + ("D16", "A24"))
+def test_sum_index_matches_tuple_sums(label):
+    rs = system(label)
+    expected = [[rs.index.get(add(alpha, beta), -1) for beta in rs.roots] for alpha in rs.roots]
+    assert rs.sum_index.dtype == np.int32
+    assert rs.sum_index.tolist() == expected
+    assert all(rs.sum_index[k, rs.neg_index(k)] == -1 for k in range(len(rs.roots)))
+    assert not rs.sum_index.flags.writeable
+
+
+def test_string_lengths_at_matches_tuple_walk():
+    for label in ("B3", "G2", "F4"):
+        rs = system(label)
+        for a, alpha in enumerate(rs.roots):
+            for b, beta in enumerate(rs.roots):
+                if b in (a, rs.neg_index(a)):
+                    with pytest.raises(DegeneratePair):
+                        rs.string_lengths_at(a, b)
+                    continue
+                def on_string(k):
+                    return rs.contains(tuple(y + k * x for x, y in zip(alpha, beta)))
+
+                p = next(i for i in range(5) if not on_string(i + 1))
+                q = next(i for i in range(5) if not on_string(-i - 1))
+                assert rs.string_lengths_at(a, b) == (p, q)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 import chevbasis as cb
+from chevbasis.cli import main
 from chevbasis.errors import ChevBasisError
 from chevbasis.serialize import (
     csv_export,
@@ -102,3 +106,33 @@ def test_csv_export_d4():
     assert "1110,-0110,1000,1" in lines
     assert all(line.count(",") == 3 for line in lines)
     assert data.endswith("\n") and "\r" not in data
+
+
+GOLDEN_G2 = Path(__file__).parent / "golden" / "g2.json"
+
+BAD_CONSTANTS = {
+    "not-a-list": lambda c: 5,
+    "entry-not-a-list": lambda c: ["0,1,2,1"] + c[1:],
+    "three-fields": lambda c: [[0, 1, 2]] + c[1:],
+    "float-value": lambda c: [[0, 1, 2, 1.0]] + c[1:],
+    "bool-value": lambda c: [[0, 1, 2, True]] + c[1:],
+    "string-index": lambda c: [["0", 1, 2, 1]] + c[1:],
+    "b-out-of-range": lambda c: [[0, 12, 2, 1]] + c[1:],
+    "negative-a": lambda c: [[-1, 1, 2, 1]] + c[1:],
+    "negative-sum": lambda c: [[0, 1, -10, 1]] + c[1:],
+    "swapped-order": lambda c: [[1, 0, 2, 1]] + c[1:],
+    "duplicate": lambda c: c + c[:1],
+    "outside-int64": lambda c: [[0, 1, 2, 2**70]] + c[1:],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(BAD_CONSTANTS))
+def test_malformed_constant_entries_rejected(mutation, tmp_path):
+    doc = from_json_bytes(GOLDEN_G2.read_bytes())
+    assert doc["constants"][0] == [0, 1, 2, 1]
+    doc["constants"] = BAD_CONSTANTS[mutation](doc["constants"])
+    with pytest.raises(ChevBasisError):
+        table_from_document(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path)]) == 2
