@@ -11,13 +11,16 @@ class VerificationReport:
     """Outcome of an exhaustive exact check.
 
     ``violations`` holds (site, expected, got) triples; the sweep passes
-    iff it is empty.  ``checked`` counts every evaluated instance, and
+    iff it is empty.  ``checked`` counts every instance covered, and
     ``violation_count`` the total number of failures even when the stored
-    list is truncated.
+    list is truncated.  ``zero_by_grading`` counts the covered instances
+    that hold for any table by the root grading, without evaluation (only
+    the Jacobi sweep has such); the rest are ``evaluated``.
     """
 
     suite: str
     checked: int = 0
+    zero_by_grading: int = 0
     violations: list[tuple[Any, Any, Any]] = field(default_factory=list)
     violation_count: int = 0
     max_recorded: int = 100
@@ -25,6 +28,10 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.violation_count == 0
+
+    @property
+    def evaluated(self) -> int:
+        return self.checked - self.zero_by_grading
 
     def record(self, site: Any, expected: Any, got: Any) -> None:
         self.violation_count += 1
@@ -35,6 +42,8 @@ class VerificationReport:
         return {
             "suite": self.suite,
             "checked": self.checked,
+            "evaluated": self.evaluated,
+            "zero_by_grading": self.zero_by_grading,
             "passed": self.passed,
             "violation_count": self.violation_count,
             "violations": [
@@ -46,4 +55,5 @@ class VerificationReport:
 
     def summary(self) -> str:
         status = "pass" if self.passed else f"FAIL ({self.violation_count} violations)"
-        return f"{self.suite}: {status}, {self.checked} checks"
+        return (f"{self.suite}: {status}, {self.checked} checks "
+                f"({self.evaluated} evaluated, {self.zero_by_grading} zero by grading)")

@@ -62,7 +62,12 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
         raise ChevBasisError("document root list does not match the generated ordering")
     if doc["positive_count"] != rs.positive_count:
         raise ChevBasisError("positive_count mismatch")
-    eps = SignFunction(tuple(doc["epsilon"]))
+    epsilon = doc["epsilon"]
+    if not (isinstance(epsilon, list) and len(epsilon) == rank):
+        raise ChevBasisError(f"epsilon must be a list of {rank} signs, one per node")
+    if any(type(v) is not int or v not in (1, -1) for v in epsilon):
+        raise ChevBasisError(f"epsilon {epsilon!r} has a value that is not the integer 1 or -1")
+    eps = SignFunction(tuple(epsilon))
     if not isinstance(doc["constants"], list):
         raise ChevBasisError("constants must be a list")
     nr = len(rs.roots)
@@ -81,13 +86,19 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
             raise ChevBasisError(f"constant entry {(a, b, s)} has a wrong sum index")
         n[(a, b)] = value
         n[(b, a)] = -value
-    action = tuple(tuple(row) for row in doc["cartan_action"])
-    opposite = tuple(tuple(c) for c in doc["opposite"])
-    if len(action) != rank or any(len(row) != len(rs.roots) for row in action):
-        raise ChevBasisError("cartan_action has wrong shape")
-    if len(opposite) != len(rs.roots) or any(len(c) != rank for c in opposite):
-        raise ChevBasisError("opposite has wrong shape")
+    action = _int_rows(doc["cartan_action"], rank, nr, "cartan_action")
+    opposite = _int_rows(doc["opposite"], nr, rank, "opposite")
     return BracketTable(rs=rs, eps=eps, n=n, cartan_action=action, opposite=opposite)
+
+
+def _int_rows(value: Any, rows: int, cols: int, name: str) -> tuple[tuple[int, ...], ...]:
+    """A document matrix as tuples, checked to be rows x cols ints (no bools or floats)."""
+    if not (isinstance(value, list) and len(value) == rows
+            and all(isinstance(row, list) and len(row) == cols for row in value)):
+        raise ChevBasisError(f"{name} must be {rows} lists of {cols} integers")
+    if any(type(x) is not int for row in value for x in row):
+        raise ChevBasisError(f"{name} has an entry that is not an integer")
+    return tuple(tuple(row) for row in value)
 
 
 def to_json_bytes(doc: dict[str, Any]) -> bytes:

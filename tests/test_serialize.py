@@ -136,3 +136,34 @@ def test_malformed_constant_entries_rejected(mutation, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--in", str(path)]) == 2
+
+
+def _set(field, row, col, value):
+    def mutate(doc):
+        doc[field][row][col] = value
+    return mutate
+
+
+# Each keeps the value the field had and changes only its type, or the
+# epsilon length, so only the file check can catch it.
+BAD_FIELDS = {
+    "opposite-float": (_set("opposite", 0, 1, 1.0), "opposite has an entry"),
+    "action-float": (_set("cartan_action", 0, 2, 1.0), "cartan_action has an entry"),
+    "epsilon-bool": (lambda doc: doc.update(epsilon=[-1, True]), "not the integer 1 or -1"),
+    "epsilon-length": (lambda doc: doc.update(epsilon=[-1, 1, -1]), "list of 2 signs"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(BAD_FIELDS))
+def test_malformed_fields_rejected(mutation, tmp_path, capsys):
+    doc = from_json_bytes(GOLDEN_G2.read_bytes())
+    assert doc["epsilon"] == [-1, 1]
+    assert doc["opposite"][0][1] == 1 and doc["cartan_action"][0][2] == 1
+    mutate, message = BAD_FIELDS[mutation]
+    mutate(doc)
+    with pytest.raises(ChevBasisError, match=message):
+        table_from_document(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -2,14 +2,222 @@
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import chevbasis as cb
+from chevbasis.bracket import BracketTable
+from chevbasis.cli import main
+from chevbasis.closedform import closed_table
 from chevbasis.errors import IncompatibleTables
-from chevbasis.roots import negate
+from chevbasis.report import VerificationReport
+from chevbasis.roots import add, negate
+from chevbasis.serialize import from_json_bytes, table_from_document
 from chevbasis.verify import MatrixModel, differential, sl_n_oracle
-from conftest import system, table, with_flipped_constant, with_flipped_opposite
+from conftest import DESK_TYPES, system, table, with_flipped_constant, with_flipped_opposite
+
+GOLDEN_G2 = Path(__file__).parent / "golden" / "g2.json"
+
+
+# The dense sweep the graded ``jacobi_sweep`` replaced, kept as its reference:
+# it evaluates all nr**3 root triples with r x nr x nr intermediates.
+def _dense_table_arrays(t: BracketTable):
+    """Dense integer views of a table: constants, sums, actions, Cartan vectors."""
+    rs = t.rs
+    nr = len(rs.roots)
+    nn = np.zeros((nr, nr), dtype=np.int64)
+    for (a, b), value in t.n.items():
+        nn[a, b] = value
+    valid = rs.sum_index >= 0
+    total = np.where(valid, rs.sum_index, nr)  # nr = sentinel "no root"
+    neg = np.array([rs.neg_index(k) for k in range(nr)], dtype=np.intp)
+    act = np.array(t.cartan_action, dtype=np.int64)
+    w = np.array([t.opposite_bracket(k) for k in range(nr)], dtype=np.int64)
+    return nn, total, valid, neg, act, w
+
+
+def _dense_jacobi_reference(t: BracketTable, max_recorded: int = 100) -> VerificationReport:
+    """Evaluate [x,[y,z]] + [y,[z,x]] + [z,[x,y]] on every ordered basis triple.
+
+    Basis order: h_1..h_rank then the roots in root-system order.  The
+    triples are processed in vectorised batches grouped by how many
+    Cartan elements they contain; each batch literally computes the three
+    terms from the table's data and records every non-zero sum.
+    """
+    report = VerificationReport(suite="jacobi", max_recorded=max_recorded)
+    rs = t.rs
+    r = rs.rank
+    nr = len(rs.roots)
+    nn, total, valid, neg, act, w = _dense_table_arrays(t)
+    nn_ext = np.concatenate([nn, np.zeros((nr, 1), dtype=np.int64)], axis=1)
+    arange = np.arange(nr)
+
+    def note(kind, sites):
+        for s in sites:
+            report.record((kind, *map(int, s)), 0, "nonzero")
+
+    # All-Cartan triples: every bracket is zero.
+    report.checked += r ** 3
+
+    # Two Cartan elements: the two surviving terms are products of scalar
+    # actions in opposite order; the same grid covers all three layouts.
+    prod = act[None, :, :] * act[:, None, :]
+    j2 = prod - prod.swapaxes(0, 1)
+    for kind in ("hhe", "heh", "ehh"):
+        report.checked += r * r * nr
+        if np.any(j2):
+            note(kind, np.argwhere(j2)[:max_recorded])
+
+    # One Cartan element.  Off the b = -a band the identity reduces to
+    # additivity of the action along root sums; on the band the two
+    # surviving terms are Cartan vectors read from the table.
+    total_safe = np.where(valid, total, 0)
+    act_sum = act[:, total_safe]          # (r, nr, nr): alpha_{b+c}(h_i)
+    band_x = (act[:, neg][:, :, None] * w[None, :, :]
+              - act[:, :, None] * w[neg][None, :, :])
+
+    hee = nn[None, :, :] * (act_sum - act[:, None, :] - act[:, :, None])
+    hee[:, arange, neg] = 0
+    report.checked += r * nr * nr
+    if np.any(hee):
+        note("hee", np.argwhere(hee)[:max_recorded])
+    if np.any(band_x):
+        note("hee-band", np.argwhere(band_x)[:max_recorded])
+
+    ehe = nn[None, :, :] * (act[:, :, None] + act[:, None, :] - act_sum)
+    ehe[:, arange, neg] = 0
+    report.checked += r * nr * nr
+    if np.any(ehe):
+        note("ehe", np.argwhere(ehe)[:max_recorded])
+    if np.any(band_x):
+        note("ehe-band", np.argwhere(band_x)[:max_recorded])
+
+    eeh = nn[None, :, :] * (act_sum - act[:, :, None] - act[:, None, :])
+    eeh[:, arange, neg] = 0
+    report.checked += r * nr * nr
+    if np.any(eeh):
+        note("eeh", np.argwhere(eeh)[:max_recorded])
+    if np.any(band_x):
+        note("eeh-band", np.argwhere(band_x)[:max_recorded])
+
+    # Root-only triples whose coefficients sum to zero: all three terms
+    # are Cartan vectors.
+    bs, cs = np.nonzero(valid)
+    az = neg[total[bs, cs]]
+    jz = (nn[bs, cs, None] * w[az]
+          + nn[cs, az, None] * w[bs]
+          + nn[az, bs, None] * w[cs])
+    report.checked += len(bs)
+    if np.any(jz):
+        bad = np.nonzero(np.any(jz != 0, axis=1))[0]
+        note("eee0", [(az[i], bs[i], cs[i]) for i in bad[:max_recorded]])
+
+    # Remaining root-only triples, chunked over the first index a.  Every
+    # non-zero term is a multiple of e_{a+b+c}; inner brackets that land
+    # on e_{-x} feed through the Cartan vectors via wact.
+    wact = w @ act  # wact[b, a] = value of alpha_a on [e_b, e_{-b}]
+    report.checked += nr ** 3 - len(bs)
+    for a in range(nr):
+        f1 = nn * nn_ext[a][total]
+        f1[arange, neg] = -wact[:, a]
+        s2 = total[:, a]
+        f2 = nn[:, s2 % nr] * (nn[:, a] * (s2 < nr))[None, :]
+        f2[:, neg[a]] = -wact[neg[a], :]
+        s3 = total[a, :]
+        f3 = (nn[a, :] * (s3 < nr))[:, None] * nn[:, s3 % nr].T
+        f3[neg[a], :] = -wact[a, :]
+        j = f1 + f2 + f3
+        j[total == neg[a]] = 0  # zero-sum triples were checked above
+        if np.any(j):
+            note("eee", [(a, b, c) for b, c in np.argwhere(j)[:max_recorded]])
+    return report
+
+
+
+def _sites(report: VerificationReport) -> set:
+    return {site for site, _, _ in report.violations}
+
+
+@pytest.mark.parametrize("label", DESK_TYPES)
+def test_graded_jacobi_matches_dense_reference(label):
+    everything = 10 ** 9
+    for flipped in (False, True):
+        t = table(label, flipped)
+        action = [list(row) for row in t.cartan_action]
+        action[0][-1] += 1
+        bumped = BracketTable(rs=t.rs, eps=t.eps, n=t.n, opposite=t.opposite,
+                              cartan_action=tuple(map(tuple, action)))
+        variants = [t, with_flipped_opposite(t), bumped]
+        variants += [with_flipped_constant(t, site) for site in range(min(3, len(t.n)))]
+        for v in variants:
+            dense = _dense_jacobi_reference(v, max_recorded=everything)
+            graded = cb.jacobi_sweep(v, max_recorded=everything)
+            assert graded.violation_count == dense.violation_count
+            assert len(_sites(graded)) == graded.violation_count
+            assert _sites(graded) == _sites(dense)
+            assert graded.checked == dense.checked == t.dimension ** 3
+
+
+def test_jacobi_evaluates_exactly_the_triples_grading_leaves():
+    # Count by brute force over root tuples the triples the sweep must
+    # evaluate: one Cartan element with a linked root pair (sum a root or
+    # zero), and root triples with a root or zero sum and a linked pair.
+    for label in ("A1", "A3", "B3", "G2", "D4"):
+        t = table(label)
+        rs = t.rs
+        zero = (0,) * rs.rank
+
+        def linked(u, v):
+            s = add(u, v)
+            return s == zero or rs.contains(s)
+
+        pairs = sum(linked(u, v) for u in rs.roots for v in rs.roots)
+        triples = 0
+        for x in rs.roots:
+            for y in rs.roots:
+                for z in rs.roots:
+                    s = add(add(x, y), z)
+                    if (s == zero or rs.contains(s)) and (
+                            linked(y, z) or linked(z, x) or linked(x, y)):
+                        triples += 1
+        report = cb.jacobi_sweep(t)
+        assert report.evaluated == 3 * rs.rank * pairs + triples, label
+        assert report.evaluated + report.zero_by_grading == report.checked == t.dimension ** 3
+        doc = report.to_json()
+        assert (doc["evaluated"], doc["zero_by_grading"]) == (report.evaluated, report.zero_by_grading)
+        assert f"{report.evaluated} evaluated, {report.zero_by_grading} zero by grading" in report.summary()
+
+
+def test_jacobi_flags_constant_on_non_summing_pair():
+    # Grading makes the sweep skip every pair whose roots do not sum to a
+    # root, so a constant stored on such a pair must be flagged directly.
+    t = table("A2")
+    rs = t.rs
+    a = 0
+    for b in (a, rs.neg_index(a)):
+        assert rs.sum_index[a, b] < 0
+        bad = BracketTable(rs=t.rs, eps=t.eps, n={**t.n, (a, b): 1},
+                           cartan_action=t.cartan_action, opposite=t.opposite)
+        report = cb.jacobi_sweep(bad)
+        assert not report.passed
+        assert ("grading", a, b) in _sites(report)
+
+
+def test_jacobi_sweep_memory_on_a24():
+    rs = system("A24")
+    t = closed_table(rs, cb.default_epsilon(rs.cartan))
+    tracemalloc.start()
+    try:
+        report = cb.jacobi_sweep(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == t.dimension ** 3
+    assert peak < 64 * 2 ** 20, f"jacobi_sweep peak {peak / 2 ** 20:.1f} MB on A24"
 
 
 def test_jacobi_counts_every_ordered_triple():
@@ -45,6 +253,18 @@ def test_chevalley_audit_pass():
     for label in ("A3", "B3", "G2", "E6"):
         report = cb.chevalley_audit(table(label))
         assert report.passed
+
+
+def test_chevalley_audit_catches_dropped_pair(tmp_path):
+    doc = from_json_bytes(GOLDEN_G2.read_bytes())
+    a, b, _, _ = doc["constants"].pop(0)
+    report = cb.chevalley_audit(table_from_document(doc))
+    assert not report.passed
+    rs = system("G2")
+    assert _sites(report) == {(rs.roots[a], rs.roots[b]), (rs.roots[b], rs.roots[a])}
+    path = tmp_path / "dropped.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path), "--suite", "chevalley"]) == 1
 
 
 def test_chevalley_audit_catches_magnitude_and_coroot():
