@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IllegalType, InvalidEpsilon, NoFoldableSymmetry
 
@@ -95,7 +96,7 @@ class CartanMatrix:
         """Entry a_ij for 1-based node ids."""
         return self.entries[i - 1][j - 1]
 
-    @property
+    @cached_property
     def simply_laced(self) -> bool:
         return all(
             self.entries[i][j] in (0, -1)

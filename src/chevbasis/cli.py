@@ -1,8 +1,11 @@
 """Command-line interface: generate, fold, verify and inspect tables.
 
 Exit codes: 0 on success (all verifications passing), 1 when a
-verification suite reports violations, 2 on usage errors.  Every command
-is deterministic; there is no randomness anywhere in the package.
+verification suite reports violations, 2 on usage errors and malformed
+files, 3 when a construction cross-check disagrees with itself
+(``InternalInconsistency``, a defect in the package, not in the input).
+Every command is deterministic; there is no randomness anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .serialize import (
 from .verify import chevalley_audit, differential, jacobi_sweep, sl_n_oracle
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _epsilon_for(cm, choice: str):
@@ -176,8 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InternalInconsistency:
-        raise
+    except InternalInconsistency as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except (IllegalType, NotARoot, NotSimplyLaced, NoFoldableSymmetry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

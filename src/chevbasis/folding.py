@@ -234,6 +234,47 @@ def q_tilde_by_case(fs: FoldedSystem, alpha: Root, beta: Root) -> int:
     return 0 if fs.auto.order == 2 else 1
 
 
+def _q_routes(fs: FoldedSystem) -> tuple[np.ndarray, ...]:
+    """Folded pairs, parent representatives and their q by all three routes.
+
+    Returns (xs, ys, ka, kb, found, q): the folded pairs (xs[i], ys[i])
+    with a root sum, in row-major order; ka the first parent of x and kb
+    the first member of y's parent orbit with ka + kb a root (valid where
+    ``found``); and q, a 3 x P array of the folded backward string length
+    by string walk, orbit pair count and orbit case analysis.  Array forms
+    of ``string_lengths_at``, :func:`q_tilde_by_count` and
+    :func:`q_tilde_by_case`, which the tests hold them to.
+    """
+    rs, rs_f = fs.parent, fs.folded_rs
+    # orbits[x] is the parent orbit of folded root x in root_orbit order,
+    # padded with -1; perm is the induced root permutation.
+    orbits = np.full((len(rs_f.roots), max(map(len, fs.root_orbits))), -1, dtype=np.intp)
+    perm = np.empty(len(rs.roots), dtype=np.intp)
+    for x in range(len(rs_f.roots)):
+        cycle = fs.parents_of(x)
+        orbits[x, :len(cycle)] = cycle
+        perm[list(cycle)] = cycle[1:] + cycle[:1]
+    xs, ys = np.nonzero(rs_f.sum_index >= 0)
+    oa, ob = orbits[xs], orbits[ys]
+    ka = oa[:, 0]
+    hit = (ob >= 0) & (rs.sum_index[ka[:, None], ob] >= 0)
+    kb = ob[np.arange(len(ys)), hit.argmax(axis=1)]
+    s = rs.sum_index[ka, kb]
+
+    neg_x = (xs + rs_f.positive_count) % len(rs_f.roots)
+    q_string, b = np.zeros(len(xs), dtype=np.int64), ys
+    while (live := b >= 0).any():
+        b = np.where(live, rs_f.sum_index[neg_x, b], -1)
+        q_string += b >= 0
+    pairs = (oa[:, :, None] >= 0) & (ob[:, None, :] >= 0)
+    same = pairs & (rs.sum_index[oa[:, :, None], ob[:, None, :]] == s[:, None, None])
+    q_count = same.sum(axis=(1, 2)) - 1
+    d = fs.auto.order
+    q_case = np.where((perm[ka] == ka) | (perm[kb] == kb), 0,
+                      np.where(rs.sum_index[perm[ka], perm[kb]] == s, d - 1, 0 if d == 2 else 1))
+    return xs, ys, ka, kb, hit.any(axis=1), np.stack([q_string, q_count, q_case])
+
+
 def folded_table(fs: FoldedSystem) -> BracketTable:
     """The canonical bracket table of the folded algebra.
 
@@ -244,62 +285,46 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
     count, orbit case analysis) which must agree exactly.  Co-roots of
     folded roots are orbit sums of parent co-roots, re-expressed over the
     folded Cartan generators and checked against the folded root system's
-    own co-root construction.
+    own co-root construction.  All of it runs on index arrays; the first
+    failing pair or root, in index order, is the one reported.
     """
     rs = fs.parent
     rs_f = fs.folded_rs
-    xs, ys = np.nonzero(rs_f.sum_index >= 0)
-    reps, q_plus_one = [], []
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        ka = fs.parents_of(x)[0]
-        kb = next((k for k in fs.parents_of(y) if rs.sum_index[ka, k] >= 0), None)
-        if kb is None:
-            raise RepresentativeNotFound(
-                f"no representative pair for folded {rs_f.roots[x]} + {rs_f.roots[y]}"
-            )
-        _, q = rs_f.string_lengths_at(x, y)
-        alpha, beta = rs.roots[ka], rs.roots[kb]
-        q_count = q_tilde_by_count(fs, alpha, beta)
-        q_case = q_tilde_by_case(fs, alpha, beta)
-        if not q == q_count == q_case:
-            raise InternalInconsistency(
-                f"q disagreement at {rs_f.roots[x]},{rs_f.roots[y]}: "
-                f"string {q}, count {q_count}, case {q_case}"
-            )
-        reps.append((ka, kb))
-        q_plus_one.append(q + 1)
-    ka, kb = np.array(reps, dtype=np.intp).reshape(-1, 2).T
-    values = pair_signs(rs, fs.eps, ka, kb) * np.array(q_plus_one, dtype=np.int64)
+    xs, ys, ka, kb, found, q = _q_routes(fs)
+    bad = ~found | (q != q[0]).any(axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        x, y = rs_f.roots[xs[i]], rs_f.roots[ys[i]]
+        if not found[i]:
+            raise RepresentativeNotFound(f"no representative pair for folded {x} + {y}")
+        raise InternalInconsistency(
+            f"q disagreement at {x},{y}: string {q[0, i]}, count {q[1, i]}, case {q[2, i]}"
+        )
+    values = pair_signs(rs, fs.eps, ka, kb) * (q[0] + 1)
     n = dict(zip(zip(xs.tolist(), ys.tolist()), values.tolist()))
 
-    node_orbits = [fs.auto.orbit_of(i) for i in fs.reps]
-    opposite = []
-    for fa, fra in enumerate(rs_f.roots):
-        total = [0] * rs.cartan.rank
-        for k in fs.parents_of(fa):
-            for j, c in enumerate(rs.coroot(rs.roots[k])):
-                total[j] += c
-        coords = []
-        for orbit in node_orbits:
-            values = {total[j - 1] for j in orbit}
-            if len(values) != 1:
-                raise InternalInconsistency(
-                    f"orbit co-root sum not constant on node orbit at {fra}"
-                )
-            coords.append(values.pop())
-        coords = tuple(coords)
-        if coords != rs_f.coroot(fra):
-            raise InternalInconsistency(
-                f"folded co-root mismatch at {fra}: {coords} vs {rs_f.coroot(fra)}"
-            )
-        opposite.append(coords)
+    totals = np.zeros((len(rs_f.roots), rs.rank), dtype=np.int64)
+    np.add.at(totals, list(fs.restriction), [rs.coroot(alpha) for alpha in rs.roots])
+    columns = [np.array(fs.auto.orbit_of(i)) - 1 for i in fs.reps]
+    coords = totals[:, [c[0] for c in columns]]
+    expected = np.array([rs_f.coroot(fra) for fra in rs_f.roots])
+    uneven = np.any([(totals[:, c] != totals[:, c[:1]]).any(axis=1) for c in columns], axis=0)
+    bad = uneven | (coords != expected).any(axis=1)
+    if bad.any():
+        fa = int(bad.argmax())
+        fra = rs_f.roots[fa]
+        if uneven[fa]:
+            raise InternalInconsistency(f"orbit co-root sum not constant on node orbit at {fra}")
+        raise InternalInconsistency(
+            f"folded co-root mismatch at {fra}: {tuple(coords[fa].tolist())} vs {rs_f.coroot(fra)}"
+        )
 
     return BracketTable(
         rs=rs_f,
         eps=fs.folded_eps,
         n=n,
         cartan_action=rs_f.cartan_action(),
-        opposite=tuple(opposite),
+        opposite=tuple(map(tuple, coords.tolist())),
     )
 
 

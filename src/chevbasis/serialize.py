@@ -129,8 +129,8 @@ def parse_coeffs(text: str, rank: int) -> Root:
 
 def csv_export(doc: dict[str, Any]) -> bytes:
     """Flat `alpha,beta,sum,N` rows with compact root rendering."""
-    roots = [tuple(r) for r in doc["roots"]]
+    names = [render_root(tuple(r)) for r in doc["roots"]]
     lines = ["alpha,beta,sum,N"]
     for a, b, s, value in doc["constants"]:
-        lines.append(f"{render_root(roots[a])},{render_root(roots[b])},{render_root(roots[s])},{value}")
+        lines.append(f"{names[a]},{names[b]},{names[s]},{value}")
     return ("\n".join(lines) + "\n").encode("ascii")

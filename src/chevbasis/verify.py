@@ -163,13 +163,18 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     """Check |N_{alpha,beta}| = q+1 for every pair and co-roots for every root.
 
     Every pair whose roots sum to a root must be stored; a missing one is
-    recorded with ``None`` as the value found.
+    recorded with ``None`` as the value found.  A constant stored on a
+    pair that does not sum to a root is recorded with ``None`` as the
+    value expected, and no string is walked for it.
     """
     report = VerificationReport(suite="chevalley")
     rs = t.rs
     for (a, b), value in t.n.items():
-        _, q = rs.string_lengths_at(a, b)
         report.checked += 1
+        if rs.sum_index[a, b] < 0:
+            report.record((rs.roots[a], rs.roots[b]), None, value)
+            continue
+        _, q = rs.string_lengths_at(a, b)
         if abs(value) != q + 1:
             report.record((rs.roots[a], rs.roots[b]), q + 1, value)
     for a, b in np.argwhere(rs.sum_index >= 0).tolist():

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from chevbasis import folding
 from chevbasis.cli import main
+from chevbasis.errors import InternalInconsistency
 from chevbasis.serialize import from_json_bytes
 
 
@@ -49,6 +51,17 @@ def test_usage_errors(tmp_path):
     assert run("gen", "--type", "B3", "--method", "closed", "--out", str(out)) == 2
     assert run("gen", "--type", "E7", "--method", "fold", "--out", str(out)) == 2
     assert run("verify", "--in", str(tmp_path / "missing.json")) == 2
+
+
+def test_internal_inconsistency_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(fs):
+        raise InternalInconsistency("injected")
+
+    monkeypatch.setattr(folding, "folded_table", broken)
+    out = tmp_path / "g2.json"
+    assert run("gen", "--type", "G2", "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: internal inconsistency: injected\n"
+    assert not out.exists()
 
 
 def test_e7_closed_then_jacobi(tmp_path):

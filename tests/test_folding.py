@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
+import numpy as np
 import pytest
 
 import chevbasis as cb
-from chevbasis.errors import FoldingPreconditionViolated, IllegalType
+from chevbasis.errors import (
+    FoldingPreconditionViolated,
+    IllegalType,
+    InternalInconsistency,
+    RepresentativeNotFound,
+)
 from chevbasis.folding import (
+    _q_routes,
     check_automorphism_invariance,
     check_orbit_sign_constancy,
+    fold_onto,
     permute_root,
     q_tilde_by_case,
     q_tilde_by_count,
     summing_orbit_pairs,
 )
 from chevbasis.roots import add, negate, root_height
+from chevbasis.serialize import document_from_table, to_json_bytes
 from chevbasis.verify import differential
 from conftest import FOLDS, folded, system, table, with_flipped_constant
 
@@ -139,6 +151,97 @@ def test_q_methods_agree_on_all_parent_pairs():
                 if not rs.contains(add(alpha, beta)):
                     continue
                 assert q_tilde_by_count(fs, alpha, beta) == q_tilde_by_case(fs, alpha, beta)
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("case", [parent for parent, _ in FOLDS]
+                         + ["B2", "B3", "B4", "C2", "C3", "C4", "F4", "G2"])
+def test_q_routes_match_scalar_references(case, flipped):
+    # FOLDS parents fold by their standard automorphism, target labels by
+    # fold_source.  Every folded pair's representatives and its three q
+    # values must be those of the scalar references.
+    if case in dict(FOLDS):
+        rs = system(case)
+        auto = cb.standard_automorphism(rs.cartan)
+    else:
+        cm, auto = cb.fold_source(*cb.parse_type_label(case))
+        rs = system(cm.label)
+    eps = cb.default_epsilon(rs.cartan)
+    fs = cb.fold(rs, eps.flipped() if flipped else eps, auto)
+    rs_f = fs.folded_rs
+    xs, ys, ka, kb, found, q = _q_routes(fs)
+    assert found.all()
+    assert np.array_equal(np.stack([xs, ys], axis=1), np.argwhere(rs_f.sum_index >= 0))
+    for i, (x, y, a, b) in enumerate(zip(xs.tolist(), ys.tolist(), ka.tolist(), kb.tolist())):
+        assert a == fs.parents_of(x)[0]
+        assert b == next(k for k in fs.parents_of(y) if rs.sum_index[a, k] >= 0)
+        alpha, beta = rs.roots[a], rs.roots[b]
+        assert q[:, i].tolist() == [
+            rs_f.string_lengths_at(x, y)[1],
+            q_tilde_by_count(fs, alpha, beta),
+            q_tilde_by_case(fs, alpha, beta),
+        ]
+
+
+def test_folded_table_flags_q_disagreement():
+    # Order 2 on triality changes only the case analysis, which must then
+    # disagree with the string walk and the orbit count.
+    fs, _ = folded("D4")
+    bad = dataclasses.replace(fs, auto=dataclasses.replace(fs.auto, order=2))
+    with pytest.raises(InternalInconsistency,
+                       match=r"^q disagreement at \(0, 1\),\(1, 1\): string 1, count 1, case 0$"):
+        cb.folded_table(bad)
+
+
+@pytest.mark.parametrize("root,error,message", [
+    ((0, 1), RepresentativeNotFound, r"no representative pair for folded \(0, 1\) \+ \(1, 0\)"),
+    ((1, 1), InternalInconsistency, r"q disagreement at \(0, 1\),\(1, 1\): string 1, count 2, case 2"),
+    ((2, 3), RepresentativeNotFound, r"no representative pair for folded \(1, 0\) \+ \(-2, -3\)"),
+])
+def test_folded_table_flags_swapped_restriction(root, error, message):
+    # Restricting the parent orbit of a folded root to its negative and
+    # back breaks the representative search or the q agreement; the first
+    # failing pair in row-major order names the error (as the scalar loop
+    # that preceded the array code did).
+    fs, _ = folded("D4")
+    x = fs.folded_rs.index_of(root)
+    swap = {x: fs.folded_rs.neg_index(x), fs.folded_rs.neg_index(x): x}
+    bad = dataclasses.replace(fs, restriction=tuple(swap.get(k, k) for k in fs.restriction))
+    with pytest.raises(error, match=f"^{message}$"):
+        cb.folded_table(bad)
+
+
+def test_folded_table_flags_coroot_faults():
+    # Swapped representatives read the orbit co-root sums in the wrong
+    # folded coordinates.  A node orbit (3, 4) next to (1, 2, 4) keeps the
+    # representatives' columns, so only the sums differing across it fail.
+    fs, _ = folded("D4")
+    with pytest.raises(InternalInconsistency,
+                       match=r"^folded co-root mismatch at \(0, 1\): \(1, 0\) vs \(0, 1\)$"):
+        cb.folded_table(dataclasses.replace(fs, reps=(1, 3)))
+    uneven = dataclasses.replace(fs.auto, orbits=((3, 4), (1, 2, 4)))
+    with pytest.raises(InternalInconsistency,
+                       match=r"^orbit co-root sum not constant on node orbit at \(0, 1\)$"):
+        cb.folded_table(dataclasses.replace(fs, auto=uneven))
+
+
+# SHA-256 of the fold_onto JSON document, pinned from the per-pair scalar
+# loop that the array code replaced; no golden file covers these ranks.
+LARGE_FOLD_DIGESTS = {
+    ("B16", "default"): "7f4db7cb4b49c68b5402f5e35dacc4690382bd25bea6209b3e930b15b0b43352",
+    ("B16", "flipped"): "f8ec46fec4125d635702f1f73e76b457aca8031697af0e141a7d50adab043898",
+    ("C16", "default"): "067cbe297261061fc43f5ac6b2ab3a989568f7478b9c85fd2e3b5b9ab040763f",
+    ("C16", "flipped"): "e54d6e9480fb754ed12079a56b96df46f3e5fe1254d84ce81079e9355c3dc6df",
+}
+
+
+@pytest.mark.parametrize("label,epsilon", sorted(LARGE_FOLD_DIGESTS))
+def test_large_folded_tables_are_byte_stable(label, epsilon):
+    cm = cb.build_cartan(*cb.parse_type_label(label))
+    eps = cb.default_epsilon(cm)
+    table, meta = fold_onto(cm, eps.flipped() if epsilon == "flipped" else eps)
+    data = to_json_bytes(document_from_table(table, "folded", meta))
+    assert hashlib.sha256(data).hexdigest() == LARGE_FOLD_DIGESTS[label, epsilon]
 
 
 def test_q_case_values():

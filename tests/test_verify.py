@@ -267,6 +267,19 @@ def test_chevalley_audit_catches_dropped_pair(tmp_path):
     assert main(["verify", "--in", str(path), "--suite", "chevalley"]) == 1
 
 
+def test_chevalley_audit_flags_constant_on_non_summing_pair():
+    # A stored key (a, a) or (a, -a) has no root string; the audit must
+    # record it, not raise from the string walk.
+    rs = system("A2")
+    t = closed_table(rs, cb.default_epsilon(rs.cartan))
+    for b in (0, rs.neg_index(0)):
+        bad = BracketTable(rs=rs, eps=t.eps, n={**t.n, (0, b): 1},
+                           cartan_action=t.cartan_action, opposite=t.opposite)
+        report = cb.chevalley_audit(bad)
+        assert not report.passed
+        assert report.violations == [((rs.roots[0], rs.roots[b]), None, 1)]
+
+
 def test_chevalley_audit_catches_magnitude_and_coroot():
     t = table("D4")
     key = sorted(t.n)[0]
