@@ -67,8 +67,9 @@ def _base_constants(rs: RootSystem, eps: SignFunction) -> dict[tuple[int, int], 
     n: dict[tuple[int, int], int] = {}
     for i in rs.cartan.nodes:
         a = rs.index_of(rs.simple_root(i))
-        for b in np.flatnonzero(rs.sum_index[a] >= 0).tolist():
-            n[(a, b)] = eps.value(i) * (rs.string_lengths_at(a, b)[1] + 1)
+        bs = np.flatnonzero(rs.sum_index[a] >= 0)
+        for b, q in zip(bs.tolist(), rs.backward_lengths(a, bs).tolist()):
+            n[(a, b)] = eps.value(i) * (q + 1)
     return n
 
 

@@ -91,8 +91,8 @@ def _cmd_fold(args) -> int:
 def _cmd_verify(args) -> int:
     doc = from_json_bytes(Path(args.infile).read_bytes())
     table = table_from_document(doc)
-    family, rank = parse_type_label(doc["type"])
-    default = ["jacobi", "chevalley", "differential"] + (["slN"] if family == "A" and rank <= 7 else [])
+    cm = table.rs.cartan
+    default = ["jacobi", "chevalley", "differential"] + (["slN"] if cm.type_label == "A" and cm.rank <= 7 else [])
     suites = args.suite.split(",") if args.suite else default
     reports: list[VerificationReport] = []
     for suite in suites:
@@ -107,9 +107,7 @@ def _cmd_verify(args) -> int:
                 other, _ = independent_table(table.rs, table.eps)
             reports.append(differential(table, other))
         elif suite == "slN":
-            if family != "A" or not 1 <= rank <= 7:
-                raise IllegalType("slN suite needs an A-type table of rank <= 7")
-            reports.append(sl_n_oracle(rank + 1, table=table))
+            reports.append(sl_n_oracle(table))
         else:
             raise IllegalType(f"unknown suite {suite!r}")
     if args.json:

@@ -38,7 +38,7 @@ class RepresentativeNotFound(ChevBasisError):
 
 
 class IncompatibleTables(ChevBasisError):
-    """Two bracket tables do not describe the same algebra under the map."""
+    """Two bracket tables do not share a Cartan matrix, so cannot be compared."""
 
 
 class InternalInconsistency(ChevBasisError):

@@ -260,12 +260,7 @@ def _q_routes(fs: FoldedSystem) -> tuple[np.ndarray, ...]:
     hit = (ob >= 0) & (rs.sum_index[ka[:, None], ob] >= 0)
     kb = ob[np.arange(len(ys)), hit.argmax(axis=1)]
     s = rs.sum_index[ka, kb]
-
-    neg_x = (xs + rs_f.positive_count) % len(rs_f.roots)
-    q_string, b = np.zeros(len(xs), dtype=np.int64), ys
-    while (live := b >= 0).any():
-        b = np.where(live, rs_f.sum_index[neg_x, b], -1)
-        q_string += b >= 0
+    q_string = rs_f.backward_lengths(xs, ys)
     pairs = (oa[:, :, None] >= 0) & (ob[:, None, :] >= 0)
     same = pairs & (rs.sum_index[oa[:, :, None], ob[:, None, :]] == s[:, None, None])
     q_count = same.sum(axis=(1, 2)) - 1

@@ -114,11 +114,25 @@ class RootSystem:
         return self._walk(a, b), self._walk(neg_a, b)
 
     def _walk(self, a: int, b: int) -> int:
-        """Number of steps b -> b + a that stay in the root system."""
+        """Number of steps b -> b + a that stay roots; scalar reference of :meth:`backward_lengths`."""
         steps = 0
         while (b := int(self.sum_index[a, b])) >= 0:
             steps += 1
         return steps
+
+    def backward_lengths(self, a: int | np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Array form of ``string_lengths_at(a, b)[1]``: steps b -> b - a that stay roots.
+
+        ``a`` is a root index or an index array of b's shape.  Pairs are not
+        checked for degeneracy; callers pass pairs whose sum is a root.
+        """
+        neg_a = (np.asarray(a) + self.positive_count) % len(self.roots)
+        b = np.asarray(b)
+        q = np.zeros(b.shape, dtype=np.int64)
+        while (live := b >= 0).any():
+            b = np.where(live, self.sum_index[neg_a, b], -1)
+            q += b >= 0
+        return q
 
     def pairing_simple(self, i: int, beta: Root) -> int:
         """<alpha_i, beta> = beta(h_i), the i-th Cartan row applied to beta."""

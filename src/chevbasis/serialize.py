@@ -13,10 +13,11 @@ from typing import Any
 
 from .bracket import BracketTable
 from .cartan import SignFunction, build_cartan, parse_type_label
-from .errors import ChevBasisError, NotARoot
+from .errors import ChevBasisError, InvalidEpsilon, NotARoot
 from .roots import Root, generate_roots, root_sign
 
 SCHEMA_VERSION = 1
+METHODS = ("inductive", "closed", "folded")
 
 
 def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -51,16 +52,26 @@ def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any]
 
 def table_from_document(doc: dict[str, Any]) -> BracketTable:
     """Rebuild a table, validating the document against a fresh root system."""
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ChevBasisError(f"unsupported schema version {doc.get('schema_version')!r}")
+    if not isinstance(doc, dict):
+        raise ChevBasisError("a table document must be a JSON object")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ChevBasisError(f"unsupported schema version {version!r}")
+    provenance = doc.get("provenance")
+    if not (isinstance(provenance, dict) and provenance.get("method") in METHODS):
+        raise ChevBasisError(f"provenance must be an object whose method is one of {', '.join(METHODS)}")
+    if not isinstance(doc["type"], str):
+        raise ChevBasisError(f"type {doc['type']!r} is not a string")
     family, rank = parse_type_label(doc["type"])
+    if type(doc["rank"]) is not int or doc["rank"] != rank:
+        raise ChevBasisError(f"rank {doc['rank']!r} does not match the type {doc['type']}")
     cm = build_cartan(family, rank)
-    if doc.get("cartan_matrix") != cm.to_json_rows():
+    if _int_rows(doc.get("cartan_matrix"), rank, rank, "cartan_matrix") != cm.entries:
         raise ChevBasisError("document Cartan matrix does not match the type label")
     rs = generate_roots(cm)
-    if [list(r) for r in rs.roots] != doc["roots"]:
+    if _int_rows(doc["roots"], len(rs.roots), rank, "roots") != rs.roots:
         raise ChevBasisError("document root list does not match the generated ordering")
-    if doc["positive_count"] != rs.positive_count:
+    if type(doc["positive_count"]) is not int or doc["positive_count"] != rs.positive_count:
         raise ChevBasisError("positive_count mismatch")
     epsilon = doc["epsilon"]
     if not (isinstance(epsilon, list) and len(epsilon) == rank):
@@ -68,6 +79,8 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
     if any(type(v) is not int or v not in (1, -1) for v in epsilon):
         raise ChevBasisError(f"epsilon {epsilon!r} has a value that is not the integer 1 or -1")
     eps = SignFunction(tuple(epsilon))
+    if not eps.is_coloring_of(cm):
+        raise InvalidEpsilon(f"epsilon {epsilon} is not a 2-colouring of the {cm.label} diagram")
     if not isinstance(doc["constants"], list):
         raise ChevBasisError("constants must be a list")
     nr = len(rs.roots)

@@ -4,23 +4,21 @@ Everything here treats a table as opaque data and re-derives what it
 claims from scratch: the Jacobi identity over the full adjoint basis
 (evaluated wherever the root grading does not already force it), the
 |N| = q+1 bound with string lengths walked in the root system, a
-differential comparison between two independently built tables, and the
-trace-zero matrix model of type A where brackets are literal integer
-matrix commutators.  All arithmetic is exact; numpy is used only as an
-integer array engine.
+differential comparison of two tables of the same root system (built
+independently by the caller), and the trace-zero matrix model of type A
+where brackets are literal integer matrix commutators.  All arithmetic
+is exact; numpy is used only as an integer array engine.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .bracket import BracketTable, build_inductive
-from .cartan import SignFunction, build_cartan, default_epsilon
-from .errors import IncompatibleTables
+from .bracket import BracketTable
+from .cartan import SignFunction
+from .errors import IllegalType, IncompatibleTables
 from .report import VerificationReport
-from .roots import Root, add, generate_roots, root_sign
+from .roots import Root, root_sign
 
 
 # Triples expanded per step of the root-triple sweep.  Big enough that numpy
@@ -165,87 +163,61 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     Every pair whose roots sum to a root must be stored; a missing one is
     recorded with ``None`` as the value found.  A constant stored on a
     pair that does not sum to a root is recorded with ``None`` as the
-    value expected, and no string is walked for it.
+    value expected.  Violations come in this order: stored pairs (in
+    table order), missing pairs, co-roots.
     """
     report = VerificationReport(suite="chevalley")
     rs = t.rs
-    for (a, b), value in t.n.items():
-        report.checked += 1
-        if rs.sum_index[a, b] < 0:
-            report.record((rs.roots[a], rs.roots[b]), None, value)
-            continue
-        _, q = rs.string_lengths_at(a, b)
-        if abs(value) != q + 1:
-            report.record((rs.roots[a], rs.roots[b]), q + 1, value)
-    for a, b in np.argwhere(rs.sum_index >= 0).tolist():
-        report.checked += 1
-        if (a, b) not in t.n:
-            report.record((rs.roots[a], rs.roots[b]), rs.string_lengths_at(a, b)[1] + 1, None)
+    summing = rs.sum_index >= 0
+    keys = np.array(list(t.n), dtype=np.intp).reshape(-1, 2)
+    a, b = keys[:, 0], keys[:, 1]
+    values = list(t.n.values())
+    report.checked = len(values) + int(np.count_nonzero(summing)) + len(rs.roots)
+    expected = rs.backward_lengths(a, b) + 1
+    bad = ~summing[a, b] | (np.abs(np.array(values, dtype=np.int64)) != expected)
+    for k in np.flatnonzero(bad).tolist():
+        q1 = int(expected[k]) if summing[a[k], b[k]] else None
+        report.record((rs.roots[a[k]], rs.roots[b[k]]), q1, values[k])
+    present = np.zeros_like(summing)
+    present[a, b] = True
+    ma, mb = np.nonzero(summing & ~present)
+    for x, y, q1 in zip(ma.tolist(), mb.tolist(), (rs.backward_lengths(ma, mb) + 1).tolist()):
+        report.record((rs.roots[x], rs.roots[y]), q1, None)
     for k, alpha in enumerate(rs.roots):
-        report.checked += 1
         if t.opposite[k] != rs.coroot(alpha):
             report.record(alpha, rs.coroot(alpha), t.opposite[k])
     return report
 
 
-def differential(
-    t1: BracketTable,
-    t2: BracketTable,
-    root_map: Callable[[Root], Root] | None = None,
-    sign: Callable[[Root], int] | None = None,
-) -> VerificationReport:
-    """Compare two tables claimed to present the same algebra.
+def differential(t1: BracketTable, t2: BracketTable) -> VerificationReport:
+    """Compare two tables of the same root system, index to index.
 
-    ``root_map`` carries t1 root coordinates to t2 root coordinates (the
-    identity by default) and ``sign`` gives the per-root basis rescaling
-    e_alpha -> sign(alpha) e_{map(alpha)}, so constants must satisfy
-    N2(ma, mb) = N1(a, b) sign(a) sign(b) sign(a+b).  Cartan coordinates
-    are matched index to index.
+    Every constant, every [e_alpha, e_{-alpha}] and every Cartan action
+    must agree exactly.  Raises IncompatibleTables unless both tables
+    have the same Cartan matrix, which fixes the root order.
     """
-    rmap = root_map or (lambda alpha: alpha)
-    smap = sign or (lambda alpha: 1)
     rs1, rs2 = t1.rs, t2.rs
-    if len(rs1.roots) != len(rs2.roots) or rs1.rank != rs2.rank:
-        raise IncompatibleTables("tables have different dimensions")
-    mapped: dict[int, int] = {}
-    for k, alpha in enumerate(rs1.roots):
-        image = rmap(alpha)
-        if not rs2.contains(image):
-            raise IncompatibleTables(f"{alpha} maps outside the target root system")
-        mapped[k] = rs2.index_of(image)
-    if len(set(mapped.values())) != len(mapped):
-        raise IncompatibleTables("root map is not injective")
-    for k in range(len(rs1.roots)):
-        if mapped[rs1.neg_index(k)] != rs2.neg_index(mapped[k]):
-            raise IncompatibleTables("root map does not commute with negation")
-
+    if rs1.cartan.entries != rs2.cartan.entries:
+        raise IncompatibleTables(f"cannot compare a {rs1.cartan.label} table with a {rs2.cartan.label} table")
     report = VerificationReport(suite="differential")
     for (a, b), value in t1.n.items():
-        alpha, beta = rs1.roots[a], rs1.roots[b]
-        factor = smap(alpha) * smap(beta) * smap(add(alpha, beta))
-        got = t2.n.get((mapped[a], mapped[b]))
+        got = t2.n.get((a, b))
         report.checked += 1
-        if got != value * factor:
-            report.record((alpha, beta), value * factor, got)
-    image_pairs = {(mapped[a], mapped[b]) for a, b in t1.n}
-    for (a2, b2) in t2.n.keys() - image_pairs:
+        if got != value:
+            report.record((rs1.roots[a], rs1.roots[b]), value, got)
+    for a, b in t2.n.keys() - t1.n.keys():
         report.checked += 1
-        report.record((rs2.roots[a2], rs2.roots[b2]), None, t2.n[(a2, b2)])
-    inv = {v: k for k, v in mapped.items()}
-    for k2 in range(len(rs2.roots)):
-        k1 = inv[k2]
-        factor = smap(rs1.roots[k1]) * smap(rs1.roots[rs1.neg_index(k1)])
-        expected = tuple(factor * x for x in t1.opposite_bracket(k1))
+        report.record((rs2.roots[a], rs2.roots[b]), None, t2.n[(a, b)])
+    for k, alpha in enumerate(rs1.roots):
+        expected, got = t1.opposite_bracket(k), t2.opposite_bracket(k)
         report.checked += 1
-        if t2.opposite_bracket(k2) != expected:
-            report.record(rs1.roots[k1], expected, t2.opposite_bracket(k2))
-    for i in range(rs1.rank):
-        for k2 in range(len(rs2.roots)):
+        if got != expected:
+            report.record(alpha, expected, got)
+    for i, (row1, row2) in enumerate(zip(t1.cartan_action, t2.cartan_action)):
+        for k, (expected, got) in enumerate(zip(row1, row2)):
             report.checked += 1
-            if t2.cartan_action[i][k2] != t1.cartan_action[i][inv[k2]]:
-                report.record(("action", i + 1, rs2.roots[k2]),
-                              t1.cartan_action[i][inv[k2]],
-                              t2.cartan_action[i][k2])
+            if got != expected:
+                report.record(("action", i + 1, rs2.roots[k]), expected, got)
     return report
 
 
@@ -289,28 +261,18 @@ class MatrixModel:
         return m
 
 
-def sl_n_oracle(
-    n: int,
-    eps: SignFunction | None = None,
-    table: BracketTable | None = None,
-) -> VerificationReport:
+def sl_n_oracle(table: BracketTable) -> VerificationReport:
     """Match an A_{n-1} table against matrix commutators, 2 <= n <= 8.
 
     Every bracket of the model basis is computed as an integer matrix
     commutator and expanded; constants, Cartan actions and co-root
-    expansions must all agree with the table exactly.  By default the
-    inductive table is built in place; passing ``table`` audits that
-    table instead.
+    expansions must all agree with the table exactly.
     """
-    if not 2 <= n <= 8:
-        raise ValueError("the matrix oracle is wired for 2 <= n <= 8")
-    cm = build_cartan("A", n - 1)
-    if table is None:
-        table = build_inductive(generate_roots(cm), eps or default_epsilon(cm))
-    elif table.rs.cartan.label != cm.label:
-        raise IncompatibleTables(f"oracle for {cm.label} got a {table.rs.cartan.label} table")
-    rs, eps = table.rs, table.eps
-    model = MatrixModel(n, eps)
+    rs = table.rs
+    if rs.cartan.type_label != "A" or not 1 <= rs.rank <= 7:
+        raise IllegalType(f"the matrix oracle needs a table of type A1..A7, not {rs.cartan.label}")
+    n = rs.rank + 1
+    model = MatrixModel(n, table.eps)
     mats = [model.root_matrix(alpha) for alpha in rs.roots]
     cartans = [model.cartan_matrix(k) for k in range(1, n)]
     report = VerificationReport(suite="sl_n")

@@ -164,7 +164,7 @@ def test_criterion_6_matrix_oracle():
     from chevbasis.verify import MatrixModel
 
     for n in range(2, 9):
-        report = sl_n_oracle(n)
+        report = sl_n_oracle(table(f"A{n - 1}"))
         assert report.passed, (n, report.violations[:3])
     # the boxed pattern: N(delta_i - delta_j, delta_j - delta_k) = -eps(j)
     for n in (3, 5, 8):
@@ -213,5 +213,5 @@ def test_criterion_8_negative_controls():
     base_sl = table("A3")
     for site in range(3):
         bad = with_flipped_constant(base_sl, site)
-        assert not sl_n_oracle(4, table=bad).passed
+        assert not sl_n_oracle(bad).passed
     print("\nACCEPTANCE 8 (negative controls, 3 sites x 4 suites): PASS")

@@ -231,6 +231,7 @@ def test_sum_index_matches_tuple_sums(label):
 def test_string_lengths_at_matches_tuple_walk():
     for label in ("B3", "G2", "F4"):
         rs = system(label)
+        backward = {}
         for a, alpha in enumerate(rs.roots):
             for b, beta in enumerate(rs.roots):
                 if b in (a, rs.neg_index(a)):
@@ -243,3 +244,8 @@ def test_string_lengths_at_matches_tuple_walk():
                 p = next(i for i in range(5) if not on_string(i + 1))
                 q = next(i for i in range(5) if not on_string(-i - 1))
                 assert rs.string_lengths_at(a, b) == (p, q)
+                if rs.sum_index[a, b] >= 0:
+                    backward[(a, b)] = q
+        xs, ys = np.nonzero(rs.sum_index >= 0)
+        assert len(xs) == len(backward)
+        assert rs.backward_lengths(xs, ys).tolist() == [backward[k] for k in zip(xs.tolist(), ys.tolist())]

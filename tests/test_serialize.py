@@ -141,29 +141,46 @@ def test_malformed_constant_entries_rejected(mutation, tmp_path):
 def _set(field, row, col, value):
     def mutate(doc):
         doc[field][row][col] = value
+        return doc
     return mutate
 
 
-# Each keeps the value the field had and changes only its type, or the
-# epsilon length, so only the file check can catch it.
+def _update(**fields):
+    return lambda doc: {**doc, **fields}
+
+
+# Each changes one field's type or value, or the document's shape, in a way
+# that only the file check can catch.
 BAD_FIELDS = {
     "opposite-float": (_set("opposite", 0, 1, 1.0), "opposite has an entry"),
     "action-float": (_set("cartan_action", 0, 2, 1.0), "cartan_action has an entry"),
-    "epsilon-bool": (lambda doc: doc.update(epsilon=[-1, True]), "not the integer 1 or -1"),
-    "epsilon-length": (lambda doc: doc.update(epsilon=[-1, 1, -1]), "list of 2 signs"),
+    "cartan-float": (_set("cartan_matrix", 0, 0, 2.0), "cartan_matrix has an entry"),
+    "roots-bool": (_set("roots", 0, 1, True), "roots has an entry"),
+    "epsilon-bool": (_update(epsilon=[-1, True]), "not the integer 1 or -1"),
+    "epsilon-length": (_update(epsilon=[-1, 1, -1]), "list of 2 signs"),
+    "epsilon-not-colouring": (_update(epsilon=[1, 1]), "not a 2-colouring of the G2 diagram"),
+    "document-list": (lambda doc: [], "must be a JSON object"),
+    "type-int": (_update(type=5), "type 5 is not a string"),
+    "schema-version-bool": (_update(schema_version=True), "unsupported schema version True"),
+    "positive-count-float": (_update(positive_count=6.0), "positive_count mismatch"),
+    "rank-wrong": (_update(rank=99), "rank 99 does not match the type G2"),
+    "provenance-list": (_update(provenance=[]), "provenance must be an object"),
+    "provenance-method": (_update(provenance={"method": "guessed"}), "provenance must be an object"),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(BAD_FIELDS))
 def test_malformed_fields_rejected(mutation, tmp_path, capsys):
     doc = from_json_bytes(GOLDEN_G2.read_bytes())
-    assert doc["epsilon"] == [-1, 1]
+    assert doc["epsilon"] == [-1, 1] and doc["positive_count"] == 6
     assert doc["opposite"][0][1] == 1 and doc["cartan_action"][0][2] == 1
+    assert doc["cartan_matrix"][0][0] == 2 and doc["roots"][0] == [0, 1]
     mutate, message = BAD_FIELDS[mutation]
-    mutate(doc)
+    doc = mutate(doc)
     with pytest.raises(ChevBasisError, match=message):
         table_from_document(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--in", str(path)]) == 2
+    assert main(["verify", "--in", str(path), "--suite", "jacobi"]) == 2
     assert message in capsys.readouterr().err

@@ -13,9 +13,9 @@ import chevbasis as cb
 from chevbasis.bracket import BracketTable
 from chevbasis.cli import main
 from chevbasis.closedform import closed_table
-from chevbasis.errors import IncompatibleTables
+from chevbasis.errors import IllegalType, IncompatibleTables
 from chevbasis.report import VerificationReport
-from chevbasis.roots import add, negate
+from chevbasis.roots import add
 from chevbasis.serialize import from_json_bytes, table_from_document
 from chevbasis.verify import MatrixModel, differential, sl_n_oracle
 from conftest import DESK_TYPES, system, table, with_flipped_constant, with_flipped_opposite
@@ -249,6 +249,54 @@ def test_jacobi_flags_corrupted_cartan_vector():
     assert not cb.jacobi_sweep(bad).passed
 
 
+# The per-pair audit that ``chevalley_audit`` replaced, kept as its reference:
+# it walks each string with the scalar ``string_lengths_at``.
+def _scalar_chevalley_reference(t: BracketTable) -> VerificationReport:
+    report = VerificationReport(suite="chevalley")
+    rs = t.rs
+    for (a, b), value in t.n.items():
+        report.checked += 1
+        if rs.sum_index[a, b] < 0:
+            report.record((rs.roots[a], rs.roots[b]), None, value)
+            continue
+        _, q = rs.string_lengths_at(a, b)
+        if abs(value) != q + 1:
+            report.record((rs.roots[a], rs.roots[b]), q + 1, value)
+    for a, b in np.argwhere(rs.sum_index >= 0).tolist():
+        report.checked += 1
+        if (a, b) not in t.n:
+            report.record((rs.roots[a], rs.roots[b]), rs.string_lengths_at(a, b)[1] + 1, None)
+    for k, alpha in enumerate(rs.roots):
+        report.checked += 1
+        if t.opposite[k] != rs.coroot(alpha):
+            report.record(alpha, rs.coroot(alpha), t.opposite[k])
+    return report
+
+
+def _with_constants(t: BracketTable, n: dict) -> BracketTable:
+    return BracketTable(rs=t.rs, eps=t.eps, n=n, cartan_action=t.cartan_action, opposite=t.opposite)
+
+
+@pytest.mark.parametrize("label", DESK_TYPES)
+def test_chevalley_audit_matches_scalar_reference(label):
+    for flipped in (False, True):
+        t = table(label, flipped)
+        neg0 = t.rs.neg_index(0)
+        variants = [t, with_flipped_opposite(t),
+                    _with_constants(t, {**t.n, (0, 0): 1}),
+                    _with_constants(t, {**t.n, (0, neg0): 1})]
+        variants += [with_flipped_constant(t, site) for site in range(min(3, len(t.n)))]
+        if t.n:
+            key = sorted(t.n)[0]
+            variants.append(_with_constants(t, {**t.n, key: 2 * t.n[key]}))
+            variants.append(_with_constants(t, {k: v for k, v in t.n.items() if k != key}))
+        for v in variants:
+            new, old = cb.chevalley_audit(v), _scalar_chevalley_reference(v)
+            assert (new.checked, new.violation_count) == (old.checked, old.violation_count)
+            assert new.violations == old.violations
+        assert cb.chevalley_audit(t).passed
+
+
 def test_chevalley_audit_pass():
     for label in ("A3", "B3", "G2", "E6"):
         report = cb.chevalley_audit(table(label))
@@ -298,12 +346,9 @@ def test_differential_identity():
     assert report.passed
 
 
-def test_differential_epsilon_flip_with_sign_map():
+def test_differential_flags_epsilon_flip():
     t = table("D4")
-    f = cb.flip_epsilon_table(t)
-    # Plain comparison fails, comparison through e -> -e passes.
-    assert not differential(t, f).passed
-    assert differential(t, f, sign=lambda alpha: -1).passed
+    assert not differential(t, cb.flip_epsilon_table(t)).passed
 
 
 def test_differential_negative_controls():
@@ -314,20 +359,45 @@ def test_differential_negative_controls():
         assert not report.passed
 
 
+# (checked, violations) of differential(t, bad) and differential(bad, t) for
+# C3, as recorded from the root-map form of ``differential`` it replaced.
+PINNED_C3_DIFFERENTIALS = {
+    "constant": [(192, [(((0, 0, 1), (0, 1, 0)), 1, -1)]),
+                 (192, [(((0, 0, 1), (0, 1, 0)), -1, 1)])],
+    "opposite": [(192, [((0, 0, 1), (0, 0, -1), (0, 0, 1))]),
+                 (192, [((0, 0, 1), (0, 0, 1), (0, 0, -1))])],
+    "action": [(192, [(("action", 1, (-1, -2, -2)), 0, 1)]),
+               (192, [(("action", 1, (-1, -2, -2)), 1, 0)])],
+    "dropped": [(192, [(((0, 0, 1), (0, 1, 0)), 1, None)]),
+                (192, [(((0, 0, 1), (0, 1, 0)), None, 1)])],
+    "added": [(193, [(((0, 0, 1), (0, 0, 1)), None, 1)]),
+              (193, [(((0, 0, 1), (0, 0, 1)), 1, None)])],
+}
+
+
+def test_differential_reports_pinned():
+    t = table("C3")
+    action = [list(row) for row in t.cartan_action]
+    action[0][-1] += 1
+    first = sorted(t.n)[0]
+    variants = {
+        "constant": with_flipped_constant(t),
+        "opposite": with_flipped_opposite(t),
+        "action": BracketTable(rs=t.rs, eps=t.eps, n=t.n, opposite=t.opposite,
+                               cartan_action=tuple(map(tuple, action))),
+        "dropped": _with_constants(t, {k: v for k, v in t.n.items() if k != first}),
+        "added": _with_constants(t, {**t.n, (0, 0): 1}),
+    }
+    for name, bad in variants.items():
+        got = [differential(t, bad), differential(bad, t)]
+        assert [(r.checked, r.violations) for r in got] == PINNED_C3_DIFFERENTIALS[name], name
+
+
 def test_differential_incompatible():
     with pytest.raises(IncompatibleTables):
         differential(table("A2"), table("A3"))
     with pytest.raises(IncompatibleTables):
         differential(table("B3"), table("C3"))  # same size, different roots
-
-
-def test_negation_root_map_rejected_on_constants():
-    # alpha -> -alpha fixing the Cartan generators is not an isomorphism
-    # of the table (the true opposition also negates every h_i), so the
-    # comparison must flag it rather than pass vacuously.
-    t = table("A2")
-    report = differential(t, t, root_map=negate, sign=lambda alpha: -1)
-    assert not report.passed
 
 
 def test_matrix_model_basics():
@@ -344,26 +414,27 @@ def test_matrix_model_basics():
 
 def test_sl_n_oracle_all_sizes():
     for n in range(2, 9):
-        report = sl_n_oracle(n)
+        report = sl_n_oracle(table(f"A{n - 1}"))
         assert report.passed, (n, report.violations[:3])
 
 
 def test_sl_n_oracle_flipped_epsilon():
-    rs = system("A3")
-    eps = cb.default_epsilon(rs.cartan).flipped()
-    assert sl_n_oracle(4, eps).passed
+    assert sl_n_oracle(table("A3", True)).passed
 
 
 def test_sl_n_oracle_negative_controls():
     t = table("A3")
     for site in range(3):
         bad = with_flipped_constant(t, which=site)
-        assert not sl_n_oracle(4, table=bad).passed
+        assert not sl_n_oracle(bad).passed
+    for label in ("B2", "A8"):
+        with pytest.raises(IllegalType):
+            sl_n_oracle(table(label))
 
 
 def test_sl2_cartan_bracket():
     # [e_alpha, e_{-alpha}] = -h for the height-1 root of sl_2.
     t = table("A1")
     assert t.opposite_bracket(0) == (-1,)
-    report = sl_n_oracle(2)
+    report = sl_n_oracle(t)
     assert report.passed
