@@ -4,7 +4,11 @@
 For each type the inductive table is built for both sign functions, run
 through the Jacobi sweep and the Chevalley audit, and compared against
 the independent route (closed formula or folding).  Prints one line per
-type; exits non-zero on any failure.
+type with the Jacobi route (``generators`` when the generator triples
+settled it, ``graded`` when it fell back to the full graded sweep) and
+its evaluated and implied-by-generation counts; exits non-zero on any
+failure, including a clean table that falls back, since that means a
+precondition of the generator route is wrong.
 """
 
 from __future__ import annotations
@@ -37,13 +41,20 @@ def run() -> int:
             t = cb.build_inductive(rs, eps)
             other, meta = independent_table(rs, eps)
             route = f"fold({meta['parent']})" if meta else "closed"
-            for report in (jacobi_sweep(t), chevalley_audit(t), differential(t, other)):
+            jacobi = jacobi_sweep(t)
+            if not jacobi.implied_by_generation:
+                failures += 1
+                status.append("jacobi fell back to the graded sweep on a clean table")
+            for report in (jacobi, chevalley_audit(t), differential(t, other)):
                 if not report.passed:
                     failures += 1
                     status.append(report.summary())
         elapsed = time.perf_counter() - start
         verdict = "; ".join(status) if status else f"ok ({route})"
-        print(f"{label:3s} dim {rs.rank + len(rs.roots):3d}  {elapsed:6.2f}s  {verdict}")
+        counts = f"{jacobi.evaluated:7d} evaluated, {jacobi.implied_by_generation:9d} implied"
+        jacobi_route = "generators" if jacobi.implied_by_generation else "graded"
+        print(f"{label:3s} dim {rs.rank + len(rs.roots):3d}  {elapsed:6.2f}s  "
+              f"jacobi {jacobi_route} ({counts})  {verdict}")
     return 1 if failures else 0
 
 

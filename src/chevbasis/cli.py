@@ -126,9 +126,8 @@ def _cmd_show(args) -> int:
     rs = table.rs
     alpha = parse_coeffs(args.alpha, rs.rank)
     beta = parse_coeffs(args.beta, rs.rank)
-    value = table.constant(alpha, beta)
-    print(f"N[{render_root(alpha)}, {render_root(beta)}] = {value}")
     p, q = rs.string_lengths(alpha, beta)
+    print(f"N[{render_root(alpha)}, {render_root(beta)}] = {table.constant(alpha, beta)}")
     chain = []
     for k in range(-q, p + 1):
         member = tuple(b + k * a for a, b in zip(alpha, beta))

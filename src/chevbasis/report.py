@@ -14,13 +14,17 @@ class VerificationReport:
     iff it is empty.  ``checked`` counts every instance covered, and
     ``violation_count`` the total number of failures even when the stored
     list is truncated.  ``zero_by_grading`` counts the covered instances
-    that hold for any table by the root grading, without evaluation (only
-    the Jacobi sweep has such); the rest are ``evaluated``.
+    that hold for any table by the root grading, without evaluation, and
+    ``implied_by_generation`` those that follow from the evaluated ones
+    because the Chevalley generators generate the table (only the Jacobi
+    sweep has either); the rest are ``evaluated``, so ``checked =
+    evaluated + zero_by_grading + implied_by_generation``.
     """
 
     suite: str
     checked: int = 0
     zero_by_grading: int = 0
+    implied_by_generation: int = 0
     violations: list[tuple[Any, Any, Any]] = field(default_factory=list)
     violation_count: int = 0
     max_recorded: int = 100
@@ -31,7 +35,7 @@ class VerificationReport:
 
     @property
     def evaluated(self) -> int:
-        return self.checked - self.zero_by_grading
+        return self.checked - self.zero_by_grading - self.implied_by_generation
 
     def record(self, site: Any, expected: Any, got: Any) -> None:
         self.violation_count += 1
@@ -44,6 +48,7 @@ class VerificationReport:
             "checked": self.checked,
             "evaluated": self.evaluated,
             "zero_by_grading": self.zero_by_grading,
+            "implied_by_generation": self.implied_by_generation,
             "passed": self.passed,
             "violation_count": self.violation_count,
             "violations": [
@@ -56,4 +61,5 @@ class VerificationReport:
     def summary(self) -> str:
         status = "pass" if self.passed else f"FAIL ({self.violation_count} violations)"
         return (f"{self.suite}: {status}, {self.checked} checks "
-                f"({self.evaluated} evaluated, {self.zero_by_grading} zero by grading)")
+                f"({self.evaluated} evaluated, {self.zero_by_grading} zero by grading, "
+                f"{self.implied_by_generation} implied by generation)")

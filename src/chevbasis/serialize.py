@@ -60,6 +60,10 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
     provenance = doc.get("provenance")
     if not (isinstance(provenance, dict) and provenance.get("method") in METHODS):
         raise ChevBasisError(f"provenance must be an object whose method is one of {', '.join(METHODS)}")
+    parent, orbits = provenance.get("parent", ""), provenance.get("orbits", [])
+    if not (isinstance(parent, str) and isinstance(orbits, list)
+            and all(isinstance(orbit, list) and all(type(i) is int for i in orbit) for orbit in orbits)):
+        raise ChevBasisError("provenance parent must be a type label and its orbits lists of integer nodes")
     if not isinstance(doc["type"], str):
         raise ChevBasisError(f"type {doc['type']!r} is not a string")
     family, rank = parse_type_label(doc["type"])
@@ -105,12 +109,14 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
 
 
 def _int_rows(value: Any, rows: int, cols: int, name: str) -> tuple[tuple[int, ...], ...]:
-    """A document matrix as tuples, checked to be rows x cols ints (no bools or floats)."""
+    """A document matrix as tuples, checked to be rows x cols int64 values (no bools or floats)."""
     if not (isinstance(value, list) and len(value) == rows
             and all(isinstance(row, list) and len(row) == cols for row in value)):
         raise ChevBasisError(f"{name} must be {rows} lists of {cols} integers")
     if any(type(x) is not int for row in value for x in row):
         raise ChevBasisError(f"{name} has an entry that is not an integer")
+    if any(not -2**63 <= x < 2**63 for row in value for x in row):
+        raise ChevBasisError(f"{name} has an entry outside the int64 range")
     return tuple(tuple(row) for row in value)
 
 

@@ -2,8 +2,11 @@
 
 Everything here treats a table as opaque data and re-derives what it
 claims from scratch: the Jacobi identity over the full adjoint basis
-(evaluated wherever the root grading does not already force it), the
-|N| = q+1 bound with string lengths walked in the root system, a
+(evaluated on the Chevalley generators' triples wherever the root
+grading does not already force it, and implied on the rest because the
+generators generate the table; a graded sweep over every triple is the
+fallback), the |N| = q+1 bound with string lengths walked in the root
+system and the canonical signs of the generator rows, a
 differential comparison of two tables of the same root system (built
 independently by the caller), and the trace-zero matrix model of type A
 where brackets are literal integer matrix commutators.  All arithmetic
@@ -44,7 +47,180 @@ def _table_arrays(t: BracketTable):
     return nn, stray, neg, act, w
 
 
+def _links(bs, cs, ss, neg):
+    """The linked pairs (y, z) of the root-triple sweeps, and the x each one meets.
+
+    The pairs are the summing pairs (bs, cs), with sum ss, then the band
+    (y, -y) for every root y, with sum nr.  ``members[start[s]:start[s+1]]``
+    lists the x with x + s a root, all roots for the band.
+    """
+    nr = len(neg)
+    link_y = np.concatenate([bs, np.arange(nr)])
+    link_z = np.concatenate([cs, neg])
+    link_s = np.concatenate([ss, np.full(nr, nr)])
+    members = np.concatenate([cs, np.arange(nr)])
+    start = np.append(np.searchsorted(bs, np.arange(nr + 1)), len(bs) + nr)
+    return link_y, link_z, link_s, members, start
+
+
+def _root_terms(t: BracketTable, nn, neg, act, w):
+    """``linked(u, v)`` and ``term(x, y, z)`` on index arrays, for root triples with a root sum."""
+    si = t.rs.sum_index
+    wact = w @ act  # wact[b, a] = value of alpha_a on [e_b, e_{-b}]
+    nn_ext = np.concatenate([nn, np.zeros((len(neg), 1), dtype=np.int64)], axis=1)  # [:, -1] = 0
+
+    def linked(u, v):
+        return (si[u, v] >= 0) | (v == neg[u])
+
+    def term(x, y, z):
+        """Coefficient of [e_x, [e_y, e_z]] on e_{x+y+z}."""
+        return nn[y, z] * nn_ext[x, si[y, z]] - (z == neg[y]) * wact[y, x]
+
+    return linked, term
+
+
+def _generators(rs) -> np.ndarray:
+    """Root indices of the Chevalley generators: alpha_1..alpha_r, then -alpha_1..-alpha_r."""
+    simple = np.array([rs.index_of(rs.simple_root(i)) for i in rs.cartan.nodes], dtype=np.intp)
+    return np.concatenate([simple, simple + rs.positive_count])
+
+
+def _invertible(m: np.ndarray) -> bool:
+    """Whether a square integer matrix has non-zero determinant, by exact Bareiss elimination."""
+    m = m.astype(object)
+    prev = 1
+    for k in range(len(m)):
+        rows = np.flatnonzero(m[k:, k])
+        if not len(rows):
+            return False
+        m[[k, k + rows[0]]] = m[[k + rows[0], k]]
+        m[k + 1:, k + 1:] = (m[k + 1:, k + 1:] * m[k, k] - m[k + 1:, k:k + 1] * m[k, k + 1:]) // prev
+        prev = m[k, k]
+    return True
+
+
+def _generation_holds(t: BracketTable, nn, stray, neg, w, gens) -> bool:
+    """The preconditions under which Jacobi on the generators' triples implies it on all.
+
+    No stored key off the grading, an antisymmetric bracket, every root
+    other than the generators' reached by a ladder mu = g + nu with
+    N(g, nu) != 0 and |ht nu| < |ht mu|, and r independent brackets
+    [e_{alpha_i}, e_{-alpha_i}], so that the generators generate the table.
+    """
+    if len(stray) or not np.array_equal(nn, -nn.T) or not np.array_equal(w[neg], -w):
+        return False
+    rs = t.rs
+    p = rs.positive_count
+    mu = rs.sum_index[gens]
+    # g = +-alpha_i moves the height by +-1, so |ht nu| < |ht mu| exactly
+    # when nu has the sign of g.
+    ladder = (mu >= 0) & (nn[gens] != 0) & ((np.arange(len(rs.roots)) < p) == (gens[:, None] < p))
+    reached = np.zeros(len(rs.roots), dtype=bool)
+    reached[gens] = True
+    reached[mu[ladder]] = True
+    return bool(reached.all()) and _invertible(w[gens[:rs.rank]])
+
+
+def _blocks(first: np.ndarray, count: np.ndarray):
+    """Yield (range id, position) arrays covering the ranges [first, first + count), about JACOBI_BLOCK at a time."""
+    ends = np.cumsum(count)
+    starts = ends - count
+    lo = 0
+    while lo < len(count):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + JACOBI_BLOCK, side="right")))
+        seg = np.repeat(np.arange(lo, hi), count[lo:hi])
+        yield seg, first[seg] + np.arange(starts[lo], ends[hi - 1]) - starts[seg]
+        lo = hi
+
+
+def _generator_triples(t: BracketTable, nn, neg, act, w, gens) -> int | None:
+    """Evaluate J(s, y, z) for every generator s wherever grading leaves it.
+
+    Returns the number of triples evaluated, or None if any is non-zero.
+    Assumes an antisymmetric table with no stored key off the grading.
+    """
+    rs = t.rs
+    nr = len(rs.roots)
+    si = rs.sum_index
+    # One Cartan element, on (s, z) with z summing with s, and on the band z = -s.
+    g, zs = np.nonzero(si[gens] >= 0)
+    s = gens[g]
+    ss = si[s, zs]
+    if np.any(nn[s, zs] * (act[:, ss] - act[:, s] - act[:, zs])):
+        return None
+    if np.any(act[:, neg[gens], None] * w[gens] - act[:, gens, None] * w[neg[gens]]):
+        return None
+    # Root triples with zero sum: (s, y, -(s+y)) for y summing with s.
+    az = neg[ss]
+    if np.any(nn[zs, az, None] * w[s] + nn[az, s, None] * w[zs] + nn[s, zs, None] * w[az]):
+        return None
+
+    # Root triples with a root sum.  As in the graded sweep, a triple is
+    # built from its first linked pair among positions (1,2), (2,0), (0,1):
+    # a linked pair (y', z') and a member x' give (x', y', z'), (z', x', y')
+    # or (y', z', x').  A generator comes first in the first form when
+    # x' = s, so (y', z') runs over the pairs whose sum is a partner of s,
+    # and the band; in the second when z' = s; in the third when y' = s.
+    bs, cs = np.nonzero(si >= 0)
+    link_y, link_z, link_s, members, start = _links(bs, cs, si[bs, cs], neg)
+    linked, term = _root_terms(t, nn, neg, act, w)
+    by_sum = np.argsort(link_s, kind="stable")
+    bounds = np.searchsorted(link_s[by_sum], np.arange(nr + 2))
+
+    def vanish(a, b, c):
+        return not np.any(term(a, b, c) + term(b, c, a) + term(c, a, b))
+
+    # (s, h_i, z) and (s, z, h_i) for z linked to s, and the zero-sum triples.
+    evaluated = 2 * rs.rank * (len(s) + len(gens)) + len(s)
+    x1 = np.concatenate([s, gens])
+    group = np.concatenate([zs, np.full(len(gens), nr)])
+    for seg, at in _blocks(bounds[group], bounds[group + 1] - bounds[group]):
+        if not vanish(x1[seg], link_y[by_sum[at]], link_z[by_sum[at]]):
+            return None
+        evaluated += len(seg)
+    is_gen = np.zeros(nr, dtype=bool)
+    is_gen[gens] = True
+    pairs = np.flatnonzero(is_gen[link_y] | is_gen[link_z])
+    lo = start[link_s[pairs]]
+    for seg, at in _blocks(lo, start[link_s[pairs] + 1] - lo):
+        x = members[at]
+        y, z = link_y[pairs[seg]], link_z[pairs[seg]]
+        second = is_gen[z] & ~linked(x, y)
+        third = is_gen[y] & ~linked(x, y) & ~linked(z, x)
+        a = np.concatenate([z[second], y[third]])
+        if not vanish(a, np.concatenate([x[second], z[third]]), np.concatenate([y[second], x[third]])):
+            return None
+        evaluated += len(a)
+    return evaluated
+
+
 def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport:
+    """Check [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on every ordered basis triple.
+
+    For an antisymmetric bracket the x whose ``ad x`` is a derivation form
+    a subalgebra, and ``ad x`` is one exactly when J(x, y, z) = 0 for all
+    y, z.  So when the 2r Chevalley generators e_{+-alpha_i} generate the
+    table (see :func:`_generation_holds`), Jacobi on the 2r * dim**2
+    triples with a generator first implies it on all dim**3.  Those
+    triples are evaluated wherever grading leaves them, and the other
+    dim**3 - 2r * dim**2 are counted in ``implied_by_generation``.  If a
+    precondition fails or a generator triple is non-zero, the graded
+    sweep over all triples runs instead and its report, with its sites,
+    is returned.  ``checked`` is always dim**3.
+    """
+    nn, stray, neg, act, w = _table_arrays(t)
+    gens = _generators(t.rs)
+    if _generation_holds(t, nn, stray, neg, w, gens):
+        evaluated = _generator_triples(t, nn, neg, act, w, gens)
+        if evaluated is not None:
+            dim = t.dimension
+            return VerificationReport(suite="jacobi", max_recorded=max_recorded, checked=dim ** 3,
+                                      zero_by_grading=len(gens) * dim ** 2 - evaluated,
+                                      implied_by_generation=dim ** 3 - len(gens) * dim ** 2)
+    return _graded_sweep(t, max_recorded)
+
+
+def _graded_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport:
     """Check [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on every ordered basis triple.
 
     Basis order: h_1..h_rank then the roots in root-system order.  The
@@ -62,7 +238,8 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
     batches, and each non-zero sum is recorded.  Grading holds only if
     every stored constant sits on a pair that sums to a root, so a stored
     key that does not is recorded as a violation too.  ``checked`` is
-    always dim**3.
+    always dim**3.  :func:`jacobi_sweep` falls back to this sweep, and its
+    generator triples are tested against it.
     """
     report = VerificationReport(suite="jacobi", max_recorded=max_recorded)
     rs = t.rs
@@ -122,22 +299,9 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
     # linked pair is placed at (1,2), (2,0) and (0,1) of the triple, and a
     # placement is kept only if no earlier position holds a linked pair, so
     # every triple is evaluated once.
-    wact = w @ act  # wact[b, a] = value of alpha_a on [e_b, e_{-b}]
-    nn_ext = np.concatenate([nn, np.zeros((nr, 1), dtype=np.int64)], axis=1)  # [:, -1] = 0
-    link_y = np.concatenate([bs, np.arange(nr)])
-    link_z = np.concatenate([cs, neg])
-    link_s = np.concatenate([ss, np.full(nr, nr)])
-    members = np.concatenate([cs, np.arange(nr)])
-    start = np.append(np.searchsorted(bs, np.arange(nr + 1)), len(bs) + nr)
+    link_y, link_z, link_s, members, start = _links(bs, cs, ss, neg)
+    linked, term = _root_terms(t, nn, neg, act, w)
     cum = np.concatenate([[0], np.cumsum(start[link_s + 1] - start[link_s])])
-
-    def linked(u, v):
-        return (si[u, v] >= 0) | (v == neg[u])
-
-    def term(x, y, z):
-        """Coefficient of [e_x, [e_y, e_z]] on e_{x+y+z}."""
-        return nn[y, z] * nn_ext[x, si[y, z]] - (z == neg[y]) * wact[y, x]
-
     evaluated = 0
     total = int(cum[-1])
     for first in range(0, total, JACOBI_BLOCK):
@@ -158,13 +322,17 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
 
 
 def chevalley_audit(t: BracketTable) -> VerificationReport:
-    """Check |N_{alpha,beta}| = q+1 for every pair and co-roots for every root.
+    """Check |N_{alpha,beta}| = q+1 for every pair, co-roots for every root, and the generator rows.
 
     Every pair whose roots sum to a root must be stored; a missing one is
     recorded with ``None`` as the value found.  A constant stored on a
     pair that does not sum to a root is recorded with ``None`` as the
-    value expected.  Violations come in this order: stored pairs (in
-    table order), missing pairs, co-roots.
+    value expected.  The canonical basis also fixes the sign on the rows
+    of the Chevalley generators: N_{alpha_i,beta} = eps(i)(q+1) and
+    N_{-alpha_i,-beta} = -eps(i)(q+1), checked on every stored summing
+    pair with first argument +-alpha_i.  Violations come in this order:
+    stored pairs (in table order), missing pairs, co-roots, generator
+    rows (in table order).
     """
     report = VerificationReport(suite="chevalley")
     rs = t.rs
@@ -172,9 +340,15 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     keys = np.array(list(t.n), dtype=np.intp).reshape(-1, 2)
     a, b = keys[:, 0], keys[:, 1]
     values = list(t.n.values())
-    report.checked = len(values) + int(np.count_nonzero(summing)) + len(rs.roots)
     expected = rs.backward_lengths(a, b) + 1
-    bad = ~summing[a, b] | (np.abs(np.array(values, dtype=np.int64)) != expected)
+    gens = _generators(rs)
+    row_sign = np.zeros(len(rs.roots), dtype=np.int64)
+    row_sign[gens] = np.concatenate([t.eps.values, np.negative(t.eps.values)])
+    on_row = (row_sign[a] != 0) & summing[a, b]
+    report.checked = (len(values) + int(np.count_nonzero(summing)) + len(rs.roots)
+                      + int(np.count_nonzero(on_row)))
+    got = np.array(values, dtype=np.int64)
+    bad = ~summing[a, b] | (np.abs(got) != expected)
     for k in np.flatnonzero(bad).tolist():
         q1 = int(expected[k]) if summing[a[k], b[k]] else None
         report.record((rs.roots[a[k]], rs.roots[b[k]]), q1, values[k])
@@ -186,6 +360,9 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     for k, alpha in enumerate(rs.roots):
         if t.opposite[k] != rs.coroot(alpha):
             report.record(alpha, rs.coroot(alpha), t.opposite[k])
+    signed = row_sign[a] * expected
+    for k in np.flatnonzero(on_row & (got != signed)).tolist():
+        report.record((rs.roots[a[k]], rs.roots[b[k]]), int(signed[k]), values[k])
     return report
 
 

@@ -73,3 +73,15 @@ def with_flipped_opposite(t: BracketTable, which: int = 0) -> BracketTable:
         cartan_action=t.cartan_action,
         opposite=tuple(opposite),
     )
+
+
+def with_flipped_vectors(t: BracketTable, flipped: set[int]) -> BracketTable:
+    """The same algebra in the basis with e_k negated for every root index k in ``flipped``.
+
+    N(a, b) changes sign once for each of a, b and a + b in the set.  For a
+    set closed under negation the Cartan vectors [e_k, e_{-k}] are unchanged.
+    """
+    sign = [-1 if k in flipped else 1 for k in range(len(t.rs.roots))]
+    si = t.rs.sum_index
+    n = {(a, b): v * sign[a] * sign[b] * sign[int(si[a, b])] for (a, b), v in t.n.items()}
+    return BracketTable(rs=t.rs, eps=t.eps, n=n, cartan_action=t.cartan_action, opposite=t.opposite)

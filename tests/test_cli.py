@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from chevbasis import folding
 from chevbasis.cli import main
 from chevbasis.errors import InternalInconsistency
 from chevbasis.serialize import from_json_bytes
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(*argv):
@@ -133,6 +137,15 @@ def test_show(tmp_path, capsys):
     assert "N[01, 11] =" in printed
     assert "string" in printed
     assert run("show", "--in", str(out), "--alpha", "5,5", "--beta", "1,1") == 2
+
+
+@pytest.mark.parametrize("beta", ["1,0", "-1,0"])
+def test_show_rejects_beta_plus_minus_alpha(capsys, beta):
+    # The string through beta = +-alpha is undefined; nothing may reach stdout first.
+    assert run("show", "--in", str(GOLDEN / "a2.json"), "--alpha", "1,0", f"--beta={beta}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_gen_csv(tmp_path):

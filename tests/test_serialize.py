@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chevbasis as cb
 from chevbasis.cli import main
@@ -154,6 +160,7 @@ def _update(**fields):
 BAD_FIELDS = {
     "opposite-float": (_set("opposite", 0, 1, 1.0), "opposite has an entry"),
     "action-float": (_set("cartan_action", 0, 2, 1.0), "cartan_action has an entry"),
+    "action-outside-int64": (_set("cartan_action", 0, 2, 2**70), "cartan_action has an entry outside the int64"),
     "cartan-float": (_set("cartan_matrix", 0, 0, 2.0), "cartan_matrix has an entry"),
     "roots-bool": (_set("roots", 0, 1, True), "roots has an entry"),
     "epsilon-bool": (_update(epsilon=[-1, True]), "not the integer 1 or -1"),
@@ -166,6 +173,8 @@ BAD_FIELDS = {
     "rank-wrong": (_update(rank=99), "rank 99 does not match the type G2"),
     "provenance-list": (_update(provenance=[]), "provenance must be an object"),
     "provenance-method": (_update(provenance={"method": "guessed"}), "provenance must be an object"),
+    "provenance-orbit-float": (_update(provenance={"method": "folded", "parent": "D4", "orbits": [[3.0], [1, 2, 4]]}),
+                               "orbits lists of integer nodes"),
 }
 
 
@@ -184,3 +193,61 @@ def test_malformed_fields_rejected(mutation, tmp_path, capsys):
     assert main(["verify", "--in", str(path)]) == 2
     assert main(["verify", "--in", str(path), "--suite", "jacobi"]) == 2
     assert message in capsys.readouterr().err
+
+
+# Mutation corpus: one scalar of a golden file replaced, or one top-level
+# field dropped, per example.  Default verify must end in 0, 1 or 2 without
+# an exception escaping main, and an int replaced by a value of another
+# JSON type must be refused with exit 2 and one line on stderr.
+GOLDEN = Path(__file__).parent / "golden"
+MUTATED_FILES = {name: json.loads((GOLDEN / name).read_text()) for name in ("a2.json", "g2.json")}
+
+
+def _scalar_paths(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _scalar_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _scalar_paths(item, path + (k,))
+    else:
+        yield path
+
+
+SCALAR_PATHS = [(name, path) for name, doc in MUTATED_FILES.items() for path in _scalar_paths(doc)]
+NON_INTS = st.floats() | st.booleans() | st.text(max_size=3) | st.none()
+REPLACEMENTS = st.integers(-4, 4) | st.integers(-2**70, 2**70) | NON_INTS
+
+
+def _verify_document(doc) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", "--in", str(path)])
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(site=st.sampled_from(SCALAR_PATHS), value=REPLACEMENTS)
+def test_mutated_scalar_is_refused_or_judged(site, value):
+    name, path = site
+    doc = copy.deepcopy(MUTATED_FILES[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    parent[path[-1]] = value
+    code, err = _verify_document(doc)
+    assert code in (0, 1, 2)
+    if type(old) is int and type(value) is not int:
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(MUTATED_FILES)), field=st.sampled_from(sorted(MUTATED_FILES["g2.json"])))
+def test_dropped_field_is_refused(name, field):
+    doc = {k: v for k, v in MUTATED_FILES[name].items() if k != field}
+    code, err = _verify_document(doc)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1

@@ -16,9 +16,26 @@ from chevbasis.closedform import closed_table
 from chevbasis.errors import IllegalType, IncompatibleTables
 from chevbasis.report import VerificationReport
 from chevbasis.roots import add
-from chevbasis.serialize import from_json_bytes, table_from_document
-from chevbasis.verify import MatrixModel, differential, sl_n_oracle
-from conftest import DESK_TYPES, system, table, with_flipped_constant, with_flipped_opposite
+from chevbasis.serialize import document_from_table, from_json_bytes, table_from_document, to_json_bytes
+from chevbasis.verify import (
+    MatrixModel,
+    _generation_holds,
+    _generator_triples,
+    _generators,
+    _graded_sweep,
+    _table_arrays,
+    differential,
+    sl_n_oracle,
+)
+from conftest import (
+    DESK_TYPES,
+    folded,
+    system,
+    table,
+    with_flipped_constant,
+    with_flipped_opposite,
+    with_flipped_vectors,
+)
 
 GOLDEN_G2 = Path(__file__).parent / "golden" / "g2.json"
 
@@ -155,7 +172,7 @@ def test_graded_jacobi_matches_dense_reference(label):
         variants += [with_flipped_constant(t, site) for site in range(min(3, len(t.n)))]
         for v in variants:
             dense = _dense_jacobi_reference(v, max_recorded=everything)
-            graded = cb.jacobi_sweep(v, max_recorded=everything)
+            graded = _graded_sweep(v, max_recorded=everything)
             assert graded.violation_count == dense.violation_count
             assert len(_sites(graded)) == graded.violation_count
             assert _sites(graded) == _sites(dense)
@@ -184,12 +201,173 @@ def test_jacobi_evaluates_exactly_the_triples_grading_leaves():
                     if (s == zero or rs.contains(s)) and (
                             linked(y, z) or linked(z, x) or linked(x, y)):
                         triples += 1
-        report = cb.jacobi_sweep(t)
+        report = _graded_sweep(t)
         assert report.evaluated == 3 * rs.rank * pairs + triples, label
         assert report.evaluated + report.zero_by_grading == report.checked == t.dimension ** 3
         doc = report.to_json()
         assert (doc["evaluated"], doc["zero_by_grading"]) == (report.evaluated, report.zero_by_grading)
         assert f"{report.evaluated} evaluated, {report.zero_by_grading} zero by grading" in report.summary()
+
+
+def _with_constants(t: BracketTable, n: dict) -> BracketTable:
+    return BracketTable(rs=t.rs, eps=t.eps, n=n, cartan_action=t.cartan_action, opposite=t.opposite)
+
+
+def _with_action_bumped(t: BracketTable) -> BracketTable:
+    action = [list(row) for row in t.cartan_action]
+    action[0][-1] += 1
+    return BracketTable(rs=t.rs, eps=t.eps, n=t.n, opposite=t.opposite,
+                        cartan_action=tuple(map(tuple, action)))
+
+
+def _theta(rs) -> set[int]:
+    """Indices of the highest root and its negative."""
+    return {rs.positive_count - 1, 2 * rs.positive_count - 1}
+
+
+def _antisymmetric_variants(t: BracketTable) -> list[BracketTable]:
+    """Corruptions that keep the bracket antisymmetric, so the generator triples see them."""
+    rs = t.rs
+    variants = [_with_action_bumped(t), with_flipped_vectors(t, _theta(rs))]
+    keys = sorted(t.n)
+    for a, b in sorted({keys[0], keys[len(keys) // 2]}) if keys else []:
+        for factor in (-1, 2):
+            variants.append(_with_constants(t, {**t.n, (a, b): factor * t.n[(a, b)],
+                                                (b, a): factor * t.n[(b, a)]}))
+    for k in (0, rs.positive_count - 1):
+        opposite = list(t.opposite)
+        for j in (k, rs.neg_index(k)):
+            opposite[j] = tuple(-c for c in opposite[j])
+        variants.append(BracketTable(rs=rs, eps=t.eps, n=t.n, cartan_action=t.cartan_action,
+                                     opposite=tuple(opposite)))
+    return variants
+
+
+def _jacobi_variants(t: BracketTable) -> list[BracketTable]:
+    """The clean table, the graded sweep's corruptions, stray keys, and antisymmetric corruptions."""
+    neg0 = t.rs.neg_index(0)
+    variants = [t, with_flipped_opposite(t), _with_action_bumped(t),
+                _with_constants(t, {**t.n, (0, 0): 1}),
+                _with_constants(t, {**t.n, (0, neg0): 1, (neg0, 0): -1})]
+    variants += [with_flipped_constant(t, site) for site in range(min(3, len(t.n)))]
+    return variants + _antisymmetric_variants(t)
+
+
+@pytest.mark.parametrize("label", DESK_TYPES)
+def test_jacobi_fast_path_matches_graded_sweep(label):
+    # The fast path is taken exactly on the tables the graded sweep passes.
+    for flipped in (False, True):
+        for v in _jacobi_variants(table(label, flipped)):
+            graded = _graded_sweep(v)
+            holds, evaluated = _generator_parts(v)
+            assert (holds and evaluated is not None) == graded.passed
+            if graded.passed:
+                report = cb.jacobi_sweep(v)
+                assert report.passed and report.implied_by_generation > 0
+                assert report.checked == report.evaluated + report.zero_by_grading + report.implied_by_generation
+
+
+@pytest.mark.parametrize("label", ("A1", "A3", "B3", "G2", "D4", "F4"))
+def test_jacobi_failing_reports_are_the_graded_sweeps(label):
+    for flipped in (False, True):
+        for v in _jacobi_variants(table(label, flipped)):
+            report, graded = cb.jacobi_sweep(v), _graded_sweep(v)
+            if not graded.passed:
+                assert report.to_json() == graded.to_json()
+                assert report.implied_by_generation == 0
+
+
+def _generator_parts(t: BracketTable):
+    nn, stray, neg, act, w = _table_arrays(t)
+    gens = _generators(t.rs)
+    return (_generation_holds(t, nn, stray, neg, w, gens),
+            _generator_triples(t, nn, neg, act, w, gens))
+
+
+def test_jacobi_needs_no_stray_key():
+    # An antisymmetric pair of stray keys never enters a Jacobi sum, so the
+    # generator triples all vanish; only the precondition keeps the graded
+    # sweep's verdict.
+    t = table("A3")
+    neg0 = t.rs.neg_index(0)
+    bad = _with_constants(t, {**t.n, (0, neg0): 1, (neg0, 0): -1})
+    holds, evaluated = _generator_parts(bad)
+    assert not holds and evaluated is not None
+    assert not _graded_sweep(bad).passed
+    report = cb.jacobi_sweep(bad)
+    assert report.to_json() == _graded_sweep(bad).to_json() and report.implied_by_generation == 0
+
+
+def test_jacobi_preconditions_each_detected():
+    # One table per remaining precondition, failing it alone: the check
+    # refuses it, and jacobi_sweep falls back to the graded sweep's report.
+    # Unlike a stray key, each of these also makes a generator triple
+    # non-zero, so no table here shows the precondition to be needed.
+    t = table("A3")
+    rs = t.rs
+    gens = _generators(rs)
+    a, b = sorted(t.n)[0]
+    asymmetric = _with_constants(t, {**t.n, (a, b): -t.n[(a, b)]})
+    # alpha_1 + alpha_2 is reached only through N(alpha_1, alpha_2) and N(alpha_2, alpha_1).
+    ladder = {(gens[0], gens[1]), (gens[1], gens[0])}
+    assert ladder <= t.n.keys()
+    unreached = _with_constants(t, {k: 0 if k in ladder else v for k, v in t.n.items()})
+    opposite = list(t.opposite)
+    opposite[gens[0]] = opposite[gens[rs.rank]] = (0,) * rs.rank
+    dependent = BracketTable(rs=rs, eps=t.eps, n=t.n, cartan_action=t.cartan_action,
+                             opposite=tuple(opposite))
+    for bad in (asymmetric, with_flipped_opposite(t), unreached, dependent):
+        assert _generator_parts(bad) == (False, None)
+        report = cb.jacobi_sweep(bad)
+        assert report.implied_by_generation == 0
+        assert report.to_json() == _graded_sweep(bad).to_json()
+    assert _generator_parts(t) == (True, cb.jacobi_sweep(t).evaluated)
+
+
+def test_jacobi_fast_path_evaluates_exactly_the_generator_triples():
+    # Count by brute force over root tuples the triples with a generator
+    # e_{+-alpha_i} first that grading leaves: (s, h_i, z) and (s, z, h_i)
+    # with z linked to s, and root triples (s, y, z) with a root or zero
+    # sum and a linked pair.
+    for label in ("A1", "A3", "B3", "G2", "D4"):
+        t = table(label)
+        rs = t.rs
+        zero = (0,) * rs.rank
+
+        def linked(u, v):
+            s = add(u, v)
+            return s == zero or rs.contains(s)
+
+        gens = [rs.simple_root(i) for i in rs.cartan.nodes]
+        gens += [tuple(-c for c in g) for g in gens]
+        evaluated = 0
+        for x in gens:
+            evaluated += 2 * rs.rank * sum(linked(x, z) for z in rs.roots)
+            for y in rs.roots:
+                for z in rs.roots:
+                    s = add(add(x, y), z)
+                    if (s == zero or rs.contains(s)) and (
+                            linked(y, z) or linked(z, x) or linked(x, y)):
+                        evaluated += 1
+        report = cb.jacobi_sweep(t)
+        dim = t.dimension
+        assert report.evaluated == evaluated, label
+        assert report.implied_by_generation == dim ** 3 - 2 * rs.rank * dim ** 2
+        assert report.evaluated + report.zero_by_grading == 2 * rs.rank * dim ** 2
+        doc = report.to_json()
+        assert doc["implied_by_generation"] == report.implied_by_generation
+        assert f"{report.implied_by_generation} implied by generation" in report.summary()
+
+
+def test_jacobi_fast_path_on_every_clean_table():
+    tables = [table(label, flipped) for label in DESK_TYPES for flipped in (False, True)]
+    tables += [folded(parent)[1] for parent in ("A3", "A5", "D4", "D5", "E6")]
+    rs = system("E8")
+    tables.append(closed_table(rs, cb.default_epsilon(rs.cartan)))
+    for t in tables:
+        report = cb.jacobi_sweep(t)
+        assert report.passed and report.implied_by_generation > 0, t.rs.cartan.label
+        assert report.checked == t.dimension ** 3
 
 
 def test_jacobi_flags_constant_on_non_summing_pair():
@@ -270,11 +448,16 @@ def _scalar_chevalley_reference(t: BracketTable) -> VerificationReport:
         report.checked += 1
         if t.opposite[k] != rs.coroot(alpha):
             report.record(alpha, rs.coroot(alpha), t.opposite[k])
+    for (a, b), value in t.n.items():
+        alpha = rs.roots[a]
+        if sum(map(abs, alpha)) != 1 or rs.sum_index[a, b] < 0:
+            continue
+        report.checked += 1
+        node = [abs(c) for c in alpha].index(1) + 1
+        expected = sum(alpha) * t.eps.value(node) * (rs.string_lengths_at(a, b)[1] + 1)
+        if value != expected:
+            report.record((alpha, rs.roots[b]), expected, value)
     return report
-
-
-def _with_constants(t: BracketTable, n: dict) -> BracketTable:
-    return BracketTable(rs=t.rs, eps=t.eps, n=n, cartan_action=t.cartan_action, opposite=t.opposite)
 
 
 @pytest.mark.parametrize("label", DESK_TYPES)
@@ -290,11 +473,45 @@ def test_chevalley_audit_matches_scalar_reference(label):
             key = sorted(t.n)[0]
             variants.append(_with_constants(t, {**t.n, key: 2 * t.n[key]}))
             variants.append(_with_constants(t, {k: v for k, v in t.n.items() if k != key}))
+        variants.append(with_flipped_vectors(t, _theta(t.rs)))
+        variants.append(with_flipped_vectors(t, {0, neg0}))
+        variants.append(BracketTable(rs=t.rs, eps=t.eps.flipped(), n=t.n,
+                                     cartan_action=t.cartan_action, opposite=t.opposite))
         for v in variants:
             new, old = cb.chevalley_audit(v), _scalar_chevalley_reference(v)
             assert (new.checked, new.violation_count) == (old.checked, old.violation_count)
             assert new.violations == old.violations
         assert cb.chevalley_audit(t).passed
+
+
+@pytest.mark.parametrize("label", ("A3", "E6", "G2", "B4"))
+def test_chevalley_audit_flags_non_canonical_generator_rows(tmp_path, label):
+    # Negating e_theta and e_{-theta}, or e_{alpha_1} and e_{-alpha_1}, gives
+    # another Chevalley basis of the same algebra: Jacobi and |N| = q+1 still
+    # hold, but the generator rows lose their canonical signs.  So does a
+    # file whose epsilon is flipped while its constants are not.
+    t = table(label)
+    rs = t.rs
+    simple = _generators(rs)[0]
+    variants = [with_flipped_vectors(t, _theta(rs)),
+                with_flipped_vectors(t, {int(simple), rs.neg_index(int(simple))})]
+    docs = [document_from_table(v, "inductive") for v in variants]
+    docs.append({**document_from_table(t, "inductive"), "epsilon": list(t.eps.flipped().values)})
+    for k, doc in enumerate(docs):
+        path = tmp_path / f"{label}-{k}.json"
+        path.write_bytes(to_json_bytes(doc))
+        assert main(["verify", "--in", str(path), "--suite", "jacobi"]) == 0
+        assert main(["verify", "--in", str(path), "--suite", "chevalley"]) == 1
+    assert all(v.n != t.n for v in variants)
+
+
+def test_chevalley_audit_passes_closed_and_folded_tables():
+    for label in ("A4", "D5", "E6", "E7"):
+        rs = system(label)
+        for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
+            assert cb.chevalley_audit(closed_table(rs, eps)).passed, label
+    for parent in ("A3", "A5", "D4", "D5", "E6"):
+        assert cb.chevalley_audit(folded(parent)[1]).passed, parent
 
 
 def test_chevalley_audit_pass():
