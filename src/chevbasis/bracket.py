@@ -9,9 +9,10 @@ flip), normalised so that
     [f_i, e_alpha] = (p + 1) e_{alpha - alpha_i},
 
 with p, q the string lengths through alpha.  This module computes every
-structure constant N_{alpha,beta} of that basis, the Cartan actions
-alpha(h_i), and the co-root expansion of each [e_alpha, e_{-alpha}],
-entirely in machine integers.
+structure constant N_{alpha,beta} of that basis and, by the same
+recursion, the expansion of each [e_alpha, e_{-alpha}] over the h_i,
+checked against the root system's co-roots, entirely in machine
+integers.
 
 The engine is the Jacobi identity applied to [[e_l, e_nu], e_beta] for a
 split mu = alpha_l + nu of each positive root by height: it expresses
@@ -30,21 +31,26 @@ from .errors import InternalInconsistency, InvalidEpsilon
 from .roots import Root, RootSystem, root_height
 
 
-@dataclass
+@dataclass(eq=False)
 class BracketTable:
     """Complete multiplication table over the basis {h_i} u {e_alpha}.
 
     ``n`` maps ordered root-index pairs (a, b) with root sum to the
-    integer N; ``cartan_action[i-1][r]`` is alpha_r(h_i); ``opposite[r]``
-    holds the co-root coordinates c with [e_alpha, e_{-alpha}] =
-    (-1)^{ht(alpha)} sum_i c_i h_i.  Immutable once built.
+    integer N.  ``cartan_action`` is a rank x nr int64 array with
+    ``cartan_action[i - 1, r]`` = alpha_r(h_i), and ``opposite`` an
+    nr x rank int64 array whose row r holds the co-root coordinates c
+    with [e_alpha, e_{-alpha}] = (-1)^{ht(alpha)} sum_i c_i h_i.  The
+    builders share the root system's read-only ``cartan_action`` and
+    ``coroots``; a table read from a file holds read-only copies of its
+    own.  Immutable once built.  Tables compare by identity; compare
+    ``n`` and the arrays to compare contents.
     """
 
     rs: RootSystem
     eps: SignFunction
     n: dict[tuple[int, int], int] = field(repr=False)
-    cartan_action: tuple[tuple[int, ...], ...] = field(repr=False)
-    opposite: tuple[Root, ...] = field(repr=False)
+    cartan_action: np.ndarray = field(repr=False)
+    opposite: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -56,10 +62,9 @@ class BracketTable:
         b = self.rs.index_of(beta)
         return self.n.get((a, b), 0)
 
-    def opposite_bracket(self, k: int) -> Root:
-        """[e_alpha, e_{-alpha}] for root index k, as an h-coordinate vector."""
-        sign = -1 if root_height(self.rs.roots[k]) % 2 else 1
-        return tuple(sign * c for c in self.opposite[k])
+    def opposite_brackets(self) -> np.ndarray:
+        """[e_alpha, e_{-alpha}] for every root alpha, as nr rows of h-coordinates."""
+        return np.where(self.rs.coeffs.sum(axis=1, keepdims=True) % 2, -self.opposite, self.opposite)
 
 
 def _base_constants(rs: RootSystem, eps: SignFunction) -> dict[tuple[int, int], int]:
@@ -92,10 +97,10 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
     n = _base_constants(rs, eps)
 
     simple_idx = {i: rs.index_of(rs.simple_root(i)) for i in rs.cartan.nodes}
-    # H[k] = [e_alpha, e_{-alpha}] as an h-coordinate vector, positive k only.
-    hvec: dict[int, Root] = {}
+    # hvec[k] = [e_alpha, e_{-alpha}] as an h-coordinate vector, positive k only.
+    hvec = np.zeros((pos, rs.rank), dtype=np.int64)
     for i in rs.cartan.nodes:
-        hvec[simple_idx[i]] = tuple(-1 if j == i else 0 for j in rs.cartan.nodes)
+        hvec[simple_idx[i], i - 1] = -1
 
     by_height: dict[int, list[int]] = {}
     for k in range(pos):
@@ -140,32 +145,26 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
 
             # Same Jacobi split applied to [e_mu, e_{-mu}], kept as a vector
             # over the h_i so no co-root formula is assumed here.
-            c1 = n[(v, neg_m)]
-            c2 = n[(sl, neg_m)]
-            prev = hvec[v]
-            combo = tuple(
-                -c1 * (1 if j == l else 0) - c2 * prev[j - 1]
-                for j in rs.cartan.nodes
-            )
-            if any(x % d for x in combo):
+            combo = -n[(sl, neg_m)] * hvec[v]
+            combo[l - 1] -= n[(v, neg_m)]
+            if np.any(combo % d):
                 raise InternalInconsistency(f"non-exact Cartan division at {mu}")
-            hvec[m] = tuple(x // d for x in combo)
-
-    # The recursion must reproduce (-1)^ht h_alpha with h_alpha the co-root.
-    for k in range(pos):
-        sign = -1 if root_height(roots[k]) % 2 else 1
-        expected = tuple(sign * c for c in rs.coroot(roots[k]))
-        if hvec[k] != expected:
-            raise InternalInconsistency(
-                f"Cartan bracket for {roots[k]} is {hvec[k]}, expected {expected}"
-            )
+            hvec[m] = combo // d
 
     for (a, b), value in list(n.items()):
         if a < pos:
             n[(rs.neg_index(a), rs.neg_index(b))] = -value
 
-    opposite = tuple(rs.coroot(beta) for beta in roots)
-    return BracketTable(rs=rs, eps=eps, n=n, cartan_action=rs.cartan_action(), opposite=opposite)
+    t = BracketTable(rs=rs, eps=eps, n=n, cartan_action=rs.cartan_action, opposite=rs.coroots)
+    # The recursion must reproduce (-1)^ht h_alpha with h_alpha the co-root.
+    expected = t.opposite_brackets()[:pos]
+    bad = (hvec != expected).any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise InternalInconsistency(
+            f"Cartan bracket for {roots[k]} is {tuple(hvec[k].tolist())}, expected {tuple(expected[k].tolist())}"
+        )
+    return t
 
 
 def flip_epsilon_table(t: BracketTable) -> BracketTable:

@@ -53,10 +53,11 @@ def constant_sign(rs: RootSystem, eps: SignFunction, alpha: Root, beta: Root) ->
 def constant_sign_reduced(rs: RootSystem, eps: SignFunction, alpha: Root, beta: Root) -> int:
     """Same sign through the single-index exponent n_i <alpha_i, beta>."""
     _require_summing_pair(rs, alpha, beta)
+    b = rs.index_of(beta)
     parity = 0
     for i in rs.cartan.nodes:
         if eps.value(i) == -1:
-            parity += alpha[i - 1] * rs.pairing_simple(i, beta)
+            parity += alpha[i - 1] * int(rs.cartan_action[i - 1, b])
     sgn = root_sign(alpha) * root_sign(beta) * root_sign(add(alpha, beta))
     return -sgn if parity % 2 else sgn
 
@@ -76,10 +77,9 @@ def pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) 
     the parity); root signs are read off the index, negative roots coming
     after positive_count.
     """
-    coeffs = np.array(rs.roots, dtype=np.int64)
     odd = np.array(eps.values) == -1
-    left = ((coeffs[:, odd] @ np.array(rs.cartan.entries)[odd]) % 2).astype(np.uint8)
-    right = (coeffs % 2).astype(np.uint8)
+    left = ((rs.coeffs[:, odd] @ np.array(rs.cartan.entries)[odd]) % 2).astype(np.uint8)
+    right = (rs.coeffs % 2).astype(np.uint8)
     parity = (left @ right.T)[a, b] & 1
     s = rs.sum_index[a, b]
     pos = rs.positive_count
@@ -103,8 +103,7 @@ def closed_table(rs: RootSystem, eps: SignFunction) -> BracketTable:
     # q = 0 for every simply-laced pair, so N is the sign alone.
     signs = pair_signs(rs, eps, a, b).tolist()
     n = {(ids[x], ids[y]): sign for x, y, sign in zip(a.tolist(), b.tolist(), signs)}
-    opposite = tuple(rs.coroot(beta) for beta in rs.roots)
-    return BracketTable(rs=rs, eps=eps, n=n, cartan_action=rs.cartan_action(), opposite=opposite)
+    return BracketTable(rs=rs, eps=eps, n=n, cartan_action=rs.cartan_action, opposite=rs.coroots)
 
 
 def check_split_identity(rs: RootSystem, eps: SignFunction) -> VerificationReport:

@@ -299,10 +299,10 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
     n = dict(zip(zip(xs.tolist(), ys.tolist()), values.tolist()))
 
     totals = np.zeros((len(rs_f.roots), rs.rank), dtype=np.int64)
-    np.add.at(totals, list(fs.restriction), [rs.coroot(alpha) for alpha in rs.roots])
+    np.add.at(totals, list(fs.restriction), rs.coroots)
     columns = [np.array(fs.auto.orbit_of(i)) - 1 for i in fs.reps]
     coords = totals[:, [c[0] for c in columns]]
-    expected = np.array([rs_f.coroot(fra) for fra in rs_f.roots])
+    expected = rs_f.coroots
     uneven = np.any([(totals[:, c] != totals[:, c[:1]]).any(axis=1) for c in columns], axis=0)
     bad = uneven | (coords != expected).any(axis=1)
     if bad.any():
@@ -311,15 +311,15 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
         if uneven[fa]:
             raise InternalInconsistency(f"orbit co-root sum not constant on node orbit at {fra}")
         raise InternalInconsistency(
-            f"folded co-root mismatch at {fra}: {tuple(coords[fa].tolist())} vs {rs_f.coroot(fra)}"
+            f"folded co-root mismatch at {fra}: {tuple(coords[fa].tolist())} vs {tuple(expected[fa].tolist())}"
         )
 
     return BracketTable(
         rs=rs_f,
         eps=fs.folded_eps,
         n=n,
-        cartan_action=rs_f.cartan_action(),
-        opposite=tuple(map(tuple, coords.tolist())),
+        cartan_action=rs_f.cartan_action,
+        opposite=rs_f.coroots,
     )
 
 

@@ -9,9 +9,12 @@ here is exact integer arithmetic.
 Every layer asks "is alpha + beta a root, and which one?" through one
 table, ``RootSystem.sum_index``: an nr x nr int32 array whose entry
 [a, b] is the index of roots[a] + roots[b], or -1 when the sum is not a
-root (in particular when b is the negative of a).  It is built once by
-:func:`generate_roots` and read-only afterwards; root strings are walks
-over it.
+root (in particular when b is the negative of a).  Root strings are
+walks over it.  The per-root data every table carries is computed once
+as read-only int64 arrays beside it: the coefficients ``coeffs``, the
+Cartan actions ``cartan_action[i - 1, k] = alpha_k(h_i)`` and the
+co-root coordinates ``coroots``.  All four are built by
+:func:`generate_roots` and read-only afterwards.
 """
 
 from __future__ import annotations
@@ -63,8 +66,12 @@ class RootSystem:
     followed by their negatives in the same order, so index k and index
     k + positive_count are a root and its negative.  ``sum_index[a, b]``
     is the index of roots[a] + roots[b], or -1 when that is not a root.
-    Instances are never mutated after construction and are safe to share
-    between threads.
+    ``coeffs`` (nr x rank) holds the roots as rows, ``cartan_action``
+    (rank x nr) the values alpha(h_i) = <alpha_i, alpha>, and ``coroots``
+    (nr x rank) the coordinates c of h_alpha = sum c_i h_i, so that
+    <alpha, beta> = beta(h_alpha) is ``coroots[a] @ cartan_action[:, b]``.
+    Instances and their arrays are never mutated after construction and
+    are safe to share between threads.
     """
 
     cartan: CartanMatrix
@@ -72,10 +79,9 @@ class RootSystem:
     positive_count: int
     index: dict[Root, int] = field(repr=False)
     sum_index: np.ndarray = field(repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._coroots: list[Root | None] = [None] * len(self.roots)
-        self._symmetrizer: tuple[int, ...] | None = None
+    coeffs: np.ndarray = field(repr=False, compare=False)
+    cartan_action: np.ndarray = field(repr=False, compare=False)
+    coroots: np.ndarray = field(repr=False, compare=False)
 
     # -- lookups ------------------------------------------------------
 
@@ -100,7 +106,7 @@ class RootSystem:
     def rank(self) -> int:
         return self.cartan.rank
 
-    # -- strings and pairings -----------------------------------------
+    # -- strings ------------------------------------------------------
 
     def string_lengths(self, alpha: Root, beta: Root) -> tuple[int, int]:
         """(p, q) with p = max{i >= 0 : beta + i alpha root}, q backwards."""
@@ -111,20 +117,14 @@ class RootSystem:
         neg_a = self.neg_index(a)
         if b == a or b == neg_a:
             raise DegeneratePair("string through beta = +/- alpha is undefined")
-        return self._walk(a, b), self._walk(neg_a, b)
-
-    def _walk(self, a: int, b: int) -> int:
-        """Number of steps b -> b + a that stay roots; scalar reference of :meth:`backward_lengths`."""
-        steps = 0
-        while (b := int(self.sum_index[a, b])) >= 0:
-            steps += 1
-        return steps
+        return tuple(self.backward_lengths([neg_a, a], [b, b]).tolist())
 
     def backward_lengths(self, a: int | np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Array form of ``string_lengths_at(a, b)[1]``: steps b -> b - a that stay roots.
+        """Steps b -> b - a that stay roots, for root indices or index arrays of one shape.
 
-        ``a`` is a root index or an index array of b's shape.  Pairs are not
-        checked for degeneracy; callers pass pairs whose sum is a root.
+        ``string_lengths_at(a, b)`` is (backward_lengths(-a, b),
+        backward_lengths(a, b)).  Pairs are not checked for degeneracy;
+        callers pass pairs with b != +-a.
         """
         neg_a = (np.asarray(a) + self.positive_count) % len(self.roots)
         b = np.asarray(b)
@@ -134,86 +134,58 @@ class RootSystem:
             q += b >= 0
         return q
 
-    def pairing_simple(self, i: int, beta: Root) -> int:
-        """<alpha_i, beta> = beta(h_i), the i-th Cartan row applied to beta."""
-        row = self.cartan.entries[i - 1]
-        return sum(a * m for a, m in zip(row, beta))
-
-    def cartan_action(self) -> tuple[tuple[int, ...], ...]:
-        """Row i - 1 lists alpha(h_i) for every root alpha, in root order."""
-        return tuple(tuple(self.pairing_simple(i, beta) for beta in self.roots) for i in self.cartan.nodes)
-
-    def pairing(self, alpha: Root, beta: Root) -> int:
-        """<alpha, beta> = beta(h_alpha), via the co-root coordinates of alpha."""
-        c = self.coroot(alpha)
-        return sum(
-            ci * self.pairing_simple(i, beta)
-            for ci, i in zip(c, self.cartan.nodes)
-        )
-
     # -- co-roots ------------------------------------------------------
 
     def symmetrizer(self) -> tuple[int, ...]:
         """Minimal positive integers s with s_i a_ij = s_j a_ji."""
-        if self._symmetrizer is not None:
-            return self._symmetrizer
-        cm = self.cartan
-        vals: dict[int, Fraction] = {1: Fraction(1)}
-        stack = [1]
-        while stack:
-            i = stack.pop()
-            for j in cm.neighbors(i):
-                if j not in vals:
-                    vals[j] = vals[i] * Fraction(cm.a(i, j), cm.a(j, i))
-                    stack.append(j)
-        lcm_den = math.lcm(*(v.denominator for v in vals.values()))
-        ints = [int(vals[i] * lcm_den) for i in cm.nodes]
-        g = math.gcd(*ints)
-        s = tuple(v // g for v in ints)
-        for i in cm.nodes:
-            for j in cm.nodes:
-                if s[i - 1] * cm.a(i, j) != s[j - 1] * cm.a(j, i):
-                    raise InternalInconsistency("symmetrizer does not symmetrize")
-        self._symmetrizer = s
-        return s
+        return _symmetrizer(self.cartan)
 
-    def coroot(self, alpha: Root) -> Root:
-        """Integer coordinates c of h_alpha = sum c_i h_i.
 
-        Simply laced systems return the coefficients of alpha unchanged.
-        In general c_i = s_i n_i / s_alpha with s the symmetrizer and
-        s_alpha the half square length; the division is always exact and
-        the result satisfies alpha(h_alpha) = 2.
-        """
-        k = self.index_of(alpha)
-        cached = self._coroots[k]
-        if cached is not None:
-            return cached
-        if self.cartan.simply_laced:
-            c = alpha
-        else:
-            s = self.symmetrizer()
-            cm = self.cartan
-            sq = sum(
-                s[i] * cm.entries[i][j] * alpha[i] * alpha[j]
-                for i in range(cm.rank)
-                for j in range(cm.rank)
-            )
-            if sq <= 0 or sq % 2:
-                raise InternalInconsistency(f"bad square length {sq} for {alpha}")
-            s_alpha = sq // 2
-            num = [s[i] * alpha[i] for i in range(cm.rank)]
-            if any(v % s_alpha for v in num):
-                raise InternalInconsistency(f"non-integral co-root for {alpha}")
-            c = tuple(v // s_alpha for v in num)
-        check = sum(
-            ci * self.pairing_simple(i, alpha)
-            for ci, i in zip(c, self.cartan.nodes)
-        )
-        if check != 2:
-            raise InternalInconsistency(f"alpha(h_alpha) = {check} != 2 for {alpha}")
-        self._coroots[k] = c
-        return c
+def _symmetrizer(cm: CartanMatrix) -> tuple[int, ...]:
+    vals: dict[int, Fraction] = {1: Fraction(1)}
+    stack = [1]
+    while stack:
+        i = stack.pop()
+        for j in cm.neighbors(i):
+            if j not in vals:
+                vals[j] = vals[i] * Fraction(cm.a(i, j), cm.a(j, i))
+                stack.append(j)
+    lcm_den = math.lcm(*(v.denominator for v in vals.values()))
+    ints = [int(vals[i] * lcm_den) for i in cm.nodes]
+    g = math.gcd(*ints)
+    s = tuple(v // g for v in ints)
+    for i in cm.nodes:
+        for j in cm.nodes:
+            if s[i - 1] * cm.a(i, j) != s[j - 1] * cm.a(j, i):
+                raise InternalInconsistency("symmetrizer does not symmetrize")
+    return s
+
+
+def _coroots(cm: CartanMatrix, roots: tuple[Root, ...], coeffs: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """Integer coordinates c of h_alpha = sum c_i h_i, one row per root.
+
+    c_i = s_i n_i / s_alpha with s the symmetrizer and s_alpha the half
+    square length sum_i s_i n_i alpha(h_i) / 2; simply laced systems get
+    their coefficients back.  The square length must be positive and
+    even, the division exact, and alpha(h_alpha) = 2 for every root.
+    """
+    num = coeffs * np.array(_symmetrizer(cm), dtype=np.int64)
+    sq = (num * action.T).sum(axis=1)
+    if (k := _first((sq <= 0) | (sq % 2 != 0))) is not None:
+        raise InternalInconsistency(f"bad square length {sq[k]} for {roots[k]}")
+    s_alpha = sq[:, None] // 2
+    if (k := _first((num % s_alpha != 0).any(axis=1))) is not None:
+        raise InternalInconsistency(f"non-integral co-root for {roots[k]}")
+    c = num // s_alpha
+    check = (c * action.T).sum(axis=1)
+    if (k := _first(check != 2)) is not None:
+        raise InternalInconsistency(f"alpha(h_alpha) = {check[k]} != 2 for {roots[k]}")
+    return c
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first True entry, or None."""
+    return int(bad.argmax()) if bad.any() else None
 
 
 def generate_roots(cm: CartanMatrix) -> RootSystem:
@@ -248,18 +220,22 @@ def generate_roots(cm: CartanMatrix) -> RootSystem:
     ordered = sorted(positive, key=lambda r: (root_height(r), r))
     roots = tuple(ordered) + tuple(negate(r) for r in ordered)
     index = {r: k for k, r in enumerate(roots)}
+    coeffs = np.array(roots, dtype=np.int64)
+    action = np.array(cm.entries, dtype=np.int64) @ coeffs.T
+    coroots = _coroots(cm, roots, coeffs, action)
+    for a in (coeffs, action, coroots):
+        a.flags.writeable = False
     return RootSystem(cartan=cm, roots=roots, positive_count=len(ordered), index=index,
-                      sum_index=_sum_index(roots))
+                      sum_index=_sum_index(coeffs), coeffs=coeffs, cartan_action=action, coroots=coroots)
 
 
-def _sum_index(roots: tuple[Root, ...]) -> np.ndarray:
+def _sum_index(coeffs: np.ndarray) -> np.ndarray:
     """The read-only table of root-sum indices (-1 where a + b is not a root).
 
     Keys are linear mod 2^64 (key(a + b) = key(a) + key(b)), distinct on
     roots, and exact while base^rank < 2^63.  Key sums are looked up in the
     sorted keys by row blocks; every hit is confirmed on the coefficients.
     """
-    coeffs = np.array(roots, dtype=np.int64)
     nr, rank = coeffs.shape
     base = 4 * int(np.abs(coeffs).max()) + 1
     weights = np.array([pow(base, i, 2**64) for i in range(rank)], dtype=np.uint64)

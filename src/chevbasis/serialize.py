@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from .bracket import BracketTable
 from .cartan import SignFunction, build_cartan, parse_type_label
 from .errors import ChevBasisError, InvalidEpsilon, NotARoot
@@ -18,6 +20,11 @@ from .roots import Root, generate_roots, root_sign
 
 SCHEMA_VERSION = 1
 METHODS = ("inductive", "closed", "folded")
+# Largest |entry| the reader accepts in constants, cartan_action and
+# opposite.  The verifiers sum in int64.  Their largest sum, a Jacobi sum
+# of three terms N N' - sum_i w_i act_i, is at most 3 (r + 1) B^2, which
+# stays below 2^63 for every rank r below 2.8 million.
+ENTRY_BOUND = 2**20
 
 
 def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -43,8 +50,8 @@ def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any]
         "positive_count": rs.positive_count,
         "roots": [list(r) for r in rs.roots],
         "constants": constants,
-        "cartan_action": [list(row) for row in t.cartan_action],
-        "opposite": [list(c) for c in t.opposite],
+        "cartan_action": t.cartan_action.tolist(),
+        "opposite": t.opposite.tolist(),
         "provenance": {"method": method, **(provenance or {})},
     }
     return doc
@@ -70,10 +77,10 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
     if type(doc["rank"]) is not int or doc["rank"] != rank:
         raise ChevBasisError(f"rank {doc['rank']!r} does not match the type {doc['type']}")
     cm = build_cartan(family, rank)
-    if _int_rows(doc.get("cartan_matrix"), rank, rank, "cartan_matrix") != cm.entries:
+    if not np.array_equal(_int_rows(doc.get("cartan_matrix"), rank, rank, "cartan_matrix"), cm.entries):
         raise ChevBasisError("document Cartan matrix does not match the type label")
     rs = generate_roots(cm)
-    if _int_rows(doc["roots"], len(rs.roots), rank, "roots") != rs.roots:
+    if not np.array_equal(_int_rows(doc["roots"], len(rs.roots), rank, "roots"), rs.coeffs):
         raise ChevBasisError("document root list does not match the generated ordering")
     if type(doc["positive_count"]) is not int or doc["positive_count"] != rs.positive_count:
         raise ChevBasisError("positive_count mismatch")
@@ -95,8 +102,8 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
         a, b, s, value = entry
         if not (0 <= a < b < nr and 0 <= s < nr):
             raise ChevBasisError(f"constant entry {entry} needs 0 <= a < b < {nr} and 0 <= sum < {nr}")
-        if not -2**63 <= value < 2**63:
-            raise ChevBasisError(f"constant entry {entry} is outside the int64 range")
+        if abs(value) > ENTRY_BOUND:
+            raise ChevBasisError(f"constant entry {entry} has an absolute value above {ENTRY_BOUND}")
         if (a, b) in n:
             raise ChevBasisError(f"constant entry {(a, b)} appears twice")
         if rs.sum_index[a, b] != s:
@@ -108,16 +115,18 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
     return BracketTable(rs=rs, eps=eps, n=n, cartan_action=action, opposite=opposite)
 
 
-def _int_rows(value: Any, rows: int, cols: int, name: str) -> tuple[tuple[int, ...], ...]:
-    """A document matrix as tuples, checked to be rows x cols int64 values (no bools or floats)."""
+def _int_rows(value: Any, rows: int, cols: int, name: str) -> np.ndarray:
+    """A document matrix as a read-only rows x cols int64 array: integers (no bools or floats) up to ENTRY_BOUND."""
     if not (isinstance(value, list) and len(value) == rows
             and all(isinstance(row, list) and len(row) == cols for row in value)):
         raise ChevBasisError(f"{name} must be {rows} lists of {cols} integers")
     if any(type(x) is not int for row in value for x in row):
         raise ChevBasisError(f"{name} has an entry that is not an integer")
-    if any(not -2**63 <= x < 2**63 for row in value for x in row):
-        raise ChevBasisError(f"{name} has an entry outside the int64 range")
-    return tuple(tuple(row) for row in value)
+    if any(abs(x) > ENTRY_BOUND for row in value for x in row):
+        raise ChevBasisError(f"{name} has an entry whose absolute value is above {ENTRY_BOUND}")
+    out = np.array(value, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def to_json_bytes(doc: dict[str, Any]) -> bytes:
@@ -126,7 +135,10 @@ def to_json_bytes(doc: dict[str, Any]) -> bytes:
 
 
 def from_json_bytes(data: bytes) -> dict[str, Any]:
-    return json.loads(data.decode("ascii"))
+    try:
+        return json.loads(data.decode("ascii"))
+    except RecursionError:
+        raise ChevBasisError("JSON nesting is too deep") from None
 
 
 def render_root(coeffs: Root) -> str:

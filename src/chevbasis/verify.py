@@ -6,11 +6,12 @@ claims from scratch: the Jacobi identity over the full adjoint basis
 grading does not already force it, and implied on the rest because the
 generators generate the table; a graded sweep over every triple is the
 fallback), the |N| = q+1 bound with string lengths walked in the root
-system and the canonical signs of the generator rows, a
-differential comparison of two tables of the same root system (built
-independently by the caller), and the trace-zero matrix model of type A
-where brackets are literal integer matrix commutators.  All arithmetic
-is exact; numpy is used only as an integer array engine.
+system, the canonical signs of the generator rows, and the co-roots and
+Cartan actions against the root system's, a differential comparison of
+two tables of the same root system (built independently by the caller),
+and the trace-zero matrix model of type A where brackets are literal
+integer matrix commutators.  All arithmetic is exact; numpy is used only
+as an integer array engine.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ def _table_arrays(t: BracketTable):
     nn = np.zeros((nr, nr), dtype=np.int64)
     nn[keys[:, 0], keys[:, 1]] = np.fromiter(t.n.values(), dtype=np.int64, count=len(t.n))
     stray = keys[rs.sum_index[keys[:, 0], keys[:, 1]] < 0]
-    neg = np.array([rs.neg_index(k) for k in range(nr)], dtype=np.intp)
-    act = np.array(t.cartan_action, dtype=np.int64)
-    w = np.array([t.opposite_bracket(k) for k in range(nr)], dtype=np.int64)
-    return nn, stray, neg, act, w
+    neg = (np.arange(nr) + rs.positive_count) % nr
+    return nn, stray, neg, t.cartan_action, t.opposite_brackets()
 
 
 def _links(bs, cs, ss, neg):
@@ -322,7 +321,7 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationRepor
 
 
 def chevalley_audit(t: BracketTable) -> VerificationReport:
-    """Check |N_{alpha,beta}| = q+1 for every pair, co-roots for every root, and the generator rows.
+    """Check |N_{alpha,beta}| = q+1 for every pair, co-roots, generator rows and Cartan actions.
 
     Every pair whose roots sum to a root must be stored; a missing one is
     recorded with ``None`` as the value found.  A constant stored on a
@@ -330,9 +329,10 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     value expected.  The canonical basis also fixes the sign on the rows
     of the Chevalley generators: N_{alpha_i,beta} = eps(i)(q+1) and
     N_{-alpha_i,-beta} = -eps(i)(q+1), checked on every stored summing
-    pair with first argument +-alpha_i.  Violations come in this order:
-    stored pairs (in table order), missing pairs, co-roots, generator
-    rows (in table order).
+    pair with first argument +-alpha_i.  The co-roots and the Cartan
+    actions alpha(h_i) must equal the root system's.  Violations come in
+    this order: stored pairs (in table order), missing pairs, co-roots,
+    generator rows (in table order), Cartan actions (by node, then root).
     """
     report = VerificationReport(suite="chevalley")
     rs = t.rs
@@ -346,7 +346,7 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     row_sign[gens] = np.concatenate([t.eps.values, np.negative(t.eps.values)])
     on_row = (row_sign[a] != 0) & summing[a, b]
     report.checked = (len(values) + int(np.count_nonzero(summing)) + len(rs.roots)
-                      + int(np.count_nonzero(on_row)))
+                      + int(np.count_nonzero(on_row)) + rs.cartan_action.size)
     got = np.array(values, dtype=np.int64)
     bad = ~summing[a, b] | (np.abs(got) != expected)
     for k in np.flatnonzero(bad).tolist():
@@ -357,13 +357,19 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     ma, mb = np.nonzero(summing & ~present)
     for x, y, q1 in zip(ma.tolist(), mb.tolist(), (rs.backward_lengths(ma, mb) + 1).tolist()):
         report.record((rs.roots[x], rs.roots[y]), q1, None)
-    for k, alpha in enumerate(rs.roots):
-        if t.opposite[k] != rs.coroot(alpha):
-            report.record(alpha, rs.coroot(alpha), t.opposite[k])
+    for k in np.flatnonzero((t.opposite != rs.coroots).any(axis=1)).tolist():
+        report.record(rs.roots[k], tuple(rs.coroots[k].tolist()), tuple(t.opposite[k].tolist()))
     signed = row_sign[a] * expected
     for k in np.flatnonzero(on_row & (got != signed)).tolist():
         report.record((rs.roots[a[k]], rs.roots[b[k]]), int(signed[k]), values[k])
+    _record_actions(report, rs, rs.cartan_action, t.cartan_action)
     return report
+
+
+def _record_actions(report: VerificationReport, rs, expected: np.ndarray, got: np.ndarray) -> None:
+    """Record every entry where two rank x nr Cartan action arrays differ, by node, then root."""
+    for i, k in np.argwhere(expected != got).tolist():
+        report.record(("action", i + 1, rs.roots[k]), int(expected[i, k]), int(got[i, k]))
 
 
 def differential(t1: BracketTable, t2: BracketTable) -> VerificationReport:
@@ -385,16 +391,11 @@ def differential(t1: BracketTable, t2: BracketTable) -> VerificationReport:
     for a, b in t2.n.keys() - t1.n.keys():
         report.checked += 1
         report.record((rs2.roots[a], rs2.roots[b]), None, t2.n[(a, b)])
-    for k, alpha in enumerate(rs1.roots):
-        expected, got = t1.opposite_bracket(k), t2.opposite_bracket(k)
-        report.checked += 1
-        if got != expected:
-            report.record(alpha, expected, got)
-    for i, (row1, row2) in enumerate(zip(t1.cartan_action, t2.cartan_action)):
-        for k, (expected, got) in enumerate(zip(row1, row2)):
-            report.checked += 1
-            if got != expected:
-                report.record(("action", i + 1, rs2.roots[k]), expected, got)
+    w1, w2 = t1.opposite_brackets(), t2.opposite_brackets()
+    report.checked += len(w1) + t1.cartan_action.size
+    for k in np.flatnonzero((w1 != w2).any(axis=1)).tolist():
+        report.record(rs1.roots[k], tuple(w1[k].tolist()), tuple(w2[k].tolist()))
+    _record_actions(report, rs2, t1.cartan_action, t2.cartan_action)
     return report
 
 
@@ -452,6 +453,7 @@ def sl_n_oracle(table: BracketTable) -> VerificationReport:
     model = MatrixModel(n, table.eps)
     mats = [model.root_matrix(alpha) for alpha in rs.roots]
     cartans = [model.cartan_matrix(k) for k in range(1, n)]
+    w = table.opposite_brackets()
     report = VerificationReport(suite="sl_n")
 
     for a, alpha in enumerate(rs.roots):
@@ -459,8 +461,7 @@ def sl_n_oracle(table: BracketTable) -> VerificationReport:
         for b, beta in enumerate(rs.roots):
             comm = mats[a] @ mats[b] - mats[b] @ mats[a]
             if b == rs.neg_index(a):
-                coeffs = table.opposite_bracket(a)
-                expected = sum(c * h for c, h in zip(coeffs, cartans))
+                expected = sum(c * h for c, h in zip(w[a].tolist(), cartans))
             elif sums[b] >= 0:
                 expected = table.n.get((a, b), 0) * mats[sums[b]]
             else:
@@ -472,7 +473,7 @@ def sl_n_oracle(table: BracketTable) -> VerificationReport:
     for i in range(1, n):
         for b, beta in enumerate(rs.roots):
             comm = cartans[i - 1] @ mats[b] - mats[b] @ cartans[i - 1]
-            expected = table.cartan_action[i - 1][b] * mats[b]
+            expected = table.cartan_action[i - 1, b] * mats[b]
             report.checked += 1
             if not np.array_equal(comm, expected):
                 report.record((i, beta), expected.tolist(), comm.tolist())

@@ -50,6 +50,11 @@ def folded(parent_label: str) -> tuple[cb.FoldedSystem, BracketTable]:
     return fs, cb.folded_table(fs)
 
 
+def coroot(rs: cb.RootSystem, alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """The co-root coordinates of a root, read from ``rs.coroots``."""
+    return tuple(rs.coroots[rs.index_of(alpha)].tolist())
+
+
 def with_flipped_constant(t: BracketTable, which: int = 0) -> BracketTable:
     """A copy of a table with one stored constant's sign flipped."""
     key = sorted(t.n)[which]
@@ -64,14 +69,14 @@ def with_flipped_constant(t: BracketTable, which: int = 0) -> BracketTable:
 
 def with_flipped_opposite(t: BracketTable, which: int = 0) -> BracketTable:
     """A copy of a table with one co-root vector negated."""
-    opposite = list(t.opposite)
-    opposite[which] = tuple(-c for c in opposite[which])
+    opposite = t.opposite.copy()
+    opposite[which] *= -1
     return BracketTable(
         rs=t.rs,
         eps=t.eps,
         n=dict(t.n),
         cartan_action=t.cartan_action,
-        opposite=tuple(opposite),
+        opposite=opposite,
     )
 
 

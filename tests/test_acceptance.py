@@ -51,10 +51,10 @@ def test_criterion_1_canonical_relations():
                     if rs.contains(down):
                         assert -eps.value(i) * t.constant(negate(si), alpha) == p + 1
             for k, alpha in enumerate(rs.roots):
-                assert t.opposite[k] == rs.coroot(alpha)
+                assert tuple(t.opposite[k].tolist()) == tuple(rs.coroots[k].tolist())
             for i in rs.cartan.nodes:
                 for k, alpha in enumerate(rs.roots):
-                    assert t.cartan_action[i - 1][k] == rs.pairing_simple(i, alpha)
+                    assert t.cartan_action[i - 1][k] == rs.cartan_action[i - 1, k]
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"canonical relations took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 (canonical relations, {len(DESK_TYPES) * 2} tables, "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -178,3 +179,105 @@ def test_fold_equals_gen_fold(tmp_path, parent, target, epsilon):
     for folded, generated in zip(paths["fold"], paths["gen"]):
         assert folded.read_bytes() == generated.read_bytes()
     assert from_json_bytes(paths["fold"][0].read_bytes())["provenance"]["parent"] == parent
+
+
+@pytest.mark.parametrize("command", ["verify", "show"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    extra = ["--alpha", "1,0", "--beta", "0,1"] if command == "show" else []
+    assert run(command, "--in", str(path), *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_chevalley_checks_cartan_action(tmp_path, capsys):
+    doc = from_json_bytes((GOLDEN / "g2.json").read_bytes())
+    doc["cartan_action"][0][2] += 1
+    path = tmp_path / "g2-action.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--in", str(path), "--suite", "chevalley", "--json") == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["violation_count"] == 1
+    assert report["violations"] == [{"site": ["action", 1, [1, 1]], "expected": "1", "got": "2"}]
+
+
+def _negate_constant(doc):
+    doc["constants"][0][3] *= -1
+
+
+def _double_constant(doc):
+    doc["constants"][0][3] *= 2
+
+
+def _drop_constant(doc):
+    doc["constants"].pop(0)
+
+
+def _bump_action(doc):
+    doc["cartan_action"][0][-1] += 1
+
+
+def _negate_first_coroot(doc):
+    doc["opposite"][0] = [-c for c in doc["opposite"][0]]
+
+
+def _negate_last_coroot(doc):
+    doc["opposite"][-1] = [-c for c in doc["opposite"][-1]]
+
+
+def _flip_epsilon(doc):
+    doc["epsilon"] = [-e for e in doc["epsilon"]]
+
+
+CORRUPTIONS = {
+    "negated": _negate_constant,
+    "doubled": _double_constant,
+    "dropped": _drop_constant,
+    "action": _bump_action,
+    "first-coroot": _negate_first_coroot,
+    "last-coroot": _negate_last_coroot,
+    "epsilon": _flip_epsilon,
+}
+
+# SHA-256 of the `verify --json` output on each corrupted golden file,
+# recorded from the per-root tuple code that the co-root and Cartan action
+# arrays replaced.  Report values must stay plain ints and tuples: numpy
+# renders an array scalar as "np.int64(1)", which only these bytes show.
+PINNED_VERIFY_REPORTS = {
+    ("a2", "negated"): "9179a9e255f445f1739ebd2129a1ed61e7e5239c82aa9e4ee526f910a2cff2af",
+    ("a2", "doubled"): "2d4dfc50b38a425029c3eccc86bf981ee56b8ea244f13624a7b8b0a709fcd430",
+    ("a2", "dropped"): "fd9e46b6b9e369604b9021450db79de4884723b5f09db45c15173f5db5f58945",
+    ("a2", "action"): "c31be244f1babf189f9b32ed880d1cd746738f801fb81bc466a3fc8371ea1cb2",
+    ("a2", "first-coroot"): "e03a4a7f6d37aad3f2d347face92e04c33ebb244c25925821526609521bd2c63",
+    ("a2", "last-coroot"): "bfccb11359dd28d6327a5e6429b252784e04f549ccbd6c04a90387a025dad34e",
+    ("a2", "epsilon"): "b1e77eb20165692a0a5b0a037877dfc5d916ea223d3d503218081830a27d75ec",
+    ("d4", "negated"): "7d5e6f6827e489977f9f8d022f941b5204746523100943082a48057a4d8e040b",
+    ("d4", "doubled"): "d120b51ca102acf1524e1fb10637f932ae3d430a0f2962b862067be08140de7c",
+    ("d4", "dropped"): "aa843e388f97e8dab5e6c8e4616c88c571ffd3e33bac1c43a0cd118d53077e9b",
+    ("d4", "action"): "655c518b20c8a02e521caeba3840b9a0d982a2d125a0c0221f531fa15a0026b1",
+    ("d4", "first-coroot"): "d9a9f4b2ead88bddc0a9ed20154d49c5ab06eb38f1731e8882210e84c0812fd4",
+    ("d4", "last-coroot"): "ea96e0ad541953f0e2dd68912e6b7caa70deaa9277d327750c784169b682b606",
+    ("d4", "epsilon"): "411b84f63a58685390d3559454b73f6227134410de7b9eedd90827a1467e33e4",
+    ("g2", "negated"): "f85367815a8e13fb3254bd6ad0e7455819ddbc6359aab779440dab3bfb24379c",
+    ("g2", "doubled"): "7af44078d0a70a9ee5f822224dba9ae7374b14521eadd22fb9ca9d699664c300",
+    ("g2", "dropped"): "2bff7841b69e6098a410d213bfec633e4e1e8487d3e54aad18f552e2a4180d5c",
+    ("g2", "action"): "8f116e86925bc81601e8bd375290dc5bb758b156cb841bd70570ea17798433b9",
+    ("g2", "first-coroot"): "666dd4983bc882a38bbe6cba0003668db19f3a5e3c4a244221175ed0cf26ca8a",
+    ("g2", "last-coroot"): "473c5dea68579b290c8d53337bf3236382f65fa87dc0825b7ed8f5fbbdada841",
+    ("g2", "epsilon"): "fadb5bef2b9a8d4fe9048ff49998b2cd3ebf65025af7cb18aa8e09f2d6555b4e",
+}
+
+
+@pytest.mark.parametrize("name,corruption", sorted(PINNED_VERIFY_REPORTS))
+def test_verify_reports_pinned(tmp_path, capsys, name, corruption):
+    doc = from_json_bytes((GOLDEN / f"{name}.json").read_bytes())
+    CORRUPTIONS[corruption](doc)
+    path = tmp_path / f"{name}-{corruption}.json"
+    path.write_text(json.dumps(doc))
+    suites = "jacobi,differential" + (",slN" if name == "a2" else "")
+    capsys.readouterr()
+    assert run("verify", "--json", "--in", str(path), "--suite", suites) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_REPORTS[(name, corruption)]

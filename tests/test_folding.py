@@ -352,4 +352,4 @@ def test_folded_coroot_example():
     # and the node orbits are {3}, {1,2,4}.
     fs, tf = folded("D4")
     k = fs.folded_rs.index_of((2, 3))
-    assert tf.opposite[k] == (2, 1)
+    assert tf.opposite[k].tolist() == [2, 1]

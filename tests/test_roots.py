@@ -1,4 +1,4 @@
-"""Root system generation, strings, pairings and co-roots."""
+"""Root system generation, strings, pairings, Cartan actions and co-roots."""
 
 from __future__ import annotations
 
@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chevbasis as cb
-from chevbasis.errors import DegeneratePair, NotARoot
-from chevbasis.roots import add, negate, root_height, root_sign, sub
-from conftest import DESK_TYPES, SIMPLY_LACED_TYPES, system
+from chevbasis.errors import DegeneratePair, InternalInconsistency, NotARoot
+from chevbasis.roots import _coroots, add, negate, root_height, root_sign, sub
+from conftest import DESK_TYPES, SIMPLY_LACED_TYPES, coroot, system
+
+def pairing(rs, alpha, beta) -> int:
+    """<alpha, beta> = beta(h_alpha), read from the co-root and Cartan action arrays."""
+    return int(rs.coroots[rs.index_of(alpha)] @ rs.cartan_action[:, rs.index_of(beta)])
+
 
 POSITIVE_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -121,14 +126,14 @@ def test_pairing_on_simple_roots_recovers_cartan():
             for j in cm.nodes:
                 if i == j:
                     continue
-                assert rs.pairing(rs.simple_root(i), rs.simple_root(j)) == cm.a(i, j)
+                assert pairing(rs, rs.simple_root(i), rs.simple_root(j)) == cm.a(i, j)
 
 
 def test_pairing_self_is_two():
     for label in ("A2", "B2", "G2", "F4", "D4"):
         rs = system(label)
         for alpha in rs.roots:
-            assert rs.pairing(alpha, alpha) == 2
+            assert pairing(rs, alpha, alpha) == 2
 
 
 def test_reflection_closure():
@@ -137,7 +142,7 @@ def test_reflection_closure():
         rs = system(label)
         for alpha in rs.roots:
             for beta in rs.roots:
-                m = rs.pairing(alpha, beta)
+                m = pairing(rs, alpha, beta)
                 image = tuple(b - m * a for a, b in zip(alpha, beta))
                 assert rs.contains(image), (label, alpha, beta)
 
@@ -150,7 +155,7 @@ def test_pairing_sign_controls_string():
             for beta in rs.roots:
                 if beta in (alpha, negate(alpha)):
                     continue
-                m = rs.pairing(alpha, beta)
+                m = pairing(rs, alpha, beta)
                 if m > 0:
                     assert rs.contains(sub(beta, alpha))
                 elif m < 0:
@@ -164,41 +169,69 @@ def test_simply_laced_pairing_dictionary():
             for beta in rs.roots:
                 if beta in (alpha, negate(alpha)):
                     continue
-                m = rs.pairing(alpha, beta)
+                m = pairing(rs, alpha, beta)
                 assert m in (-1, 0, 1)
                 assert (m == 1) == rs.contains(sub(alpha, beta))
                 assert (m == -1) == rs.contains(add(alpha, beta))
-                assert m == rs.pairing(beta, alpha)
+                assert m == pairing(rs, beta, alpha)
 
 
 def test_coroot_simply_laced_is_identity():
     rs = system("D4")
     for alpha in rs.roots:
-        assert rs.coroot(alpha) == alpha
-    assert rs.coroot((1, 1, 1, 0)) == (1, 1, 1, 0)
+        assert coroot(rs, alpha) == alpha
+    assert coroot(rs, (1, 1, 1, 0)) == (1, 1, 1, 0)
 
 
 def test_coroot_simple_roots_are_units():
     for label in ("A3", "B3", "C3", "G2", "F4"):
         rs = system(label)
         for i in rs.cartan.nodes:
-            assert rs.coroot(rs.simple_root(i)) == rs.simple_root(i)
+            assert coroot(rs, rs.simple_root(i)) == rs.simple_root(i)
 
 
 def test_coroot_g2_highest_root():
     rs = system("G2")
-    c = rs.coroot((2, 3))
+    c = coroot(rs, (2, 3))
     assert c == (2, 1)
-    assert sum(ci * rs.pairing_simple(i, (2, 3)) for ci, i in zip(c, rs.cartan.nodes)) == 2
+    assert sum(ci * int(rs.cartan_action[i - 1, rs.index_of((2, 3))]) for ci, i in zip(c, rs.cartan.nodes)) == 2
 
 
 def test_coroot_integral_everywhere():
     for label in ("B4", "C4", "F4", "G2"):
         rs = system(label)
         for alpha in rs.roots:
-            c = rs.coroot(alpha)
+            c = coroot(rs, alpha)
             assert all(isinstance(x, int) for x in c)
-            assert rs.coroot(negate(alpha)) == tuple(-x for x in c)
+            assert coroot(rs, negate(alpha)) == tuple(-x for x in c)
+
+
+# The per-root formulas the arrays replaced, kept as their reference.
+def _scalar_cartan_action(rs) -> list[list[int]]:
+    return [[sum(a * m for a, m in zip(row, beta)) for beta in rs.roots] for row in rs.cartan.entries]
+
+
+def _scalar_coroot(rs, alpha) -> tuple[int, ...]:
+    """c_i = s_i n_i / s_alpha, with s_alpha the half square length; identity if simply laced."""
+    if rs.cartan.simply_laced:
+        return alpha
+    s, a, r = rs.symmetrizer(), rs.cartan.entries, rs.rank
+    sq = sum(s[i] * a[i][j] * alpha[i] * alpha[j] for i in range(r) for j in range(r))
+    assert sq > 0 and sq % 2 == 0
+    num = [s[i] * alpha[i] for i in range(r)]
+    assert all(v % (sq // 2) == 0 for v in num)
+    return tuple(v // (sq // 2) for v in num)
+
+
+@pytest.mark.parametrize("label", DESK_TYPES + ("B12", "C12", "D16", "A24"))
+def test_root_arrays_match_scalar_formulas(label):
+    rs = system(label)
+    assert rs.coeffs.tolist() == [list(alpha) for alpha in rs.roots]
+    assert rs.cartan_action.tolist() == _scalar_cartan_action(rs)
+    assert rs.coroots.tolist() == [list(_scalar_coroot(rs, alpha)) for alpha in rs.roots]
+    assert np.all((rs.coroots * rs.cartan_action.T).sum(axis=1) == 2)
+    for a in (rs.coeffs, rs.cartan_action, rs.coroots):
+        assert a.dtype == np.int64 and not a.flags.writeable
 
 
 def test_symmetrizer_values():
@@ -214,7 +247,7 @@ def test_reflection_closure_property(label, data):
     rs = system(label)
     alpha = data.draw(st.sampled_from(rs.roots))
     beta = data.draw(st.sampled_from(rs.roots))
-    m = rs.pairing(alpha, beta)
+    m = pairing(rs, alpha, beta)
     assert rs.contains(tuple(b - m * a for a, b in zip(alpha, beta)))
 
 
@@ -249,3 +282,14 @@ def test_string_lengths_at_matches_tuple_walk():
         xs, ys = np.nonzero(rs.sum_index >= 0)
         assert len(xs) == len(backward)
         assert rs.backward_lengths(xs, ys).tolist() == [backward[k] for k in zip(xs.tolist(), ys.tolist())]
+
+
+def test_coroot_checks_raise():
+    # Vectors that are not roots: a zero vector has square length 0, and
+    # 2 alpha_1 of G2 has s_alpha = 12, which does not divide s_1 n_1 = 6.
+    cm = system("G2").cartan
+    for vector, message in (((0, 0), "bad square length 0"), ((2, 0), "non-integral co-root")):
+        coeffs = np.array([vector], dtype=np.int64)
+        action = np.array(cm.entries, dtype=np.int64) @ coeffs.T
+        with pytest.raises(InternalInconsistency, match=message):
+            _coroots(cm, (vector,), coeffs, action)

@@ -9,6 +9,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ import chevbasis as cb
 from chevbasis.cli import main
 from chevbasis.errors import ChevBasisError
 from chevbasis.serialize import (
+    ENTRY_BOUND,
     csv_export,
     document_from_table,
     from_json_bytes,
@@ -43,8 +45,8 @@ def test_round_trip_identity():
         rebuilt = table_from_document(from_json_bytes(to_json_bytes(doc)))
         assert rebuilt.n == t.n
         assert rebuilt.eps.values == t.eps.values
-        assert rebuilt.cartan_action == t.cartan_action
-        assert rebuilt.opposite == t.opposite
+        assert np.array_equal(rebuilt.cartan_action, t.cartan_action)
+        assert np.array_equal(rebuilt.opposite, t.opposite)
         doc2 = document_from_table(rebuilt, "inductive")
         assert to_json_bytes(doc) == to_json_bytes(doc2)
 
@@ -160,7 +162,7 @@ def _update(**fields):
 BAD_FIELDS = {
     "opposite-float": (_set("opposite", 0, 1, 1.0), "opposite has an entry"),
     "action-float": (_set("cartan_action", 0, 2, 1.0), "cartan_action has an entry"),
-    "action-outside-int64": (_set("cartan_action", 0, 2, 2**70), "cartan_action has an entry outside the int64"),
+    "action-outside-int64": (_set("cartan_action", 0, 2, 2**70), "cartan_action has an entry whose absolute value is above 1048576"),
     "cartan-float": (_set("cartan_matrix", 0, 0, 2.0), "cartan_matrix has an entry"),
     "roots-bool": (_set("roots", 0, 1, True), "roots has an entry"),
     "epsilon-bool": (_update(epsilon=[-1, True]), "not the integer 1 or -1"),
@@ -193,6 +195,26 @@ def test_malformed_fields_rejected(mutation, tmp_path, capsys):
     assert main(["verify", "--in", str(path)]) == 2
     assert main(["verify", "--in", str(path), "--suite", "jacobi"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_entries_beyond_the_bound_are_refused(tmp_path):
+    # An A1 file with cartan_action [[-2**63, -2**63]] made the band term of
+    # the Jacobi sweep wrap to 0 in int64 and passed; entries are now bounded
+    # so that no sum a verifier forms can overflow.
+    a1 = document_from_table(table("A1"), "inductive")
+    g2 = from_json_bytes(GOLDEN_G2.read_bytes())
+    g2["constants"][0][3] = ENTRY_BOUND + 1
+    bad = {"action": {**a1, "cartan_action": [[-2**63, -2**63]]},
+           "opposite": {**a1, "opposite": [[ENTRY_BOUND + 1], [-1]]},
+           "constant": g2}
+    for name, doc in bad.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--in", str(path), "--suite", "jacobi"]) == 2, name
+        assert main(["verify", "--in", str(path), "--suite", "jacobi,chevalley"]) == 2, name
+    at_bound = table_from_document({**a1, "cartan_action": [[ENTRY_BOUND, -ENTRY_BOUND]]})
+    assert at_bound.cartan_action.tolist() == [[ENTRY_BOUND, -ENTRY_BOUND]]
+    assert not at_bound.cartan_action.flags.writeable and not at_bound.opposite.flags.writeable
 
 
 # Mutation corpus: one scalar of a golden file replaced, or one top-level

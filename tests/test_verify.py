@@ -53,7 +53,7 @@ def _dense_table_arrays(t: BracketTable):
     total = np.where(valid, rs.sum_index, nr)  # nr = sentinel "no root"
     neg = np.array([rs.neg_index(k) for k in range(nr)], dtype=np.intp)
     act = np.array(t.cartan_action, dtype=np.int64)
-    w = np.array([t.opposite_bracket(k) for k in range(nr)], dtype=np.int64)
+    w = t.opposite_brackets()
     return nn, total, valid, neg, act, w
 
 
@@ -164,11 +164,7 @@ def test_graded_jacobi_matches_dense_reference(label):
     everything = 10 ** 9
     for flipped in (False, True):
         t = table(label, flipped)
-        action = [list(row) for row in t.cartan_action]
-        action[0][-1] += 1
-        bumped = BracketTable(rs=t.rs, eps=t.eps, n=t.n, opposite=t.opposite,
-                              cartan_action=tuple(map(tuple, action)))
-        variants = [t, with_flipped_opposite(t), bumped]
+        variants = [t, with_flipped_opposite(t), _with_action_bumped(t)]
         variants += [with_flipped_constant(t, site) for site in range(min(3, len(t.n)))]
         for v in variants:
             dense = _dense_jacobi_reference(v, max_recorded=everything)
@@ -214,10 +210,9 @@ def _with_constants(t: BracketTable, n: dict) -> BracketTable:
 
 
 def _with_action_bumped(t: BracketTable) -> BracketTable:
-    action = [list(row) for row in t.cartan_action]
-    action[0][-1] += 1
-    return BracketTable(rs=t.rs, eps=t.eps, n=t.n, opposite=t.opposite,
-                        cartan_action=tuple(map(tuple, action)))
+    action = t.cartan_action.copy()
+    action[0, -1] += 1
+    return BracketTable(rs=t.rs, eps=t.eps, n=t.n, opposite=t.opposite, cartan_action=action)
 
 
 def _theta(rs) -> set[int]:
@@ -235,11 +230,10 @@ def _antisymmetric_variants(t: BracketTable) -> list[BracketTable]:
             variants.append(_with_constants(t, {**t.n, (a, b): factor * t.n[(a, b)],
                                                 (b, a): factor * t.n[(b, a)]}))
     for k in (0, rs.positive_count - 1):
-        opposite = list(t.opposite)
-        for j in (k, rs.neg_index(k)):
-            opposite[j] = tuple(-c for c in opposite[j])
+        opposite = t.opposite.copy()
+        opposite[[k, rs.neg_index(k)]] *= -1
         variants.append(BracketTable(rs=rs, eps=t.eps, n=t.n, cartan_action=t.cartan_action,
-                                     opposite=tuple(opposite)))
+                                     opposite=opposite))
     return variants
 
 
@@ -312,10 +306,10 @@ def test_jacobi_preconditions_each_detected():
     ladder = {(gens[0], gens[1]), (gens[1], gens[0])}
     assert ladder <= t.n.keys()
     unreached = _with_constants(t, {k: 0 if k in ladder else v for k, v in t.n.items()})
-    opposite = list(t.opposite)
-    opposite[gens[0]] = opposite[gens[rs.rank]] = (0,) * rs.rank
+    opposite = t.opposite.copy()
+    opposite[[gens[0], gens[rs.rank]]] = 0
     dependent = BracketTable(rs=rs, eps=t.eps, n=t.n, cartan_action=t.cartan_action,
-                             opposite=tuple(opposite))
+                             opposite=opposite)
     for bad in (asymmetric, with_flipped_opposite(t), unreached, dependent):
         assert _generator_parts(bad) == (False, None)
         report = cb.jacobi_sweep(bad)
@@ -427,8 +421,14 @@ def test_jacobi_flags_corrupted_cartan_vector():
     assert not cb.jacobi_sweep(bad).passed
 
 
+def _tuple_q(rs, a: int, b: int) -> int:
+    """Backward string length q of roots[a] through roots[b], walked on coefficient tuples."""
+    alpha, beta = rs.roots[a], rs.roots[b]
+    return next(i for i in range(4) if not rs.contains(tuple(y - (i + 1) * x for x, y in zip(alpha, beta))))
+
+
 # The per-pair audit that ``chevalley_audit`` replaced, kept as its reference:
-# it walks each string with the scalar ``string_lengths_at``.
+# it walks each string on coefficient tuples.
 def _scalar_chevalley_reference(t: BracketTable) -> VerificationReport:
     report = VerificationReport(suite="chevalley")
     rs = t.rs
@@ -437,26 +437,33 @@ def _scalar_chevalley_reference(t: BracketTable) -> VerificationReport:
         if rs.sum_index[a, b] < 0:
             report.record((rs.roots[a], rs.roots[b]), None, value)
             continue
-        _, q = rs.string_lengths_at(a, b)
+        q = _tuple_q(rs, a, b)
         if abs(value) != q + 1:
             report.record((rs.roots[a], rs.roots[b]), q + 1, value)
     for a, b in np.argwhere(rs.sum_index >= 0).tolist():
         report.checked += 1
         if (a, b) not in t.n:
-            report.record((rs.roots[a], rs.roots[b]), rs.string_lengths_at(a, b)[1] + 1, None)
+            report.record((rs.roots[a], rs.roots[b]), _tuple_q(rs, a, b) + 1, None)
     for k, alpha in enumerate(rs.roots):
         report.checked += 1
-        if t.opposite[k] != rs.coroot(alpha):
-            report.record(alpha, rs.coroot(alpha), t.opposite[k])
+        coroot, got = tuple(rs.coroots[k].tolist()), tuple(t.opposite[k].tolist())
+        if got != coroot:
+            report.record(alpha, coroot, got)
     for (a, b), value in t.n.items():
         alpha = rs.roots[a]
         if sum(map(abs, alpha)) != 1 or rs.sum_index[a, b] < 0:
             continue
         report.checked += 1
         node = [abs(c) for c in alpha].index(1) + 1
-        expected = sum(alpha) * t.eps.value(node) * (rs.string_lengths_at(a, b)[1] + 1)
+        expected = sum(alpha) * t.eps.value(node) * (_tuple_q(rs, a, b) + 1)
         if value != expected:
             report.record((alpha, rs.roots[b]), expected, value)
+    for i in rs.cartan.nodes:
+        for k, alpha in enumerate(rs.roots):
+            report.checked += 1
+            expected = sum(a * m for a, m in zip(rs.cartan.entries[i - 1], alpha))
+            if t.cartan_action[i - 1][k] != expected:
+                report.record(("action", i, alpha), expected, int(t.cartan_action[i - 1][k]))
     return report
 
 
@@ -477,6 +484,7 @@ def test_chevalley_audit_matches_scalar_reference(label):
         variants.append(with_flipped_vectors(t, {0, neg0}))
         variants.append(BracketTable(rs=t.rs, eps=t.eps.flipped(), n=t.n,
                                      cartan_action=t.cartan_action, opposite=t.opposite))
+        variants.append(_with_action_bumped(t))
         for v in variants:
             new, old = cb.chevalley_audit(v), _scalar_chevalley_reference(v)
             assert (new.checked, new.violation_count) == (old.checked, old.violation_count)
@@ -594,14 +602,11 @@ PINNED_C3_DIFFERENTIALS = {
 
 def test_differential_reports_pinned():
     t = table("C3")
-    action = [list(row) for row in t.cartan_action]
-    action[0][-1] += 1
     first = sorted(t.n)[0]
     variants = {
         "constant": with_flipped_constant(t),
         "opposite": with_flipped_opposite(t),
-        "action": BracketTable(rs=t.rs, eps=t.eps, n=t.n, opposite=t.opposite,
-                               cartan_action=tuple(map(tuple, action))),
+        "action": _with_action_bumped(t),
         "dropped": _with_constants(t, {k: v for k, v in t.n.items() if k != first}),
         "added": _with_constants(t, {**t.n, (0, 0): 1}),
     }
@@ -652,6 +657,6 @@ def test_sl_n_oracle_negative_controls():
 def test_sl2_cartan_bracket():
     # [e_alpha, e_{-alpha}] = -h for the height-1 root of sl_2.
     t = table("A1")
-    assert t.opposite_bracket(0) == (-1,)
+    assert t.opposite_brackets()[0].tolist() == [-1]
     report = sl_n_oracle(t)
     assert report.passed
