@@ -2,13 +2,15 @@
 """Build and fully verify the tables of every desk-rank type.
 
 For each type the inductive table is built for both sign functions, run
-through the Jacobi sweep and the Chevalley audit, and compared against
-the independent route (closed formula or folding).  Prints one line per
-type with the Jacobi route (``generators`` when the generator triples
-settled it, ``graded`` when it fell back to the full graded sweep) and
-its evaluated and implied-by-generation counts; exits non-zero on any
-failure, including a clean table that falls back, since that means a
-precondition of the generator route is wrong.
+through the Jacobi sweep and the Chevalley audit, compared against the
+independent route (closed formula or folding), and written to JSON and
+read back: the loaded table must match the built one under
+``differential``.  Prints one line per type with the Jacobi route
+(``generators`` when the generator triples settled it, ``graded`` when
+it fell back to the full graded sweep) and its evaluated and
+implied-by-generation counts; exits non-zero on any failure, including
+a clean table that falls back, since that means a precondition of the
+generator route is wrong.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import time
 
 import chevbasis as cb
 from chevbasis.folding import independent_table
+from chevbasis.serialize import document_from_table, from_json_bytes, table_from_document, to_json_bytes
 from chevbasis.verify import chevalley_audit, differential, jacobi_sweep
 
 TYPES = [
@@ -45,7 +48,8 @@ def run() -> int:
             if not jacobi.implied_by_generation:
                 failures += 1
                 status.append("jacobi fell back to the graded sweep on a clean table")
-            for report in (jacobi, chevalley_audit(t), differential(t, other)):
+            loaded = table_from_document(from_json_bytes(to_json_bytes(document_from_table(t, "inductive"))))
+            for report in (jacobi, chevalley_audit(t), differential(t, other), differential(loaded, t)):
                 if not report.passed:
                     failures += 1
                     status.append(report.summary())

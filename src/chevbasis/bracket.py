@@ -12,13 +12,15 @@ with p, q the string lengths through alpha.  This module computes every
 structure constant N_{alpha,beta} of that basis and, by the same
 recursion, the expansion of each [e_alpha, e_{-alpha}] over the h_i,
 checked against the root system's co-roots, entirely in machine
-integers.
+integers.  A table holds its constants as two arrays in table order,
+``pairs`` (the stored ordered root-index pairs) and ``n`` (their
+constants): row-major for the builders, file order for the reader.
 
 The engine is the Jacobi identity applied to [[e_l, e_nu], e_beta] for a
 split mu = alpha_l + nu of each positive root by height: it expresses
-N_{mu,beta} through constants whose first argument is lower, dividing by
-the known non-zero N_{alpha_l,nu}.  Constants with negative first
-argument follow from N_{-a,-b} = -N_{a,b}.
+the row N_{mu,.} through rows whose first argument is lower, dividing by
+the known non-zero N_{alpha_l,nu}.  Rows with negative first argument
+follow from N_{-a,-b} = -N_{a,b}.
 """
 
 from __future__ import annotations
@@ -28,54 +30,61 @@ from .cartan import SignFunction
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidEpsilon
-from .roots import Root, RootSystem, root_height
+from .roots import Root, RootSystem
 
 
 @dataclass(eq=False)
 class BracketTable:
     """Complete multiplication table over the basis {h_i} u {e_alpha}.
 
-    ``n`` maps ordered root-index pairs (a, b) with root sum to the
-    integer N.  ``cartan_action`` is a rank x nr int64 array with
-    ``cartan_action[i - 1, r]`` = alpha_r(h_i), and ``opposite`` an
-    nr x rank int64 array whose row r holds the co-root coordinates c
-    with [e_alpha, e_{-alpha}] = (-1)^{ht(alpha)} sum_i c_i h_i.  The
-    builders share the root system's read-only ``cartan_action`` and
-    ``coroots``; a table read from a file holds read-only copies of its
-    own.  Immutable once built.  Tables compare by identity; compare
-    ``n`` and the arrays to compare contents.
+    ``pairs`` (K x 2 intp) lists the stored ordered root-index pairs,
+    each once, and ``n`` (K int64) their constants N_{a,b}; a pair not
+    stored has N = 0.  Both are read-only and in table order: row-major
+    for the builders, which store exactly the pairs with a root sum, and
+    file order for a table read from a file, each (a, b) followed by
+    (b, a).  An in-memory table may hold stray pairs or miss summing
+    ones; the verifiers report both.  ``cartan_action`` is a rank x nr
+    int64 array with ``cartan_action[i - 1, r]`` = alpha_r(h_i), and
+    ``opposite`` an nr x rank int64 array whose row r holds the co-root
+    coordinates c with [e_alpha, e_{-alpha}] = (-1)^{ht(alpha)} sum_i
+    c_i h_i.  The builders share the root system's read-only
+    ``cartan_action`` and ``coroots``; a table read from a file holds
+    read-only copies of its own.  Tables compare by identity; compare
+    the arrays to compare contents.
     """
 
     rs: RootSystem
     eps: SignFunction
-    n: dict[tuple[int, int], int] = field(repr=False)
+    pairs: np.ndarray = field(repr=False)
+    n: np.ndarray = field(repr=False)
     cartan_action: np.ndarray = field(repr=False)
     opposite: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        self.pairs.flags.writeable = self.n.flags.writeable = False
 
     @property
     def dimension(self) -> int:
         return self.rs.rank + len(self.rs.roots)
 
     def constant(self, alpha: Root, beta: Root) -> int:
-        """N_{alpha,beta}; zero when alpha + beta is not a root."""
-        a = self.rs.index_of(alpha)
-        b = self.rs.index_of(beta)
-        return self.n.get((a, b), 0)
+        """N_{alpha,beta}; zero when the pair is not stored (alpha + beta is not a root)."""
+        a, b = self.rs.index_of(alpha), self.rs.index_of(beta)
+        hit = np.flatnonzero((self.pairs[:, 0] == a) & (self.pairs[:, 1] == b))
+        return int(self.n[hit[0]]) if len(hit) else 0
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nn, stored): nr x nr arrays of N_{a,b} (0 where not stored) and of whether (a, b) is stored."""
+        nr = len(self.rs.roots)
+        nn = np.zeros((nr, nr), dtype=np.int64)
+        stored = np.zeros((nr, nr), dtype=bool)
+        nn[self.pairs[:, 0], self.pairs[:, 1]] = self.n
+        stored[self.pairs[:, 0], self.pairs[:, 1]] = True
+        return nn, stored
 
     def opposite_brackets(self) -> np.ndarray:
         """[e_alpha, e_{-alpha}] for every root alpha, as nr rows of h-coordinates."""
         return np.where(self.rs.coeffs.sum(axis=1, keepdims=True) % 2, -self.opposite, self.opposite)
-
-
-def _base_constants(rs: RootSystem, eps: SignFunction) -> dict[tuple[int, int], int]:
-    """All N with a simple first argument: N_{alpha_i,beta} = eps(i)(q+1)."""
-    n: dict[tuple[int, int], int] = {}
-    for i in rs.cartan.nodes:
-        a = rs.index_of(rs.simple_root(i))
-        bs = np.flatnonzero(rs.sum_index[a] >= 0)
-        for b, q in zip(bs.tolist(), rs.backward_lengths(a, bs).tolist()):
-            n[(a, b)] = eps.value(i) * (q + 1)
-    return n
 
 
 def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -> BracketTable:
@@ -89,73 +98,57 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
         raise InvalidEpsilon("epsilon must alternate along diagram edges")
     if tie_break not in ("min", "max"):
         raise ValueError("tie_break must be 'min' or 'max'")
-    pick = min if tie_break == "min" else max
 
     roots = rs.roots
     pos = rs.positive_count
+    nr = len(roots)
     si = rs.sum_index
-    n = _base_constants(rs, eps)
-
-    simple_idx = {i: rs.index_of(rs.simple_root(i)) for i in rs.cartan.nodes}
+    neg = (np.arange(nr) + pos) % nr
+    simple = np.array([rs.index_of(rs.simple_root(i)) for i in rs.cartan.nodes], dtype=np.intp)
+    # nn[a, b] = N_{a,b}, zero off the summing pairs.  The extra column stays
+    # 0 and is where a sum index of -1 points.  Simple rows first:
+    # N_{alpha_i,beta} = eps(i)(q+1).
+    nn = np.zeros((nr, nr + 1), dtype=np.int64)
+    node, bs = np.nonzero(si[simple] >= 0)
+    nn[simple[node], bs] = np.array(eps.values)[node] * (rs.backward_lengths(simple[node], bs) + 1)
     # hvec[k] = [e_alpha, e_{-alpha}] as an h-coordinate vector, positive k only.
     hvec = np.zeros((pos, rs.rank), dtype=np.int64)
-    for i in rs.cartan.nodes:
-        hvec[simple_idx[i], i - 1] = -1
+    hvec[simple, np.arange(rs.rank)] = -1
+    # down[m, l]: mu - alpha_{l+1} is a root, for positive mu = roots[m].
+    down = si[:pos, neg[simple]] >= 0
 
-    by_height: dict[int, list[int]] = {}
-    for k in range(pos):
-        by_height.setdefault(root_height(roots[k]), []).append(k)
+    # Roots come by height, so every row read below is already filled.
+    for m in np.flatnonzero(rs.coeffs[:pos].sum(axis=1) > 1).tolist():
+        options = np.flatnonzero(down[m])
+        l = int(options[0] if tie_break == "min" else options[-1])
+        sl = int(simple[l])
+        v = int(si[m, neg[sl]])
+        d = nn[sl, v]
+        neg_m = neg[m]
+        # Jacobi on [[e_l, e_nu], e_beta] with mu = alpha_l + nu, every beta at once.
+        num = nn[v, :nr] * nn[sl, si[v]] - nn[sl, :nr] * nn[v, si[sl]]
+        special = [v, neg[v], neg[sl]]
+        generic = si[m] >= 0
+        generic[special] = False
+        bad = generic & (num % d != 0)
+        if bad.any():
+            raise InternalInconsistency(f"non-exact division for N at {roots[m]}, {roots[int(bad.argmax())]}")
+        nn[m, :nr] = np.where(generic, num // d, 0)
+        nn[m, special] = -nn[v, m], nn[v, neg_m], nn[sl, neg_m]
 
-    for h in sorted(by_height):
-        if h == 1:
-            continue
-        for m in by_height[h]:
-            mu = roots[m]
-            row_m = si[m].tolist()
-            l = pick(i for i in rs.cartan.nodes if row_m[rs.neg_index(simple_idx[i])] >= 0)
-            sl = simple_idx[l]
-            neg_sl = rs.neg_index(sl)
-            v = row_m[neg_sl]
-            d = n[(sl, v)]
-            neg_m = rs.neg_index(m)
-            neg_v = rs.neg_index(v)
-            row_v, row_sl = si[v].tolist(), si[sl].tolist()
+        # Same Jacobi split applied to [e_mu, e_{-mu}], kept as a vector
+        # over the h_i so no co-root formula is assumed here.
+        combo = -nn[sl, neg_m] * hvec[v]
+        combo[l] -= nn[v, neg_m]
+        if np.any(combo % d):
+            raise InternalInconsistency(f"non-exact Cartan division at {roots[m]}")
+        hvec[m] = combo // d
 
-            for b, total in enumerate(row_m):
-                if total < 0:
-                    continue
-                if b == v:
-                    n[(m, b)] = -n[(v, m)]
-                elif b == neg_v:
-                    n[(m, b)] = n[(v, neg_m)]
-                elif b == neg_sl:
-                    n[(m, b)] = n[(sl, neg_m)]
-                else:
-                    t1 = t2 = 0
-                    if row_v[b] >= 0:
-                        t1 = n[(v, b)] * n[(sl, row_v[b])]
-                    if row_sl[b] >= 0:
-                        t2 = n[(sl, b)] * n[(v, row_sl[b])]
-                    num = t1 - t2
-                    if num % d:
-                        raise InternalInconsistency(
-                            f"non-exact division for N at {mu}, {roots[b]}"
-                        )
-                    n[(m, b)] = num // d
-
-            # Same Jacobi split applied to [e_mu, e_{-mu}], kept as a vector
-            # over the h_i so no co-root formula is assumed here.
-            combo = -n[(sl, neg_m)] * hvec[v]
-            combo[l - 1] -= n[(v, neg_m)]
-            if np.any(combo % d):
-                raise InternalInconsistency(f"non-exact Cartan division at {mu}")
-            hvec[m] = combo // d
-
-    for (a, b), value in list(n.items()):
-        if a < pos:
-            n[(rs.neg_index(a), rs.neg_index(b))] = -value
-
-    t = BracketTable(rs=rs, eps=eps, n=n, cartan_action=rs.cartan_action, opposite=rs.coroots)
+    # N_{-a,-b} = -N_{a,b}.
+    nn[pos:, :nr] = -nn[:pos, neg]
+    pairs = np.argwhere(si >= 0)
+    t = BracketTable(rs=rs, eps=eps, pairs=pairs, n=nn[pairs[:, 0], pairs[:, 1]],
+                     cartan_action=rs.cartan_action, opposite=rs.coroots)
     # The recursion must reproduce (-1)^ht h_alpha with h_alpha the co-root.
     expected = t.opposite_brackets()[:pos]
     bad = (hvec != expected).any(axis=1)
@@ -176,7 +169,8 @@ def flip_epsilon_table(t: BracketTable) -> BracketTable:
     return BracketTable(
         rs=t.rs,
         eps=t.eps.flipped(),
-        n={key: -value for key, value in t.n.items()},
+        pairs=t.pairs,
+        n=-t.n,
         cartan_action=t.cartan_action,
         opposite=t.opposite,
     )
@@ -190,11 +184,12 @@ def check_negation_symmetry(t: BracketTable):
     """
     from .report import VerificationReport
 
-    report = VerificationReport(suite="negation-symmetry")
-    for (a, b), value in t.n.items():
-        na, nb = t.rs.neg_index(a), t.rs.neg_index(b)
-        got = t.n.get((na, nb))
-        report.checked += 1
-        if got != -value:
-            report.record((t.rs.roots[a], t.rs.roots[b]), -value, got)
+    report = VerificationReport(suite="negation-symmetry", checked=len(t.n))
+    rs = t.rs
+    nn, stored = t.dense()
+    a, b = t.pairs.T
+    na, nb = (t.pairs.T + rs.positive_count) % len(rs.roots)
+    for k in np.flatnonzero(~stored[na, nb] | (nn[na, nb] != -t.n)).tolist():
+        got = int(nn[na[k], nb[k]]) if stored[na[k], nb[k]] else None
+        report.record((rs.roots[a[k]], rs.roots[b[k]]), -int(t.n[k]), got)
     return report

@@ -166,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     show = sub.add_parser("show", help="print one constant and its root string")
     show.add_argument("--in", dest="infile", required=True)
-    show.add_argument("--alpha", required=True, help="comma-separated coefficients")
-    show.add_argument("--beta", required=True, help="comma-separated coefficients")
+    show.add_argument("--alpha", required=True, help="comma-separated coefficients; a negative root as --alpha=-1,0")
+    show.add_argument("--beta", required=True, help="comma-separated coefficients; a negative root as --beta=-1,0")
     show.set_defaults(func=_cmd_show)
     return parser
 

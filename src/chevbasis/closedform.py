@@ -98,12 +98,10 @@ def closed_table(rs: RootSystem, eps: SignFunction) -> BracketTable:
     """
     if not rs.cartan.simply_laced:
         raise NotSimplyLaced("closed tables exist only for symmetric Cartan matrices")
-    a, b = np.nonzero(rs.sum_index >= 0)
-    ids = list(range(len(rs.roots)))  # keys share these ints, which saves memory
+    pairs = np.argwhere(rs.sum_index >= 0)
     # q = 0 for every simply-laced pair, so N is the sign alone.
-    signs = pair_signs(rs, eps, a, b).tolist()
-    n = {(ids[x], ids[y]): sign for x, y, sign in zip(a.tolist(), b.tolist(), signs)}
-    return BracketTable(rs=rs, eps=eps, n=n, cartan_action=rs.cartan_action, opposite=rs.coroots)
+    n = pair_signs(rs, eps, pairs[:, 0], pairs[:, 1])
+    return BracketTable(rs=rs, eps=eps, pairs=pairs, n=n, cartan_action=rs.cartan_action, opposite=rs.coroots)
 
 
 def check_split_identity(rs: RootSystem, eps: SignFunction) -> VerificationReport:

@@ -295,8 +295,7 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
         raise InternalInconsistency(
             f"q disagreement at {x},{y}: string {q[0, i]}, count {q[1, i]}, case {q[2, i]}"
         )
-    values = pair_signs(rs, fs.eps, ka, kb) * (q[0] + 1)
-    n = dict(zip(zip(xs.tolist(), ys.tolist()), values.tolist()))
+    n = pair_signs(rs, fs.eps, ka, kb) * (q[0] + 1)
 
     totals = np.zeros((len(rs_f.roots), rs.rank), dtype=np.int64)
     np.add.at(totals, list(fs.restriction), rs.coroots)
@@ -317,6 +316,7 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
     return BracketTable(
         rs=rs_f,
         eps=fs.folded_eps,
+        pairs=np.column_stack([xs, ys]),
         n=n,
         cartan_action=rs_f.cartan_action,
         opposite=rs_f.coroots,
@@ -327,14 +327,14 @@ def check_automorphism_invariance(
     rs: RootSystem, auto: DiagramAutomorphism, table: BracketTable
 ) -> VerificationReport:
     """Verify N_{alpha',beta'} = N_{alpha,beta} for the induced permutation."""
-    report = VerificationReport(suite="automorphism-invariance")
-    for (a, b), value in table.n.items():
-        pa = rs.index_of(permute_root(auto, rs.roots[a]))
-        pb = rs.index_of(permute_root(auto, rs.roots[b]))
-        got = table.n.get((pa, pb))
-        report.checked += 1
-        if got != value:
-            report.record((rs.roots[a], rs.roots[b]), value, got)
+    report = VerificationReport(suite="automorphism-invariance", checked=len(table.n))
+    perm = np.array([rs.index_of(permute_root(auto, alpha)) for alpha in rs.roots], dtype=np.intp)
+    nn, stored = table.dense()
+    a, b = table.pairs.T
+    pa, pb = perm[a], perm[b]
+    for k in np.flatnonzero(~stored[pa, pb] | (nn[pa, pb] != table.n)).tolist():
+        got = int(nn[pa[k], pb[k]]) if stored[pa[k], pb[k]] else None
+        report.record((rs.roots[a[k]], rs.roots[b[k]]), int(table.n[k]), got)
     return report
 
 

@@ -9,6 +9,7 @@ Roots are stored as coefficient lists in root-system order, constants as
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .bracket import BracketTable
 from .cartan import SignFunction, build_cartan, parse_type_label
 from .errors import ChevBasisError, InvalidEpsilon, NotARoot
-from .roots import Root, generate_roots, root_sign
+from .roots import Root, _first, generate_roots, root_sign
 
 SCHEMA_VERSION = 1
 METHODS = ("inductive", "closed", "folded")
@@ -35,11 +36,16 @@ def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any]
     here so nothing is lost.
     """
     rs = t.rs
-    for (a, b), value in t.n.items():
-        if t.n.get((b, a)) != -value:
-            raise ChevBasisError(f"table is not antisymmetric at {(a, b)}; refusing to serialise")
-    constants = sorted([a, b, int(rs.sum_index[a, b]), value] for (a, b), value in t.n.items() if a < b)
-    if any(s < 0 for _, _, s, _ in constants):
+    nn, stored = t.dense()
+    a, b = t.pairs.T
+    bad = ~stored[b, a] | (nn[b, a] != -t.n)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ChevBasisError(f"table is not antisymmetric at {(int(a[k]), int(b[k]))}; refusing to serialise")
+    upper = np.flatnonzero(a < b)
+    upper = upper[np.lexsort((b[upper], a[upper]))]
+    constants = np.column_stack([a[upper], b[upper], rs.sum_index[a[upper], b[upper]], t.n[upper]])
+    if np.any(constants[:, 2] < 0):
         raise NotARoot("a stored pair does not sum to a root; refusing to serialise")
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -49,7 +55,7 @@ def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any]
         "epsilon": list(t.eps.values),
         "positive_count": rs.positive_count,
         "roots": [list(r) for r in rs.roots],
-        "constants": constants,
+        "constants": constants.tolist(),
         "cartan_action": t.cartan_action.tolist(),
         "opposite": t.opposite.tolist(),
         "provenance": {"method": method, **(provenance or {})},
@@ -95,36 +101,35 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
     if not isinstance(doc["constants"], list):
         raise ChevBasisError("constants must be a list")
     nr = len(rs.roots)
-    n: dict[tuple[int, int], int] = {}
-    for entry in doc["constants"]:
-        if not (isinstance(entry, list) and len(entry) == 4 and all(type(x) is int for x in entry)):
-            raise ChevBasisError(f"constant entry {entry!r} is not a list of four integers")
-        a, b, s, value = entry
-        if not (0 <= a < b < nr and 0 <= s < nr):
-            raise ChevBasisError(f"constant entry {entry} needs 0 <= a < b < {nr} and 0 <= sum < {nr}")
-        if abs(value) > ENTRY_BOUND:
-            raise ChevBasisError(f"constant entry {entry} has an absolute value above {ENTRY_BOUND}")
-        if (a, b) in n:
-            raise ChevBasisError(f"constant entry {(a, b)} appears twice")
-        if rs.sum_index[a, b] != s:
-            raise ChevBasisError(f"constant entry {(a, b, s)} has a wrong sum index")
-        n[(a, b)] = value
-        n[(b, a)] = -value
+    a, b, s, value = _int_rows(doc["constants"], len(doc["constants"]), 4, "constants").T
+    if (k := _first(~((0 <= a) & (a < b) & (b < nr) & (0 <= s) & (s < nr)))) is not None:
+        raise ChevBasisError(f"constant entry {doc['constants'][k]} needs 0 <= a < b < {nr} and 0 <= sum < {nr}")
+    key = a * nr + b
+    first = np.zeros(len(key), dtype=bool)
+    first[np.unique(key, return_index=True)[1]] = True
+    if (k := _first(~first)) is not None:
+        raise ChevBasisError(f"constant entry {(int(a[k]), int(b[k]))} appears twice")
+    if (k := _first(rs.sum_index[a, b] != s)) is not None:
+        raise ChevBasisError(f"constant entry {(int(a[k]), int(b[k]), int(s[k]))} has a wrong sum index")
+    # File order, each (a, b) followed by its mirror (b, a).
+    pairs = np.stack([a, b, b, a], axis=1).reshape(-1, 2)
+    n = np.stack([value, -value], axis=1).reshape(-1)
     action = _int_rows(doc["cartan_action"], rank, nr, "cartan_action")
     opposite = _int_rows(doc["opposite"], nr, rank, "opposite")
-    return BracketTable(rs=rs, eps=eps, n=n, cartan_action=action, opposite=opposite)
+    return BracketTable(rs=rs, eps=eps, pairs=pairs, n=n, cartan_action=action, opposite=opposite)
 
 
 def _int_rows(value: Any, rows: int, cols: int, name: str) -> np.ndarray:
     """A document matrix as a read-only rows x cols int64 array: integers (no bools or floats) up to ENTRY_BOUND."""
     if not (isinstance(value, list) and len(value) == rows
-            and all(isinstance(row, list) and len(row) == cols for row in value)):
+            and set(map(type, value)) <= {list} and set(map(len, value)) <= {cols}):
         raise ChevBasisError(f"{name} must be {rows} lists of {cols} integers")
-    if any(type(x) is not int for row in value for x in row):
+    flat = list(chain.from_iterable(value))
+    if not set(map(type, flat)) <= {int}:
         raise ChevBasisError(f"{name} has an entry that is not an integer")
-    if any(abs(x) > ENTRY_BOUND for row in value for x in row):
+    if flat and max(max(flat), -min(flat)) > ENTRY_BOUND:
         raise ChevBasisError(f"{name} has an entry whose absolute value is above {ENTRY_BOUND}")
-    out = np.array(value, dtype=np.int64)
+    out = np.array(flat, dtype=np.int64).reshape(rows, cols)
     out.flags.writeable = False
     return out
 

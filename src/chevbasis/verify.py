@@ -37,12 +37,9 @@ def _table_arrays(t: BracketTable):
     A stray key is a stored pair (a, b) whose roots do not sum to a root.
     """
     rs = t.rs
-    nr = len(rs.roots)
-    keys = np.array(list(t.n), dtype=np.intp).reshape(-1, 2)
-    nn = np.zeros((nr, nr), dtype=np.int64)
-    nn[keys[:, 0], keys[:, 1]] = np.fromiter(t.n.values(), dtype=np.int64, count=len(t.n))
-    stray = keys[rs.sum_index[keys[:, 0], keys[:, 1]] < 0]
-    neg = (np.arange(nr) + rs.positive_count) % nr
+    nn, _ = t.dense()
+    stray = t.pairs[rs.sum_index[t.pairs[:, 0], t.pairs[:, 1]] < 0]
+    neg = (np.arange(len(rs.roots)) + rs.positive_count) % len(rs.roots)
     return nn, stray, neg, t.cartan_action, t.opposite_brackets()
 
 
@@ -337,21 +334,19 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     report = VerificationReport(suite="chevalley")
     rs = t.rs
     summing = rs.sum_index >= 0
-    keys = np.array(list(t.n), dtype=np.intp).reshape(-1, 2)
-    a, b = keys[:, 0], keys[:, 1]
-    values = list(t.n.values())
+    a, b = t.pairs.T
+    got = t.n
     expected = rs.backward_lengths(a, b) + 1
     gens = _generators(rs)
     row_sign = np.zeros(len(rs.roots), dtype=np.int64)
     row_sign[gens] = np.concatenate([t.eps.values, np.negative(t.eps.values)])
     on_row = (row_sign[a] != 0) & summing[a, b]
-    report.checked = (len(values) + int(np.count_nonzero(summing)) + len(rs.roots)
+    report.checked = (len(got) + int(np.count_nonzero(summing)) + len(rs.roots)
                       + int(np.count_nonzero(on_row)) + rs.cartan_action.size)
-    got = np.array(values, dtype=np.int64)
     bad = ~summing[a, b] | (np.abs(got) != expected)
     for k in np.flatnonzero(bad).tolist():
         q1 = int(expected[k]) if summing[a[k], b[k]] else None
-        report.record((rs.roots[a[k]], rs.roots[b[k]]), q1, values[k])
+        report.record((rs.roots[a[k]], rs.roots[b[k]]), q1, int(got[k]))
     present = np.zeros_like(summing)
     present[a, b] = True
     ma, mb = np.nonzero(summing & ~present)
@@ -361,7 +356,7 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
         report.record(rs.roots[k], tuple(rs.coroots[k].tolist()), tuple(t.opposite[k].tolist()))
     signed = row_sign[a] * expected
     for k in np.flatnonzero(on_row & (got != signed)).tolist():
-        report.record((rs.roots[a[k]], rs.roots[b[k]]), int(signed[k]), values[k])
+        report.record((rs.roots[a[k]], rs.roots[b[k]]), int(signed[k]), int(got[k]))
     _record_actions(report, rs, rs.cartan_action, t.cartan_action)
     return report
 
@@ -376,21 +371,25 @@ def differential(t1: BracketTable, t2: BracketTable) -> VerificationReport:
     """Compare two tables of the same root system, index to index.
 
     Every constant, every [e_alpha, e_{-alpha}] and every Cartan action
-    must agree exactly.  Raises IncompatibleTables unless both tables
-    have the same Cartan matrix, which fixes the root order.
+    must agree exactly.  The pairs t1 stores come in its table order, then
+    the pairs only t2 stores in row-major order.  Raises IncompatibleTables
+    unless both tables have the same Cartan matrix, which fixes the root
+    order.
     """
     rs1, rs2 = t1.rs, t2.rs
     if rs1.cartan.entries != rs2.cartan.entries:
         raise IncompatibleTables(f"cannot compare a {rs1.cartan.label} table with a {rs2.cartan.label} table")
     report = VerificationReport(suite="differential")
-    for (a, b), value in t1.n.items():
-        got = t2.n.get((a, b))
-        report.checked += 1
-        if got != value:
-            report.record((rs1.roots[a], rs1.roots[b]), value, got)
-    for a, b in t2.n.keys() - t1.n.keys():
-        report.checked += 1
-        report.record((rs2.roots[a], rs2.roots[b]), None, t2.n[(a, b)])
+    stored1 = t1.dense()[1]
+    nn2, stored2 = t2.dense()
+    a, b = t1.pairs.T
+    found = stored2[a, b]
+    for k in np.flatnonzero(~found | (nn2[a, b] != t1.n)).tolist():
+        report.record((rs1.roots[a[k]], rs1.roots[b[k]]), int(t1.n[k]), int(nn2[a[k], b[k]]) if found[k] else None)
+    extra_a, extra_b = np.nonzero(stored2 & ~stored1)
+    for x, y in zip(extra_a.tolist(), extra_b.tolist()):
+        report.record((rs2.roots[x], rs2.roots[y]), None, int(nn2[x, y]))
+    report.checked = len(t1.n) + len(extra_a)
     w1, w2 = t1.opposite_brackets(), t2.opposite_brackets()
     report.checked += len(w1) + t1.cartan_action.size
     for k in np.flatnonzero((w1 != w2).any(axis=1)).tolist():
@@ -454,6 +453,7 @@ def sl_n_oracle(table: BracketTable) -> VerificationReport:
     mats = [model.root_matrix(alpha) for alpha in rs.roots]
     cartans = [model.cartan_matrix(k) for k in range(1, n)]
     w = table.opposite_brackets()
+    nn, _ = table.dense()
     report = VerificationReport(suite="sl_n")
 
     for a, alpha in enumerate(rs.roots):
@@ -463,7 +463,7 @@ def sl_n_oracle(table: BracketTable) -> VerificationReport:
             if b == rs.neg_index(a):
                 expected = sum(c * h for c, h in zip(w[a].tolist(), cartans))
             elif sums[b] >= 0:
-                expected = table.n.get((a, b), 0) * mats[sums[b]]
+                expected = nn[a, b] * mats[sums[b]]
             else:
                 expected = np.zeros((n, n), dtype=np.int64)
             report.checked += 1

@@ -1,13 +1,16 @@
 """Shared builders for the test suite, cached so expensive systems build once.
 
 Cached objects are shared across tests and must never be mutated; tests
-that need a corrupted table use :func:`with_flipped_constant` or build
-their own copies.
+that need a corrupted table use :func:`with_flipped_constant` or
+:func:`with_constants`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
+
+import numpy as np
 
 import chevbasis as cb
 from chevbasis.bracket import BracketTable
@@ -55,29 +58,31 @@ def coroot(rs: cb.RootSystem, alpha: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rs.coroots[rs.index_of(alpha)].tolist())
 
 
+def constants(t: BracketTable) -> dict[tuple[int, int], int]:
+    """The stored constants as a dict {(a, b): N}, in table order."""
+    return dict(zip(map(tuple, t.pairs.tolist()), t.n.tolist()))
+
+
+def with_constants(t: BracketTable, n: dict[tuple[int, int], int] | None = None, **fields) -> BracketTable:
+    """A copy of a table with other ``fields``, and with the constants of ``n``, in its order, if given."""
+    if n is not None:
+        fields["pairs"] = np.array(list(n), dtype=np.intp).reshape(-1, 2)
+        fields["n"] = np.array(list(n.values()), dtype=np.int64)
+    return dataclasses.replace(t, **fields)
+
+
 def with_flipped_constant(t: BracketTable, which: int = 0) -> BracketTable:
     """A copy of a table with one stored constant's sign flipped."""
-    key = sorted(t.n)[which]
-    return BracketTable(
-        rs=t.rs,
-        eps=t.eps,
-        n={**t.n, key: -t.n[key]},
-        cartan_action=t.cartan_action,
-        opposite=t.opposite,
-    )
+    n = constants(t)
+    key = sorted(n)[which]
+    return with_constants(t, {**n, key: -n[key]})
 
 
 def with_flipped_opposite(t: BracketTable, which: int = 0) -> BracketTable:
     """A copy of a table with one co-root vector negated."""
     opposite = t.opposite.copy()
     opposite[which] *= -1
-    return BracketTable(
-        rs=t.rs,
-        eps=t.eps,
-        n=dict(t.n),
-        cartan_action=t.cartan_action,
-        opposite=opposite,
-    )
+    return with_constants(t, opposite=opposite)
 
 
 def with_flipped_vectors(t: BracketTable, flipped: set[int]) -> BracketTable:
@@ -88,5 +93,5 @@ def with_flipped_vectors(t: BracketTable, flipped: set[int]) -> BracketTable:
     """
     sign = [-1 if k in flipped else 1 for k in range(len(t.rs.roots))]
     si = t.rs.sum_index
-    n = {(a, b): v * sign[a] * sign[b] * sign[int(si[a, b])] for (a, b), v in t.n.items()}
-    return BracketTable(rs=t.rs, eps=t.eps, n=n, cartan_action=t.cartan_action, opposite=t.opposite)
+    n = {(a, b): v * sign[a] * sign[b] * sign[int(si[a, b])] for (a, b), v in constants(t).items()}
+    return with_constants(t, n)

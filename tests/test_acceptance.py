@@ -22,6 +22,7 @@ from conftest import (
     DESK_TYPES,
     FOLDS,
     SIMPLY_LACED_TYPES,
+    constants,
     folded,
     system,
     table,
@@ -88,7 +89,7 @@ def test_criterion_3_closed_formula_reproduction():
         rs = system(label)
         for flipped in (False, True):
             t = table(label, flipped)
-            for (a, b), value in t.n.items():
+            for (a, b), value in constants(t).items():
                 pairs += 1
                 if closed_constant(rs, t.eps, rs.roots[a], rs.roots[b]) != value:
                     mismatches += 1
@@ -172,7 +173,7 @@ def test_criterion_6_matrix_oracle():
         rs = system(label)
         t = table(label)
         model = MatrixModel(n, t.eps)
-        for (a, b), value in t.n.items():
+        for (a, b), value in constants(t).items():
             i, j = model.root_pair(rs.roots[a])
             j2, k = model.root_pair(rs.roots[b])
             if j == j2:
@@ -186,12 +187,13 @@ def test_criterion_7_symmetries():
         for flipped in (False, True):
             t = table(label, flipped)
             rs = t.rs
-            for (a, b), value in t.n.items():
-                assert t.n[(b, a)] == -value
-                assert t.n[(rs.neg_index(a), rs.neg_index(b))] == -value
+            n = constants(t)
+            for (a, b), value in n.items():
+                assert n[(b, a)] == -value
+                assert n[(rs.neg_index(a), rs.neg_index(b))] == -value
             assert cb.check_negation_symmetry(t).passed
         plain, other = table(label), table(label, True)
-        assert other.n == {k: -v for k, v in plain.n.items()}
+        assert constants(other) == {k: -v for k, v in constants(plain).items()}
     for parent, _ in FOLDS:
         fs, _ = folded(parent)
         assert check_automorphism_invariance(fs.parent, fs.auto, table(parent)).passed

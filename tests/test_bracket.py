@@ -9,7 +9,19 @@ import chevbasis as cb
 from chevbasis.bracket import check_negation_symmetry
 from chevbasis.errors import InvalidEpsilon, NotARoot
 from chevbasis.roots import negate, root_height
-from conftest import DESK_TYPES, coroot, system, table, with_flipped_constant
+from chevbasis.closedform import closed_table
+from chevbasis.serialize import document_from_table, from_json_bytes, table_from_document, to_json_bytes
+from conftest import (
+    DESK_TYPES,
+    FOLDS,
+    SIMPLY_LACED_TYPES,
+    constants,
+    coroot,
+    folded,
+    system,
+    table,
+    with_flipped_constant,
+)
 
 
 def test_a2_values():
@@ -56,8 +68,9 @@ def test_antisymmetry_and_chevalley_bound():
     for label in ("A5", "B4", "C4", "D5", "F4", "G2"):
         t = table(label)
         rs = t.rs
-        for (a, b), value in t.n.items():
-            assert t.n[(b, a)] == -value
+        n = constants(t)
+        for (a, b), value in n.items():
+            assert n[(b, a)] == -value
             _, q = rs.string_lengths(rs.roots[a], rs.roots[b])
             assert abs(value) == q + 1
 
@@ -93,13 +106,72 @@ def test_g2_double_constant():
     assert abs(t.constant((0, 1), (1, 1))) == 2
 
 
+# The per-entry recursion that ``build_inductive`` replaced with one row
+# expression per positive root, kept as its reference.
+def _scalar_inductive_reference(rs, eps, tie_break):
+    """(constants, hvec): the dict {(a, b): N} and the positive roots' [e_mu, e_{-mu}] vectors."""
+    pick = min if tie_break == "min" else max
+    roots, pos, si = rs.roots, rs.positive_count, rs.sum_index
+    simple_idx = {i: rs.index_of(rs.simple_root(i)) for i in rs.cartan.nodes}
+    n = {}
+    for i, a in simple_idx.items():
+        for b in np.flatnonzero(si[a] >= 0).tolist():
+            n[(a, b)] = eps.value(i) * (rs.string_lengths_at(a, b)[1] + 1)
+    hvec = np.zeros((pos, rs.rank), dtype=np.int64)
+    for i, a in simple_idx.items():
+        hvec[a, i - 1] = -1
+    for m in sorted(range(pos), key=lambda k: root_height(roots[k])):
+        if root_height(roots[m]) == 1:
+            continue
+        row_m = si[m].tolist()
+        l = pick(i for i in rs.cartan.nodes if row_m[rs.neg_index(simple_idx[i])] >= 0)
+        sl = simple_idx[l]
+        v = row_m[rs.neg_index(sl)]
+        d = n[(sl, v)]
+        neg_m, neg_v, neg_sl = rs.neg_index(m), rs.neg_index(v), rs.neg_index(sl)
+        row_v, row_sl = si[v].tolist(), si[sl].tolist()
+        for b, total in enumerate(row_m):
+            if total < 0:
+                continue
+            if b == v:
+                n[(m, b)] = -n[(v, m)]
+            elif b == neg_v:
+                n[(m, b)] = n[(v, neg_m)]
+            elif b == neg_sl:
+                n[(m, b)] = n[(sl, neg_m)]
+            else:
+                t1 = n[(v, b)] * n[(sl, row_v[b])] if row_v[b] >= 0 else 0
+                t2 = n[(sl, b)] * n[(v, row_sl[b])] if row_sl[b] >= 0 else 0
+                assert (t1 - t2) % d == 0
+                n[(m, b)] = (t1 - t2) // d
+        combo = -n[(sl, neg_m)] * hvec[v]
+        combo[l - 1] -= n[(v, neg_m)]
+        assert not np.any(combo % d)
+        hvec[m] = combo // d
+    for (a, b), value in list(n.items()):
+        if a < pos:
+            n[(rs.neg_index(a), rs.neg_index(b))] = -value
+    return n, hvec
+
+
+@pytest.mark.parametrize("label", DESK_TYPES + ("B10", "C10"))
+def test_build_inductive_matches_scalar_reference(label):
+    rs = system(label)
+    for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
+        for tie_break in ("min", "max"):
+            t = cb.build_inductive(rs, eps, tie_break=tie_break)
+            n, hvec = _scalar_inductive_reference(rs, eps, tie_break)
+            assert constants(t) == n
+            assert np.array_equal(t.opposite_brackets()[:rs.positive_count], hvec)
+
+
 def test_tie_break_independence():
     for label in ("A4", "D4", "E6", "B3", "F4", "G2", "C4"):
         rs = system(label)
         eps = cb.default_epsilon(rs.cartan)
         t_min = cb.build_inductive(rs, eps, tie_break="min")
         t_max = cb.build_inductive(rs, eps, tie_break="max")
-        assert t_min.n == t_max.n
+        assert constants(t_min) == constants(t_max)
         assert np.array_equal(t_min.opposite, t_max.opposite)
 
 
@@ -107,11 +179,11 @@ def test_flip_epsilon_table():
     t = table("D4")
     f = cb.flip_epsilon_table(t)
     assert f.eps.values == t.eps.flipped().values
-    assert all(f.n[k] == -v for k, v in t.n.items())
+    assert all(constants(f)[k] == -v for k, v in constants(t).items())
     assert np.array_equal(f.cartan_action, t.cartan_action)
     assert np.array_equal(f.opposite, t.opposite)
     ff = cb.flip_epsilon_table(f)
-    assert ff.n == t.n and ff.eps.values == t.eps.values
+    assert constants(ff) == constants(t) and ff.eps.values == t.eps.values
 
 
 def test_flip_equals_rebuild():
@@ -119,7 +191,7 @@ def test_flip_equals_rebuild():
     for label in ("A3", "B2", "G2"):
         rs = system(label)
         eps = cb.default_epsilon(rs.cartan)
-        assert cb.build_inductive(rs, eps.flipped()).n == cb.flip_epsilon_table(table(label)).n
+        assert constants(cb.build_inductive(rs, eps.flipped())) == constants(cb.flip_epsilon_table(table(label)))
 
 
 def test_invalid_epsilon_rejected():
@@ -142,9 +214,18 @@ def test_constant_lookup_validates():
         t.constant((2, 0), (0, 1))
 
 
+def _loaded(t):
+    return table_from_document(from_json_bytes(to_json_bytes(document_from_table(t, "inductive"))))
+
+
 def test_every_summing_pair_is_stored():
-    for label in DESK_TYPES:
-        t = table(label)
+    # Closed, folded, inductive and file-loaded tables each store every
+    # summing pair once, so len(t.n) counts the ordered summing pairs.
+    tables = [closed_table(system(label), cb.default_epsilon(system(label).cartan)) for label in SIMPLY_LACED_TYPES]
+    tables += [folded(parent)[1] for parent, _ in FOLDS]
+    tables += [table(label) for label in DESK_TYPES]
+    tables += [_loaded(table(label)) for label in DESK_TYPES]
+    for t in tables:
         rs = t.rs
         expected = sum(
             1
@@ -152,4 +233,5 @@ def test_every_summing_pair_is_stored():
             for beta in rs.roots
             if rs.contains(tuple(a + b for a, b in zip(alpha, beta)))
         )
-        assert len(t.n) == expected
+        assert len(t.n) == len(t.pairs) == expected, rs.cartan.label
+        assert len(np.unique(t.pairs, axis=0)) == len(t.pairs), rs.cartan.label

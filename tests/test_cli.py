@@ -140,6 +140,12 @@ def test_show(tmp_path, capsys):
     assert run("show", "--in", str(out), "--alpha", "5,5", "--beta", "1,1") == 2
 
 
+def test_show_negative_root(capsys):
+    # "--alpha -1,0" reads -1,0 as a flag; the "=" form passes it as a value.
+    assert run("show", "--in", str(GOLDEN / "a2.json"), "--alpha=-1,0", "--beta", "1,1") == 0
+    assert capsys.readouterr().out.splitlines()[0] == "N[-10, 11] = -1"
+
+
 @pytest.mark.parametrize("beta", ["1,0", "-1,0"])
 def test_show_rejects_beta_plus_minus_alpha(capsys, beta):
     # The string through beta = +-alpha is undefined; nothing may reach stdout first.
@@ -281,3 +287,43 @@ def test_verify_reports_pinned(tmp_path, capsys, name, corruption):
     assert run("verify", "--json", "--in", str(path), "--suite", suites) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_REPORTS[(name, corruption)]
+
+
+# SHA-256 of `verify --json --suite chevalley` on the same corrupted files,
+# recorded from the dict-of-constants table code.  The audit lists stored
+# pairs and generator rows in table order, so these bytes pin that order.
+PINNED_CHEVALLEY_REPORTS = {
+    ("a2", "negated"): "a46074bda091be9b017766f77cd467534a5ace590fee27cf0e9e5dc750c6f316",
+    ("a2", "doubled"): "fff9cd0faafdbb753ad087915ec062943b89af471c9c44afc4fe42ef9a1c3a3c",
+    ("a2", "dropped"): "fb2d4bd1f8add691574049891a74bec8dd36378d3a1d0ee4d649ca564ba742e4",
+    ("a2", "action"): "156b7a8865960d08cef8d0987de099f84276cec9cf24421d741797e3f100f94f",
+    ("a2", "first-coroot"): "eb77da92f31d974c4f761f4eb6e0e96b9bc450f4f3c928161e1a5f634fc44128",
+    ("a2", "last-coroot"): "813a1d036102785b456fd711e41c0d0fc2f4f214c8a42f1467dd3f76da789a80",
+    ("a2", "epsilon"): "521fcb09b8d0d0f7081598a355d85cb25ed14a907633f1e002637cecd1ab07a9",
+    ("d4", "negated"): "105687fbac49c8f933c6ebd59aaaf9551486bf5f910b34dc6c5161414d30d30b",
+    ("d4", "doubled"): "e9892f417d823760bc841330a6173bbc4f621e62d9a4dc4c95609c99cecdd3b9",
+    ("d4", "dropped"): "a67fc3206c67ed291c394588344f71be9cd2d415fd439de9af636bbd8e9852b2",
+    ("d4", "action"): "6a049037d28484003a569bd758aa38a558f9844c5e45bd653cf765ce3e23cc8a",
+    ("d4", "first-coroot"): "7b0346b523abdf9b0d48775bfec70f4e17576d0edd3a41c6a3a85b3e49f443c7",
+    ("d4", "last-coroot"): "fa59d0988f4bd36a4359591776ca4ef4acfcaf20b11193fd1986dcc80ce08c0f",
+    ("d4", "epsilon"): "f587b229616bb2f040488e74827aac60c5e85d71dd133a875c539df2523b8212",
+    ("g2", "negated"): "91d293ec9c48e0353bb0439600278acee4a7b029c6ff7522359838f424ff2e91",
+    ("g2", "doubled"): "086109e98113cb39f7317971353fcfd3890cdee281fc04fdac8073e86440a1db",
+    ("g2", "dropped"): "4b0265cc849416400b35da7a495b0cdde4ef7afd0c64e00f41a6465da3e1c2da",
+    ("g2", "action"): "5650a6576f0533655d0033c08a12124b9df169fef18aab540047d39471fcd01b",
+    ("g2", "first-coroot"): "c2daa7fbadc84700c9bd1cb8dc943ac0addde330b191a066f68a2bd2b4253ae3",
+    ("g2", "last-coroot"): "eac98532bb3fa465fe2ebc1621b677b5ec720596874bee5cf3f0f6712e00000d",
+    ("g2", "epsilon"): "3753ea0214fc6439285b1efafcf001dcccc5fd9681c34f75f7cc83699dcfc4df",
+}
+
+
+@pytest.mark.parametrize("name,corruption", sorted(PINNED_CHEVALLEY_REPORTS))
+def test_chevalley_reports_pinned(tmp_path, capsys, name, corruption):
+    doc = from_json_bytes((GOLDEN / f"{name}.json").read_bytes())
+    CORRUPTIONS[corruption](doc)
+    path = tmp_path / f"{name}-{corruption}.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--json", "--in", str(path), "--suite", "chevalley") == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHEVALLEY_REPORTS[(name, corruption)]

@@ -27,7 +27,7 @@ from chevbasis.serialize import (
     table_from_document,
     to_json_bytes,
 )
-from conftest import folded, table, with_flipped_constant
+from conftest import constants, folded, table, with_flipped_constant
 
 
 def test_a2_document_shape():
@@ -43,7 +43,7 @@ def test_round_trip_identity():
         t = table(label)
         doc = document_from_table(t, "inductive")
         rebuilt = table_from_document(from_json_bytes(to_json_bytes(doc)))
-        assert rebuilt.n == t.n
+        assert constants(rebuilt) == constants(t)
         assert rebuilt.eps.values == t.eps.values
         assert np.array_equal(rebuilt.cartan_action, t.cartan_action)
         assert np.array_equal(rebuilt.opposite, t.opposite)
@@ -66,7 +66,7 @@ def test_folded_provenance():
     assert doc["provenance"]["method"] == "folded"
     assert doc["provenance"]["parent"] == "D4"
     rebuilt = table_from_document(doc)
-    assert rebuilt.n == tf.n
+    assert constants(rebuilt) == constants(tf)
 
 
 def test_non_antisymmetric_table_is_rejected():
@@ -273,3 +273,27 @@ def test_dropped_field_is_refused(name, field):
     doc = {k: v for k, v in MUTATED_FILES[name].items() if k != field}
     code, err = _verify_document(doc)
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reader_keeps_file_order(tmp_path, capsys):
+    # Constants need not come sorted: a reversed list loads to the same
+    # constants, each (a, b) followed by (b, a) in file order, and the
+    # audit lists violations in that order.
+    doc = from_json_bytes(GOLDEN_G2.read_bytes())
+    reversed_doc = {**doc, "constants": doc["constants"][::-1]}
+    loaded = table_from_document(reversed_doc)
+    assert constants(loaded) == constants(table_from_document(doc))
+    assert loaded.pairs[:2].tolist() == [[8, 9], [9, 8]]
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(reversed_doc))
+    assert main(["verify", "--in", str(path)]) == 0
+    negated = copy.deepcopy(reversed_doc)
+    for entry in negated["constants"]:
+        if entry[:2] in ([7, 10], [0, 1]):
+            entry[3] *= -1
+    path.write_text(json.dumps(negated))
+    capsys.readouterr()
+    assert main(["verify", "--json", "--in", str(path), "--suite", "chevalley"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    roots = doc["roots"]
+    assert [v["site"] for v in report["violations"]] == [[roots[7], roots[10]], [roots[0], roots[1]], [roots[1], roots[0]]]

@@ -29,9 +29,11 @@ from chevbasis.verify import (
 )
 from conftest import (
     DESK_TYPES,
+    constants,
     folded,
     system,
     table,
+    with_constants,
     with_flipped_constant,
     with_flipped_opposite,
     with_flipped_vectors,
@@ -47,7 +49,7 @@ def _dense_table_arrays(t: BracketTable):
     rs = t.rs
     nr = len(rs.roots)
     nn = np.zeros((nr, nr), dtype=np.int64)
-    for (a, b), value in t.n.items():
+    for (a, b), value in constants(t).items():
         nn[a, b] = value
     valid = rs.sum_index >= 0
     total = np.where(valid, rs.sum_index, nr)  # nr = sentinel "no root"
@@ -205,14 +207,10 @@ def test_jacobi_evaluates_exactly_the_triples_grading_leaves():
         assert f"{report.evaluated} evaluated, {report.zero_by_grading} zero by grading" in report.summary()
 
 
-def _with_constants(t: BracketTable, n: dict) -> BracketTable:
-    return BracketTable(rs=t.rs, eps=t.eps, n=n, cartan_action=t.cartan_action, opposite=t.opposite)
-
-
 def _with_action_bumped(t: BracketTable) -> BracketTable:
     action = t.cartan_action.copy()
     action[0, -1] += 1
-    return BracketTable(rs=t.rs, eps=t.eps, n=t.n, opposite=t.opposite, cartan_action=action)
+    return with_constants(t, cartan_action=action)
 
 
 def _theta(rs) -> set[int]:
@@ -224,25 +222,26 @@ def _antisymmetric_variants(t: BracketTable) -> list[BracketTable]:
     """Corruptions that keep the bracket antisymmetric, so the generator triples see them."""
     rs = t.rs
     variants = [_with_action_bumped(t), with_flipped_vectors(t, _theta(rs))]
-    keys = sorted(t.n)
+    n = constants(t)
+    keys = sorted(n)
     for a, b in sorted({keys[0], keys[len(keys) // 2]}) if keys else []:
         for factor in (-1, 2):
-            variants.append(_with_constants(t, {**t.n, (a, b): factor * t.n[(a, b)],
-                                                (b, a): factor * t.n[(b, a)]}))
+            variants.append(with_constants(t, {**n, (a, b): factor * n[(a, b)],
+                                               (b, a): factor * n[(b, a)]}))
     for k in (0, rs.positive_count - 1):
         opposite = t.opposite.copy()
         opposite[[k, rs.neg_index(k)]] *= -1
-        variants.append(BracketTable(rs=rs, eps=t.eps, n=t.n, cartan_action=t.cartan_action,
-                                     opposite=opposite))
+        variants.append(with_constants(t, opposite=opposite))
     return variants
 
 
 def _jacobi_variants(t: BracketTable) -> list[BracketTable]:
     """The clean table, the graded sweep's corruptions, stray keys, and antisymmetric corruptions."""
     neg0 = t.rs.neg_index(0)
+    n = constants(t)
     variants = [t, with_flipped_opposite(t), _with_action_bumped(t),
-                _with_constants(t, {**t.n, (0, 0): 1}),
-                _with_constants(t, {**t.n, (0, neg0): 1, (neg0, 0): -1})]
+                with_constants(t, {**n, (0, 0): 1}),
+                with_constants(t, {**n, (0, neg0): 1, (neg0, 0): -1})]
     variants += [with_flipped_constant(t, site) for site in range(min(3, len(t.n)))]
     return variants + _antisymmetric_variants(t)
 
@@ -284,7 +283,7 @@ def test_jacobi_needs_no_stray_key():
     # sweep's verdict.
     t = table("A3")
     neg0 = t.rs.neg_index(0)
-    bad = _with_constants(t, {**t.n, (0, neg0): 1, (neg0, 0): -1})
+    bad = with_constants(t, {**constants(t), (0, neg0): 1, (neg0, 0): -1})
     holds, evaluated = _generator_parts(bad)
     assert not holds and evaluated is not None
     assert not _graded_sweep(bad).passed
@@ -300,16 +299,16 @@ def test_jacobi_preconditions_each_detected():
     t = table("A3")
     rs = t.rs
     gens = _generators(rs)
-    a, b = sorted(t.n)[0]
-    asymmetric = _with_constants(t, {**t.n, (a, b): -t.n[(a, b)]})
+    n = constants(t)
+    a, b = sorted(n)[0]
+    asymmetric = with_constants(t, {**n, (a, b): -n[(a, b)]})
     # alpha_1 + alpha_2 is reached only through N(alpha_1, alpha_2) and N(alpha_2, alpha_1).
     ladder = {(gens[0], gens[1]), (gens[1], gens[0])}
-    assert ladder <= t.n.keys()
-    unreached = _with_constants(t, {k: 0 if k in ladder else v for k, v in t.n.items()})
+    assert ladder <= n.keys()
+    unreached = with_constants(t, {k: 0 if k in ladder else v for k, v in n.items()})
     opposite = t.opposite.copy()
     opposite[[gens[0], gens[rs.rank]]] = 0
-    dependent = BracketTable(rs=rs, eps=t.eps, n=t.n, cartan_action=t.cartan_action,
-                             opposite=opposite)
+    dependent = with_constants(t, opposite=opposite)
     for bad in (asymmetric, with_flipped_opposite(t), unreached, dependent):
         assert _generator_parts(bad) == (False, None)
         report = cb.jacobi_sweep(bad)
@@ -372,8 +371,7 @@ def test_jacobi_flags_constant_on_non_summing_pair():
     a = 0
     for b in (a, rs.neg_index(a)):
         assert rs.sum_index[a, b] < 0
-        bad = BracketTable(rs=t.rs, eps=t.eps, n={**t.n, (a, b): 1},
-                           cartan_action=t.cartan_action, opposite=t.opposite)
+        bad = with_constants(t, {**constants(t), (a, b): 1})
         report = cb.jacobi_sweep(bad)
         assert not report.passed
         assert ("grading", a, b) in _sites(report)
@@ -432,7 +430,8 @@ def _tuple_q(rs, a: int, b: int) -> int:
 def _scalar_chevalley_reference(t: BracketTable) -> VerificationReport:
     report = VerificationReport(suite="chevalley")
     rs = t.rs
-    for (a, b), value in t.n.items():
+    n = constants(t)
+    for (a, b), value in n.items():
         report.checked += 1
         if rs.sum_index[a, b] < 0:
             report.record((rs.roots[a], rs.roots[b]), None, value)
@@ -442,14 +441,14 @@ def _scalar_chevalley_reference(t: BracketTable) -> VerificationReport:
             report.record((rs.roots[a], rs.roots[b]), q + 1, value)
     for a, b in np.argwhere(rs.sum_index >= 0).tolist():
         report.checked += 1
-        if (a, b) not in t.n:
+        if (a, b) not in n:
             report.record((rs.roots[a], rs.roots[b]), _tuple_q(rs, a, b) + 1, None)
     for k, alpha in enumerate(rs.roots):
         report.checked += 1
         coroot, got = tuple(rs.coroots[k].tolist()), tuple(t.opposite[k].tolist())
         if got != coroot:
             report.record(alpha, coroot, got)
-    for (a, b), value in t.n.items():
+    for (a, b), value in n.items():
         alpha = rs.roots[a]
         if sum(map(abs, alpha)) != 1 or rs.sum_index[a, b] < 0:
             continue
@@ -472,18 +471,18 @@ def test_chevalley_audit_matches_scalar_reference(label):
     for flipped in (False, True):
         t = table(label, flipped)
         neg0 = t.rs.neg_index(0)
+        n = constants(t)
         variants = [t, with_flipped_opposite(t),
-                    _with_constants(t, {**t.n, (0, 0): 1}),
-                    _with_constants(t, {**t.n, (0, neg0): 1})]
-        variants += [with_flipped_constant(t, site) for site in range(min(3, len(t.n)))]
-        if t.n:
-            key = sorted(t.n)[0]
-            variants.append(_with_constants(t, {**t.n, key: 2 * t.n[key]}))
-            variants.append(_with_constants(t, {k: v for k, v in t.n.items() if k != key}))
+                    with_constants(t, {**n, (0, 0): 1}),
+                    with_constants(t, {**n, (0, neg0): 1})]
+        variants += [with_flipped_constant(t, site) for site in range(min(3, len(n)))]
+        if n:
+            key = sorted(n)[0]
+            variants.append(with_constants(t, {**n, key: 2 * n[key]}))
+            variants.append(with_constants(t, {k: v for k, v in n.items() if k != key}))
         variants.append(with_flipped_vectors(t, _theta(t.rs)))
         variants.append(with_flipped_vectors(t, {0, neg0}))
-        variants.append(BracketTable(rs=t.rs, eps=t.eps.flipped(), n=t.n,
-                                     cartan_action=t.cartan_action, opposite=t.opposite))
+        variants.append(with_constants(t, eps=t.eps.flipped()))
         variants.append(_with_action_bumped(t))
         for v in variants:
             new, old = cb.chevalley_audit(v), _scalar_chevalley_reference(v)
@@ -510,7 +509,7 @@ def test_chevalley_audit_flags_non_canonical_generator_rows(tmp_path, label):
         path.write_bytes(to_json_bytes(doc))
         assert main(["verify", "--in", str(path), "--suite", "jacobi"]) == 0
         assert main(["verify", "--in", str(path), "--suite", "chevalley"]) == 1
-    assert all(v.n != t.n for v in variants)
+    assert all(constants(v) != constants(t) for v in variants)
 
 
 def test_chevalley_audit_passes_closed_and_folded_tables():
@@ -546,8 +545,7 @@ def test_chevalley_audit_flags_constant_on_non_summing_pair():
     rs = system("A2")
     t = closed_table(rs, cb.default_epsilon(rs.cartan))
     for b in (0, rs.neg_index(0)):
-        bad = BracketTable(rs=rs, eps=t.eps, n={**t.n, (0, b): 1},
-                           cartan_action=t.cartan_action, opposite=t.opposite)
+        bad = with_constants(t, {**constants(t), (0, b): 1})
         report = cb.chevalley_audit(bad)
         assert not report.passed
         assert report.violations == [((rs.roots[0], rs.roots[b]), None, 1)]
@@ -555,11 +553,9 @@ def test_chevalley_audit_flags_constant_on_non_summing_pair():
 
 def test_chevalley_audit_catches_magnitude_and_coroot():
     t = table("D4")
-    key = sorted(t.n)[0]
-    doubled = cb.BracketTable(
-        rs=t.rs, eps=t.eps, n={**t.n, key: 2 * t.n[key]},
-        cartan_action=t.cartan_action, opposite=t.opposite,
-    )
+    n = constants(t)
+    key = sorted(n)[0]
+    doubled = with_constants(t, {**n, key: 2 * n[key]})
     assert not cb.chevalley_audit(doubled).passed
     for site in range(3):
         assert not cb.chevalley_audit(with_flipped_opposite(t, which=site)).passed
@@ -602,13 +598,14 @@ PINNED_C3_DIFFERENTIALS = {
 
 def test_differential_reports_pinned():
     t = table("C3")
-    first = sorted(t.n)[0]
+    n = constants(t)
+    first = sorted(n)[0]
     variants = {
         "constant": with_flipped_constant(t),
         "opposite": with_flipped_opposite(t),
         "action": _with_action_bumped(t),
-        "dropped": _with_constants(t, {k: v for k, v in t.n.items() if k != first}),
-        "added": _with_constants(t, {**t.n, (0, 0): 1}),
+        "dropped": with_constants(t, {k: v for k, v in n.items() if k != first}),
+        "added": with_constants(t, {**n, (0, 0): 1}),
     }
     for name, bad in variants.items():
         got = [differential(t, bad), differential(bad, t)]
