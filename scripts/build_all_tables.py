@@ -5,7 +5,10 @@ For each type the inductive table is built for both sign functions, run
 through the Jacobi sweep and the Chevalley audit, compared against the
 independent route (closed formula or folding), and written to JSON and
 read back: the loaded table must match the built one under
-``differential``.  Prints one line per type with the Jacobi route
+``differential``.  Prints one line per type with the seconds spent in
+``generate_roots`` for the type and, for B, C, F4 and G2, in ``fold`` of
+its simply-laced parent (both outside the build-and-verify seconds), and
+with the Jacobi route
 (``generators`` when the generator triples settled it, ``graded`` when
 it fell back to the full graded sweep) and its evaluated and
 implied-by-generation counts; exits non-zero on any failure, including
@@ -37,7 +40,17 @@ def run() -> int:
     failures = 0
     for label in TYPES:
         family, rank = cb.parse_type_label(label)
+        start = time.perf_counter()
         rs = cb.generate_roots(cb.build_cartan(family, rank))
+        timings = f"roots {time.perf_counter() - start:6.4f}s  "
+        if not rs.cartan.simply_laced:
+            parent_cm, auto = cb.fold_source(family, rank)
+            parent = cb.generate_roots(parent_cm)
+            start = time.perf_counter()
+            cb.fold(parent, cb.default_epsilon(parent_cm), auto)
+            timings += f"fold {time.perf_counter() - start:6.4f}s  "
+        else:
+            timings += " " * 14
         start = time.perf_counter()
         status = []
         for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
@@ -57,7 +70,7 @@ def run() -> int:
         verdict = "; ".join(status) if status else f"ok ({route})"
         counts = f"{jacobi.evaluated:7d} evaluated, {jacobi.implied_by_generation:9d} implied"
         jacobi_route = "generators" if jacobi.implied_by_generation else "graded"
-        print(f"{label:3s} dim {rs.rank + len(rs.roots):3d}  {elapsed:6.2f}s  "
+        print(f"{label:3s} dim {rs.rank + len(rs.roots):3d}  {timings}{elapsed:6.2f}s  "
               f"jacobi {jacobi_route} ({counts})  {verdict}")
     return 1 if failures else 0
 

@@ -104,7 +104,7 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
     nr = len(roots)
     si = rs.sum_index
     neg = (np.arange(nr) + pos) % nr
-    simple = np.array([rs.index_of(rs.simple_root(i)) for i in rs.cartan.nodes], dtype=np.intp)
+    simple = rs.simple
     # nn[a, b] = N_{a,b}, zero off the summing pairs.  The extra column stays
     # 0 and is where a sum index of -1 points.  Simple rows first:
     # N_{alpha_i,beta} = eps(i)(q+1).

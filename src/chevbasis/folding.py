@@ -37,7 +37,7 @@ from .errors import (
     RepresentativeNotFound,
 )
 from .report import VerificationReport
-from .roots import Root, RootSystem, add, generate_roots
+from .roots import Root, RootSystem, _first, add, generate_roots
 
 
 def permute_root(auto: DiagramAutomorphism, alpha: Root) -> Root:
@@ -122,65 +122,53 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
 
     reps = auto.reps
     sizes = [len(auto.orbit_of(i)) for i in reps]
-    m = len(reps)
-    ent = [[0] * m for _ in range(m)]
-    for r in range(m):
-        for s in range(m):
-            a = cm.a(reps[r], reps[s])
-            ent[r][s] = sizes[r] * a if sizes[r] > sizes[s] == 1 else a
+    ent = tuple(tuple(cm.a(i, j) * (si if si > sj == 1 else 1) for j, sj in zip(reps, sizes))
+                for i, si in zip(reps, sizes))
     family, rank = folded_type(cm, auto.order)
     reference = build_cartan(family, rank)
-    if tuple(tuple(row) for row in ent) != reference.entries:
-        raise InternalInconsistency(
-            f"folded matrix of {cm.label} does not match {family}{rank}"
-        )
+    if ent != reference.entries:
+        raise InternalInconsistency(f"folded matrix of {cm.label} does not match {family}{rank}")
     folded_eps = SignFunction(tuple(eps.value(i) for i in reps))
     folded_rs = generate_roots(reference)
     if eps.is_coloring_of(cm) and not folded_eps.is_coloring_of(reference):
         raise InternalInconsistency("restricted epsilon lost the coloring property")
 
-    root_orbits: list[tuple[int, ...]] = []
-    orbit_id = [-1] * len(rs.roots)
-    for k, alpha in enumerate(rs.roots):
-        if orbit_id[k] < 0:
-            cycle = tuple(rs.index_of(beta) for beta in root_orbit(auto, alpha))
-            for j in cycle:
-                orbit_id[j] = len(root_orbits)
-            root_orbits.append(cycle)
-
-    node_orbits = [auto.orbit_of(i) for i in reps]
-    restriction = []
-    for alpha in rs.roots:
-        coords = tuple(sum(alpha[j - 1] for j in orbit) for orbit in node_orbits)
-        restriction.append(folded_rs.index_of(coords))
-
+    # The induced root permutation, by one lookup of the permuted roots; its
+    # cycles, each listed from its smallest index, are the root orbits.
+    perm = rs.find(rs.coeffs[:, np.argsort(auto.perm)])
+    if (k := _first(perm < 0)) is not None:
+        raise InternalInconsistency(f"the image of {rs.roots[k]} is not a root of {cm.label}")
+    powers = [np.arange(len(perm))]
+    while len(powers) <= auto.order:
+        powers.append(perm[powers[-1]])
+    powers = np.stack(powers)  # powers[t, k] = perm^t(k); the last row is the identity
+    leaders = np.flatnonzero(powers.min(axis=0) == powers[0])
+    orbit_id = np.searchsorted(leaders, powers.min(axis=0))
+    lengths = (powers[1:] == powers[0]).argmax(axis=0) + 1
+    root_orbits = tuple(tuple(c[:k]) for c, k in zip(powers[:, leaders].T.tolist(), lengths[leaders].tolist()))
+    # The restrictions, by one lookup of the node-orbit sums in the folded system.
+    coords = rs.coeffs @ np.array([[i in auto.orbit_of(j) for j in reps] for i in cm.nodes], dtype=np.int64)
+    restriction = folded_rs.find(coords)
+    if (k := _first(restriction < 0)) is not None:
+        raise InternalInconsistency(
+            f"restriction {tuple(coords[k].tolist())} of {rs.roots[k]} is not a root of {reference.label}"
+        )
     # Restrictions must separate orbits and exhaust the folded system.
-    images: dict[int, int] = {}
-    for k in range(len(rs.roots)):
-        prior = images.setdefault(restriction[k], orbit_id[k])
-        if prior != orbit_id[k]:
-            raise InternalInconsistency("two distinct orbits share a restriction")
-    if len(images) != len(folded_rs.roots):
+    owner = np.full(len(folded_rs.coeffs), -1)
+    owner[restriction] = orbit_id
+    if (owner[restriction] != orbit_id).any():
+        raise InternalInconsistency("two distinct orbits share a restriction")
+    if (owner < 0).any():
         raise InternalInconsistency("restrictions do not cover the folded root system")
 
-    return FoldedSystem(
-        parent=rs,
-        eps=eps,
-        auto=auto,
-        reps=reps,
-        folded_cartan=reference,
-        folded_eps=folded_eps,
-        folded_rs=folded_rs,
-        root_orbits=tuple(root_orbits),
-        orbit_id=tuple(orbit_id),
-        restriction=tuple(restriction),
-    )
+    return FoldedSystem(parent=rs, eps=eps, auto=auto, reps=reps, folded_cartan=reference,
+                        folded_eps=folded_eps, folded_rs=folded_rs, root_orbits=root_orbits,
+                        orbit_id=tuple(orbit_id.tolist()), restriction=tuple(restriction.tolist()))
 
 
 def restrict_root(fs: FoldedSystem, alpha: Root) -> Root:
     """Coordinates of the restriction of a parent root over the folded nodes."""
-    k = fs.parent.index_of(alpha)
-    return fs.folded_rs.roots[fs.restriction[k]]
+    return fs.folded_rs.roots[fs.restriction[fs.parent.index_of(alpha)]]
 
 
 def root_orbit(auto: DiagramAutomorphism, alpha: Root) -> list[Root]:

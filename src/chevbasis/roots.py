@@ -1,20 +1,14 @@
 """Root systems generated from a Cartan matrix by height induction.
 
-Roots are plain integer tuples over the simple roots, so the simple root
-alpha_i is the i-th unit vector.  A root is added at height h+1 exactly
-when the backward string length q and the pairing <alpha_i, beta> allow
-it: beta + alpha_i is a root iff q - <alpha_i, beta> > 0.  Everything
-here is exact integer arithmetic.
-
-Every layer asks "is alpha + beta a root, and which one?" through one
-table, ``RootSystem.sum_index``: an nr x nr int32 array whose entry
-[a, b] is the index of roots[a] + roots[b], or -1 when the sum is not a
-root (in particular when b is the negative of a).  Root strings are
-walks over it.  The per-root data every table carries is computed once
-as read-only int64 arrays beside it: the coefficients ``coeffs``, the
-Cartan actions ``cartan_action[i - 1, k] = alpha_k(h_i)`` and the
-co-root coordinates ``coroots``.  All four are built by
-:func:`generate_roots` and read-only afterwards.
+The roots are the rows of one int64 array ``coeffs`` over the simple
+roots, built one height at a time: beta + alpha_i is a root exactly when
+q - <alpha_i, beta> > 0, with q the backward string length.  A
+coefficient vector is found among the roots in one way only, by its
+linear uint64 key with the hit confirmed on the coefficients
+(``RootSystem._search``); ``sum_index``, ``find`` and ``index_of`` /
+``contains`` all go through it.  Every layer asks "is alpha + beta a
+root, and which one?" through ``sum_index``, and root strings are walks
+over it.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -58,41 +54,79 @@ def sub(alpha: Root, beta: Root) -> Root:
     return tuple(x - y for x, y in zip(alpha, beta))
 
 
-@dataclass
+@dataclass(eq=False)
 class RootSystem:
     """The full root system of a Cartan matrix, with exact integer queries.
 
-    ``roots`` lists the positive roots sorted by (height, coefficients)
-    followed by their negatives in the same order, so index k and index
-    k + positive_count are a root and its negative.  ``sum_index[a, b]``
-    is the index of roots[a] + roots[b], or -1 when that is not a root.
-    ``coeffs`` (nr x rank) holds the roots as rows, ``cartan_action``
-    (rank x nr) the values alpha(h_i) = <alpha_i, alpha>, and ``coroots``
-    (nr x rank) the coordinates c of h_alpha = sum c_i h_i, so that
+    ``coeffs`` (nr x rank) holds the positive roots sorted by (height,
+    coefficients), then their negatives in the same order, so rows k and
+    k + positive_count are a root and its negative; ``roots`` is the same
+    list as tuples, and ``simple[i - 1]`` the row of alpha_i.
+    ``sum_index[a, b]`` (nr x nr int32, derived from ``coeffs`` on
+    construction) is the index of roots[a] + roots[b], or -1.
+    ``cartan_action`` (rank x nr) holds alpha(h_i) = <alpha_i, alpha> and
+    ``coroots`` (nr x rank) the c with h_alpha = sum c_i h_i, so that
     <alpha, beta> = beta(h_alpha) is ``coroots[a] @ cartan_action[:, b]``.
     Instances and their arrays are never mutated after construction and
-    are safe to share between threads.
+    are safe to share between threads; they compare by identity.
     """
 
     cartan: CartanMatrix
-    roots: tuple[Root, ...]
     positive_count: int
-    index: dict[Root, int] = field(repr=False)
-    sum_index: np.ndarray = field(repr=False, compare=False)
-    coeffs: np.ndarray = field(repr=False, compare=False)
-    cartan_action: np.ndarray = field(repr=False, compare=False)
-    coroots: np.ndarray = field(repr=False, compare=False)
+    coeffs: np.ndarray = field(repr=False)
+    simple: np.ndarray = field(repr=False)
+    cartan_action: np.ndarray = field(repr=False)
+    coroots: np.ndarray = field(repr=False)
+    sum_index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        keys = _key(self.coeffs)
+        self._order = np.argsort(keys)
+        self._sorted = keys[self._order]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
+            raise InternalInconsistency("two roots share a lookup key")
+        self.sum_index = np.empty((len(keys), len(keys)), dtype=np.int32)
+        step = max(1, 2**12 // len(keys))
+        for lo in range(0, len(keys), step):
+            self.sum_index[lo:lo + step] = self._search(
+                keys[lo:lo + step, None] + keys, lambda hits: self.coeffs[hits[0] + lo] + self.coeffs[hits[1]])
+        self.sum_index.flags.writeable = False
+
+    @cached_property
+    def roots(self) -> tuple[Root, ...]:
+        return tuple(map(tuple, self.coeffs.tolist()))
 
     # -- lookups ------------------------------------------------------
 
+    def _search(self, keys: np.ndarray, vectors: Callable[[tuple], np.ndarray]) -> np.ndarray:
+        """The root index of each query key, or -1.
+
+        ``vectors(hits)`` gives the query rows at the key hits (an ``np.nonzero``
+        tuple); a hit counts only where they equal the root's coefficients.
+        """
+        pos = np.minimum(self._sorted.searchsorted(keys), len(self._sorted) - 1)
+        hits = (self._sorted[pos] == keys).nonzero()
+        found = self._order[pos[hits]]
+        ok = (self.coeffs[found] == vectors(hits)).all(-1)
+        out = np.full(keys.shape, -1, dtype=np.intp)
+        out[tuple(h[ok] for h in hits)] = found[ok]
+        return out
+
+    def find(self, vectors: np.ndarray) -> np.ndarray:
+        """The root index of each coefficient row of ``vectors`` (shape (..., rank)), or -1."""
+        return self._search(_key(vectors), lambda hits: vectors[hits])
+
+    def _index(self, alpha: Root) -> int:
+        v = np.array(alpha)
+        return int(self.find(v[None])[0]) if v.shape == (self.rank,) and v.dtype.kind in "iu" else -1
+
     def contains(self, alpha: Root) -> bool:
-        return alpha in self.index
+        return self._index(alpha) >= 0
 
     def index_of(self, alpha: Root) -> int:
-        try:
-            return self.index[alpha]
-        except KeyError:
-            raise NotARoot(f"{alpha} is not a root") from None
+        if (k := self._index(alpha)) < 0:
+            raise NotARoot(f"{alpha} is not a root")
+        return k
 
     def neg_index(self, k: int) -> int:
         p = self.positive_count
@@ -126,7 +160,7 @@ class RootSystem:
         backward_lengths(a, b)).  Pairs are not checked for degeneracy;
         callers pass pairs with b != +-a.
         """
-        neg_a = (np.asarray(a) + self.positive_count) % len(self.roots)
+        neg_a = (np.asarray(a) + self.positive_count) % len(self.coeffs)
         b = np.asarray(b)
         q = np.zeros(b.shape, dtype=np.int64)
         while (live := b >= 0).any():
@@ -161,7 +195,7 @@ def _symmetrizer(cm: CartanMatrix) -> tuple[int, ...]:
     return s
 
 
-def _coroots(cm: CartanMatrix, roots: tuple[Root, ...], coeffs: np.ndarray, action: np.ndarray) -> np.ndarray:
+def _coroots(cm: CartanMatrix, coeffs: np.ndarray, action: np.ndarray) -> np.ndarray:
     """Integer coordinates c of h_alpha = sum c_i h_i, one row per root.
 
     c_i = s_i n_i / s_alpha with s the symmetrizer and s_alpha the half
@@ -172,14 +206,14 @@ def _coroots(cm: CartanMatrix, roots: tuple[Root, ...], coeffs: np.ndarray, acti
     num = coeffs * np.array(_symmetrizer(cm), dtype=np.int64)
     sq = (num * action.T).sum(axis=1)
     if (k := _first((sq <= 0) | (sq % 2 != 0))) is not None:
-        raise InternalInconsistency(f"bad square length {sq[k]} for {roots[k]}")
+        raise InternalInconsistency(f"bad square length {sq[k]} for {tuple(coeffs[k].tolist())}")
     s_alpha = sq[:, None] // 2
     if (k := _first((num % s_alpha != 0).any(axis=1))) is not None:
-        raise InternalInconsistency(f"non-integral co-root for {roots[k]}")
+        raise InternalInconsistency(f"non-integral co-root for {tuple(coeffs[k].tolist())}")
     c = num // s_alpha
     check = (c * action.T).sum(axis=1)
     if (k := _first(check != 2)) is not None:
-        raise InternalInconsistency(f"alpha(h_alpha) = {check[k]} != 2 for {roots[k]}")
+        raise InternalInconsistency(f"alpha(h_alpha) = {check[k]} != 2 for {tuple(coeffs[k].tolist())}")
     return c
 
 
@@ -189,70 +223,47 @@ def _first(bad: np.ndarray) -> int | None:
 
 
 def generate_roots(cm: CartanMatrix) -> RootSystem:
-    """Generate the whole root system by height induction.
+    """Generate the whole root system by height induction on arrays.
 
-    Starting from the simple roots, beta + alpha_i joins the positive
-    system whenever the backward string length q_{alpha_i, beta} minus
-    <alpha_i, beta> is positive; negatives are added by closure at the
-    end.  Terminates for every finite type, and the result is independent
-    of traversal order.
+    Each step takes the roots beta of one height, with q[k, i] the backward
+    length of the alpha_i-string through row k, and adds beta + alpha_i
+    wherever q - <alpha_i, beta> > 0; it dedupes and sorts the new rows, so
+    heights come out in (height, coefficients) order.  Negatives follow.
     """
     n = cm.rank
-    simple = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-    positive: set[Root] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new: list[Root] = []
-        for beta in frontier:
-            for i in range(n):
-                q = 0
-                gamma = tuple(b - s for b, s in zip(beta, simple[i]))
-                while gamma in positive:
-                    q += 1
-                    gamma = tuple(g - s for g, s in zip(gamma, simple[i]))
-                pair = sum(a * m for a, m in zip(cm.entries[i], beta))
-                if q - pair > 0:
-                    cand = tuple(b + s for b, s in zip(beta, simple[i]))
-                    if cand not in positive:
-                        positive.add(cand)
-                        new.append(cand)
-        frontier = new
-    ordered = sorted(positive, key=lambda r: (root_height(r), r))
-    roots = tuple(ordered) + tuple(negate(r) for r in ordered)
-    index = {r: k for k, r in enumerate(roots)}
-    coeffs = np.array(roots, dtype=np.int64)
-    action = np.array(cm.entries, dtype=np.int64) @ coeffs.T
-    coroots = _coroots(cm, roots, coeffs, action)
-    for a in (coeffs, action, coroots):
+    entries = np.array(cm.entries, dtype=np.int64)
+    unit = np.eye(n, dtype=np.int64)
+    # Height 1 in coefficient order is alpha_n, ..., alpha_1.
+    layers, q = [unit[::-1]], np.zeros((n, n), dtype=np.int64)
+    while len(beta := layers[-1]):
+        j, i = np.nonzero(q > beta @ entries.T)
+        new = beta[j] + unit[i]
+        order = np.lexsort(new.T[::-1])
+        new, j, i = new[order], j[order], i[order]
+        fresh = np.ones(len(new), dtype=bool)
+        fresh[1:] = (new[1:] != new[:-1]).any(axis=1)
+        # beta' + alpha_i is a root exactly when the test above holds for
+        # (beta', i), so every root one alpha_i below a new root is among its
+        # sources: q(beta' + alpha_i, i) = q(beta', i) + 1 there, 0 elsewhere.
+        q_prev, q = q, np.zeros((int(fresh.sum()), n), dtype=np.int64)
+        q[np.cumsum(fresh) - 1, i] = q_prev[j, i] + 1
+        layers.append(new[fresh])
+    positive = np.concatenate(layers)
+    coeffs = np.concatenate([positive, -positive])
+    action = entries @ coeffs.T
+    coroots = _coroots(cm, coeffs, action)
+    simple = np.arange(n - 1, -1, -1)
+    for a in (coeffs, action, coroots, simple):
         a.flags.writeable = False
-    return RootSystem(cartan=cm, roots=roots, positive_count=len(ordered), index=index,
-                      sum_index=_sum_index(coeffs), coeffs=coeffs, cartan_action=action, coroots=coroots)
+    return RootSystem(cartan=cm, positive_count=len(positive), coeffs=coeffs, simple=simple,
+                      cartan_action=action, coroots=coroots)
 
 
-def _sum_index(coeffs: np.ndarray) -> np.ndarray:
-    """The read-only table of root-sum indices (-1 where a + b is not a root).
+def _key(vectors: np.ndarray) -> np.ndarray:
+    """Linear uint64 keys sum_i v_i 25^(i - 1) mod 2^64, so key(a + b) = key(a) + key(b).
 
-    Keys are linear mod 2^64 (key(a + b) = key(a) + key(b)), distinct on
-    roots, and exact while base^rank < 2^63.  Key sums are looked up in the
-    sorted keys by row blocks; every hit is confirmed on the coefficients.
+    Exact on roots and sums of two roots (entries in [-12, 12]) while
+    25^rank < 2^63; past that they wrap, so root keys are checked distinct
+    and every hit is confirmed on the coefficients.
     """
-    nr, rank = coeffs.shape
-    base = 4 * int(np.abs(coeffs).max()) + 1
-    weights = np.array([pow(base, i, 2**64) for i in range(rank)], dtype=np.uint64)
-    keys = (coeffs.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        raise InternalInconsistency("two roots share a sum-index key")
-    out = np.full((nr, nr), -1, dtype=np.int32)
-    step = max(1, 2**12 // nr)
-    for lo in range(0, nr, step):
-        block = keys[lo:lo + step, None] + keys[None, :]
-        pos = np.minimum(np.searchsorted(sorted_keys, block), nr - 1)
-        a, b = np.nonzero(sorted_keys[pos] == block)
-        c = order[pos[a, b]]
-        a += lo
-        ok = np.all(coeffs[c] == coeffs[a] + coeffs[b], axis=1)
-        out[a[ok], b[ok]] = c[ok]
-    out.flags.writeable = False
-    return out
+    return vectors.astype(np.uint64) @ np.uint64(25) ** np.arange(vectors.shape[-1], dtype=np.uint64)

@@ -77,8 +77,7 @@ def _root_terms(t: BracketTable, nn, neg, act, w):
 
 def _generators(rs) -> np.ndarray:
     """Root indices of the Chevalley generators: alpha_1..alpha_r, then -alpha_1..-alpha_r."""
-    simple = np.array([rs.index_of(rs.simple_root(i)) for i in rs.cartan.nodes], dtype=np.intp)
-    return np.concatenate([simple, simple + rs.positive_count])
+    return np.concatenate([rs.simple, rs.simple + rs.positive_count])
 
 
 def _invertible(m: np.ndarray) -> bool:

@@ -53,6 +53,12 @@ def folded(parent_label: str) -> tuple[cb.FoldedSystem, BracketTable]:
     return fs, cb.folded_table(fs)
 
 
+@lru_cache(maxsize=None)
+def tuple_index(rs: cb.RootSystem) -> dict[tuple[int, ...], int]:
+    """Root tuple -> root index, built from ``rs.roots``: the membership reference of the scalar test loops."""
+    return {r: k for k, r in enumerate(rs.roots)}
+
+
 def coroot(rs: cb.RootSystem, alpha: tuple[int, ...]) -> tuple[int, ...]:
     """The co-root coordinates of a root, read from ``rs.coroots``."""
     return tuple(rs.coroots[rs.index_of(alpha)].tolist())

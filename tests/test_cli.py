@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -66,6 +67,28 @@ def test_internal_inconsistency_exits_3(tmp_path, monkeypatch, capsys):
     out = tmp_path / "g2.json"
     assert run("gen", "--type", "G2", "--out", str(out)) == 3
     assert capsys.readouterr().err == "error: internal inconsistency: injected\n"
+    assert not out.exists()
+
+
+def test_fold_consistency_faults_exit_3(tmp_path, monkeypatch, capsys):
+    # A B4 root system with its highest root doubled, as fold sees it: the
+    # restriction of a D5 root is then no folded root, a package defect.
+    real = folding.generate_roots
+
+    def altered(cm):
+        rs = real(cm)
+        if cm.label != "B4":
+            return rs
+        coeffs = rs.coeffs.copy()
+        coeffs[rs.positive_count - 1] *= 2
+        return dataclasses.replace(rs, coeffs=coeffs)
+
+    monkeypatch.setattr(folding, "generate_roots", altered)
+    out = tmp_path / "b4.json"
+    assert run("gen", "--type", "B4", "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "error: internal inconsistency: restriction (2, 2, 2, 1) of (1, 1, 2, 2, 1) is not a root of B4\n"
+    )
     assert not out.exists()
 
 

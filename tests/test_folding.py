@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import chevbasis as cb
+from chevbasis import folding
 from chevbasis.errors import (
     FoldingPreconditionViolated,
     IllegalType,
@@ -244,6 +245,40 @@ def test_large_folded_tables_are_byte_stable(label, epsilon):
     assert hashlib.sha256(data).hexdigest() == LARGE_FOLD_DIGESTS[label, epsilon]
 
 
+# SHA-256 of repr((root_orbits, orbit_id, restriction)) from fold, pinned
+# from the tuple orbit walk that the array lookups replaced: FOLDS parents
+# by their standard automorphism, target labels by fold_source, both with
+# the default epsilon.
+FOLD_DIGESTS = {
+    "A3": "dc88cf4511f56a7022977b6188f27fc5fbb4b7cc722aba9266005cd0c83fbf4d",
+    "A5": "e1a79b549583f890d672e2490d6038236e9c2fb740262a201901f3abc5cdcf56",
+    "D4": "93412c02143a6a4996bdb94cc1af5097cfa1b204cb6fd5439f8cf85eacadcbd4",
+    "D5": "b42af8cd8535840dfb29691eb1a14af838d9fe53e7de939d538b699605b40d14",
+    "E6": "e77b243ff6096d1c17b1e6ab0b7c2abbd2c74f6109bc3e74329a61e3ea649705",
+    "B2": "8326d00d0bdb286019ce32736e7d51d1bb3f9e4f09d372e49662d9d3e5139271",
+    "B3": "f0074ed966d12dc636e6c6a94cc8f702bb7214b0d7e33312626156eaccfd8078",
+    "B4": "b42af8cd8535840dfb29691eb1a14af838d9fe53e7de939d538b699605b40d14",
+    "C2": "dc88cf4511f56a7022977b6188f27fc5fbb4b7cc722aba9266005cd0c83fbf4d",
+    "C3": "e1a79b549583f890d672e2490d6038236e9c2fb740262a201901f3abc5cdcf56",
+    "C4": "b254f335dd2d8247ac9171db65dbb254142eb36b59823ab0165a695d3f434505",
+    "B10": "f93f64b7ef6395194111d2f9cd3a48efa2c99da40fc0e5dc3db8b59e66a0bb85",
+    "C10": "61a29836dc84ea62a1530931960c83d71bb7fb3e084a5aa795d74689ba2f0be9",
+    "B16": "ce8663280c180f027b23ff0d5d3732f72be0278a8d06c1fc9694d03fbb4b5333",
+    "C16": "cffb967d4805671227b11fc22ab626b92adeac3f67d01e41af4ee54a6fe01b8d",
+}
+
+
+@pytest.mark.parametrize("label", sorted(FOLD_DIGESTS))
+def test_fold_orbits_and_restriction_are_pinned(label):
+    if label in dict(FOLDS):
+        fs, _ = folded(label)
+    else:
+        cm, auto = cb.fold_source(*cb.parse_type_label(label))
+        fs = cb.fold(system(cm.label), cb.default_epsilon(cm), auto)
+    data = repr((fs.root_orbits, fs.orbit_id, fs.restriction)).encode()
+    assert hashlib.sha256(data).hexdigest() == FOLD_DIGESTS[label]
+
+
 def test_q_case_values():
     fs, _ = folded("D4")
     # fixed root involved: q = 0
@@ -321,6 +356,49 @@ def test_fold_preconditions():
     reflection = cb.DiagramAutomorphism((5, 4, 3, 2, 1), ((3,), (2, 4), (1, 5)), 2)
     with pytest.raises(FoldingPreconditionViolated):
         cb.fold(a4, cb.default_epsilon(a4.cartan), reflection)
+
+
+def _with_rows(rs, rows: dict[int, tuple[int, ...]]):
+    """A copy of a root system with the given coefficient rows replaced; its lookups and sum index follow."""
+    coeffs = rs.coeffs.copy()
+    for k, vector in rows.items():
+        coeffs[k] = vector
+    return dataclasses.replace(rs, coeffs=coeffs)
+
+
+def _fold_with_folded_system(monkeypatch, target: str, make):
+    """Fold onto ``target`` with ``folding.generate_roots`` returning ``make(rs)`` for it."""
+    real = folding.generate_roots
+    monkeypatch.setattr(folding, "generate_roots", lambda cm: make(real(cm)) if cm.label == target else real(cm))
+    cm, auto = cb.fold_source(*cb.parse_type_label(target))
+    return cb.fold(system(cm.label), cb.default_epsilon(cm), auto)
+
+
+def test_fold_flags_a_restriction_that_is_not_a_folded_root(monkeypatch):
+    # The highest root of B4 doubled: its parent orbit restricts to nothing.
+    def altered(rs):
+        return _with_rows(rs, {rs.positive_count - 1: tuple(2 * rs.coeffs[rs.positive_count - 1])})
+
+    with pytest.raises(InternalInconsistency,
+                       match=r"^restriction \(2, 2, 2, 1\) of \(1, 1, 2, 2, 1\) is not a root of B4$"):
+        _fold_with_folded_system(monkeypatch, "B4", altered)
+
+
+def test_fold_flags_restrictions_that_do_not_cover(monkeypatch):
+    # The roots of C2 are roots of G2 in the same coordinates, so every
+    # restriction is found but half of G2's roots are never reached.
+    with pytest.raises(InternalInconsistency, match="^restrictions do not cover the folded root system$"):
+        _fold_with_folded_system(monkeypatch, "C2", lambda rs: system("G2"))
+
+
+def test_fold_flags_orbits_that_share_a_restriction():
+    # In A3 the orbit {a1, a3} becomes {2a1 + a2 - a3, -a1 + a2 + 2a3}, with
+    # negatives: still permuted by the symmetry, but restricting as a1 + a2.
+    rs = system("A3")
+    assert rs.roots[0] == (0, 0, 1) and rs.roots[2] == (1, 0, 0)
+    bad = _with_rows(rs, {0: (-1, 1, 2), 2: (2, 1, -1), 6: (1, -1, -2), 8: (-2, -1, 1)})
+    with pytest.raises(InternalInconsistency, match="^two distinct orbits share a restriction$"):
+        cb.fold(bad, cb.default_epsilon(rs.cartan), cb.standard_automorphism(rs.cartan))
 
 
 def test_fold_source_targets():

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import chevbasis as cb
 from chevbasis.errors import DegeneratePair, InternalInconsistency, NotARoot
-from chevbasis.roots import _coroots, add, negate, root_height, root_sign, sub
-from conftest import DESK_TYPES, SIMPLY_LACED_TYPES, coroot, system
+from chevbasis.roots import Root, _coroots, add, negate, root_height, root_sign, sub
+from conftest import DESK_TYPES, SIMPLY_LACED_TYPES, coroot, system, tuple_index
 
 def pairing(rs, alpha, beta) -> int:
     """<alpha, beta> = beta(h_alpha), read from the co-root and Cartan action arrays."""
-    return int(rs.coroots[rs.index_of(alpha)] @ rs.cartan_action[:, rs.index_of(beta)])
+    index = tuple_index(rs)
+    return int(rs.coroots[index[alpha]] @ rs.cartan_action[:, index[beta]])
 
 
 POSITIVE_COUNTS = {
@@ -254,7 +255,7 @@ def test_reflection_closure_property(label, data):
 @pytest.mark.parametrize("label", DESK_TYPES + ("D16", "A24"))
 def test_sum_index_matches_tuple_sums(label):
     rs = system(label)
-    expected = [[rs.index.get(add(alpha, beta), -1) for beta in rs.roots] for alpha in rs.roots]
+    expected = [[tuple_index(rs).get(add(alpha, beta), -1) for beta in rs.roots] for alpha in rs.roots]
     assert rs.sum_index.dtype == np.int32
     assert rs.sum_index.tolist() == expected
     assert all(rs.sum_index[k, rs.neg_index(k)] == -1 for k in range(len(rs.roots)))
@@ -292,4 +293,60 @@ def test_coroot_checks_raise():
         coeffs = np.array([vector], dtype=np.int64)
         action = np.array(cm.entries, dtype=np.int64) @ coeffs.T
         with pytest.raises(InternalInconsistency, match=message):
-            _coroots(cm, (vector,), coeffs, action)
+            _coroots(cm, coeffs, action)
+
+
+def _reference_positive_roots(cm) -> list[Root]:
+    """The tuple height induction that preceded the array one, kept verbatim as its reference.
+
+    Returns the positive roots in (height, coefficients) order.
+    """
+    n = cm.rank
+    simple = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    positive: set[Root] = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new: list[Root] = []
+        for beta in frontier:
+            for i in range(n):
+                q = 0
+                gamma = tuple(b - s for b, s in zip(beta, simple[i]))
+                while gamma in positive:
+                    q += 1
+                    gamma = tuple(g - s for g, s in zip(gamma, simple[i]))
+                pair = sum(a * m for a, m in zip(cm.entries[i], beta))
+                if q - pair > 0:
+                    cand = tuple(b + s for b, s in zip(beta, simple[i]))
+                    if cand not in positive:
+                        positive.add(cand)
+                        new.append(cand)
+        frontier = new
+    return sorted(positive, key=lambda r: (root_height(r), r))
+
+
+@pytest.mark.parametrize("label", DESK_TYPES + ("B10", "C10", "D16", "A24", "B20", "C20", "A40", "D30"))
+def test_generate_roots_matches_tuple_induction(label):
+    rs = system(label)
+    ordered = _reference_positive_roots(rs.cartan)
+    assert rs.positive_count == len(ordered)
+    assert rs.coeffs.tolist() == [list(r) for r in ordered] + [[-x for x in r] for r in ordered]
+    assert rs.simple.tolist() == [ordered.index(rs.simple_root(i)) for i in rs.cartan.nodes]
+    assert not rs.simple.flags.writeable
+
+
+def test_index_of_and_contains_refuse_non_roots():
+    rs = system("B3")
+    p = rs.positive_count
+    for k, alpha in enumerate(rs.roots[:p]):
+        assert rs.index_of(alpha) == k and rs.contains(alpha)
+        assert rs.index_of(negate(alpha)) == k + p and rs.contains(negate(alpha))
+    # A wrong length, the zero vector, 2 alpha_1, and vectors of mixed sign
+    # or large coefficients, which collide with roots under a linear key of
+    # a small base.
+    refused = [(1, 0), (1, 0, 0, 0), (), (0, 0, 0), (2, 0, 0)]
+    for m in range(1, 65):
+        refused += [(m, -1, 0), (-m, 1, 0), (m + 1, 0, 0), (-m - 1, 0, 0), (0, 0, 2 * m + 1)]
+    for vector in refused:
+        assert not rs.contains(vector), vector
+        with pytest.raises(NotARoot):
+            rs.index_of(vector)
