@@ -11,6 +11,7 @@ package.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -136,7 +137,9 @@ def _cmd_show(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it holds no state between parses."""
     parser = argparse.ArgumentParser(
         prog="chevbasis",
         description="Exact canonical Chevalley basis structure constants.",
@@ -149,34 +152,32 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--method", choices=["inductive", "closed", "fold"], default=None)
     gen.add_argument("--out", required=True)
     gen.add_argument("--csv", default=None, help="also write a CSV rendering")
-    gen.set_defaults(func=_cmd_gen)
 
     fold_p = sub.add_parser("fold", help="fold a simply-laced type by its standard symmetry")
     fold_p.add_argument("--type", required=True, help="simply-laced parent, e.g. D4, E6, A5")
     fold_p.add_argument("--epsilon", choices=["default", "flipped"], default="default")
     fold_p.add_argument("--out", required=True)
     fold_p.add_argument("--csv", default=None)
-    fold_p.set_defaults(func=_cmd_fold)
 
     ver = sub.add_parser("verify", help="run verification suites on a table file")
     ver.add_argument("--in", dest="infile", required=True)
     ver.add_argument("--suite", default=None, help="comma list: jacobi,chevalley,differential,slN")
     ver.add_argument("--json", action="store_true", help="emit reports as JSON")
-    ver.set_defaults(func=_cmd_verify)
 
     show = sub.add_parser("show", help="print one constant and its root string")
     show.add_argument("--in", dest="infile", required=True)
     show.add_argument("--alpha", required=True, help="comma-separated coefficients; a negative root as --alpha=-1,0")
     show.add_argument("--beta", required=True, help="comma-separated coefficients; a negative root as --beta=-1,0")
-    show.set_defaults(func=_cmd_show)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up on each call rather than stored in the cached parser, so
+    # that a handler replaced on the module (a wrapper, say) is the one run.
+    command = {"gen": _cmd_gen, "fold": _cmd_fold, "verify": _cmd_verify, "show": _cmd_show}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except InternalInconsistency as exc:
         print(f"error: internal inconsistency: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -22,7 +22,7 @@ from .bracket import BracketTable
 from .cartan import SignFunction
 from .errors import IllegalType, IncompatibleTables
 from .report import VerificationReport
-from .roots import Root, root_sign
+from .roots import Root
 
 
 # Triples expanded per step of the root-triple sweep.  Big enough that numpy
@@ -414,12 +414,17 @@ class MatrixModel:
         self.eps_ext = eps.values + (-eps.values[-1],)
 
     def root_pair(self, alpha: Root) -> tuple[int, int]:
-        """(i, j) with alpha = delta_i - delta_j, for a root of A_{n-1}."""
+        """(i, j) with alpha = delta_i - delta_j, for a root of A_{n-1}.
+
+        Such a root is +-(alpha_lo + ... + alpha_hi): its non-zero entries
+        are all 1 or all -1, on a contiguous run of nodes.
+        """
         support = [k for k, c in enumerate(alpha, start=1) if c != 0]
-        if not support or any(abs(alpha[k - 1]) != 1 for k in support):
+        signs = {alpha[k - 1] for k in support}
+        if signs not in ({1}, {-1}) or support[-1] - support[0] + 1 != len(support):
             raise ValueError(f"{alpha} is not a type A root")
         lo, hi = support[0], support[-1]
-        if root_sign(alpha) > 0:
+        if signs == {1}:
             return lo, hi + 1
         return hi + 1, lo
 
@@ -442,38 +447,38 @@ def sl_n_oracle(table: BracketTable) -> VerificationReport:
 
     Every bracket of the model basis is computed as an integer matrix
     commutator and expanded; constants, Cartan actions and co-root
-    expansions must all agree with the table exactly.
+    expansions must all agree with the table exactly.  The commutators
+    [e_a, e_b] are taken one root row a at a time, as one stacked product
+    over all b, and [h_i, e_b] as one stacked product over all (i, b).
+    Violations come in (a, b) order, then in (i, b) order.
     """
     rs = table.rs
     if rs.cartan.type_label != "A" or not 1 <= rs.rank <= 7:
         raise IllegalType(f"the matrix oracle needs a table of type A1..A7, not {rs.cartan.label}")
     n = rs.rank + 1
+    nr = len(rs.roots)
     model = MatrixModel(n, table.eps)
-    mats = [model.root_matrix(alpha) for alpha in rs.roots]
-    cartans = [model.cartan_matrix(k) for k in range(1, n)]
+    mats = np.stack([model.root_matrix(alpha) for alpha in rs.roots])
+    cartans = np.stack([model.cartan_matrix(k) for k in range(1, n)])
+    # Row -1 is the zero matrix: the expected bracket of a pair whose sum is no root.
+    targets = np.concatenate([mats, np.zeros((1, n, n), dtype=np.int64)])
     w = table.opposite_brackets()
     nn, _ = table.dense()
-    report = VerificationReport(suite="sl_n")
-
+    report = VerificationReport(suite="sl_n", checked=nr * nr + rs.rank * nr)
     for a, alpha in enumerate(rs.roots):
-        sums = rs.sum_index[a].tolist()
-        for b, beta in enumerate(rs.roots):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            if b == rs.neg_index(a):
-                expected = sum(c * h for c, h in zip(w[a].tolist(), cartans))
-            elif sums[b] >= 0:
-                expected = nn[a, b] * mats[sums[b]]
-            else:
-                expected = np.zeros((n, n), dtype=np.int64)
-            report.checked += 1
-            if not np.array_equal(comm, expected):
-                report.record((alpha, beta), expected.tolist(), comm.tolist())
+        comm = mats[a] @ mats - mats @ mats[a]
+        expected = nn[a, :, None, None] * targets[rs.sum_index[a]]
+        expected[rs.neg_index(a)] = np.tensordot(w[a], cartans, axes=1)
+        for (b,) in _mismatches(expected, comm):
+            report.record((alpha, rs.roots[b]), expected[b].tolist(), comm[b].tolist())
 
-    for i in range(1, n):
-        for b, beta in enumerate(rs.roots):
-            comm = cartans[i - 1] @ mats[b] - mats[b] @ cartans[i - 1]
-            expected = table.cartan_action[i - 1, b] * mats[b]
-            report.checked += 1
-            if not np.array_equal(comm, expected):
-                report.record((i, beta), expected.tolist(), comm.tolist())
+    comm = cartans[:, None] @ mats - mats @ cartans[:, None]
+    expected = table.cartan_action[:, :, None, None] * mats
+    for i, b in _mismatches(expected, comm):
+        report.record((i + 1, rs.roots[b]), expected[i, b].tolist(), comm[i, b].tolist())
     return report
+
+
+def _mismatches(expected: np.ndarray, got: np.ndarray) -> list[list[int]]:
+    """Index lists, in row-major order, of the matrices where two stacks of matrices differ."""
+    return np.argwhere((expected != got).any(axis=(-2, -1))).tolist()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chevbasis import folding
+from chevbasis import cli, folding
 from chevbasis.cli import main
 from chevbasis.errors import InternalInconsistency
 from chevbasis.serialize import from_json_bytes
@@ -350,3 +350,27 @@ def test_chevalley_reports_pinned(tmp_path, capsys, name, corruption):
     assert run("verify", "--json", "--in", str(path), "--suite", "chevalley") == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHEVALLEY_REPORTS[(name, corruption)]
+
+
+def test_cached_parser_keeps_no_state_between_commands(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; one command's options must
+    # not leak into the next, and bad arguments still exit 2.
+    first, second = tmp_path / "one.json", tmp_path / "two.json"
+    csv = tmp_path / "one.csv"
+    assert run("gen", "--type", "A2", "--out", str(first), "--csv", str(csv)) == 0
+    csv.unlink()
+    assert run("gen", "--type", "A2", "--out", str(second)) == 0
+    assert not csv.exists()
+    assert first.read_bytes() == second.read_bytes()
+    capsys.readouterr()
+    assert run("verify", "--in", str(first), "--suite", "jacobi", "--json") == 0
+    assert [r["suite"] for r in json.loads(capsys.readouterr().out)] == ["jacobi"]
+    assert run("verify", "--in", str(first), "--json") == 0
+    assert [r["suite"] for r in json.loads(capsys.readouterr().out)] == ["jacobi", "chevalley", "differential", "sl_n"]
+    for argv in (["gen", "--type", "A2"], ["verify", "--in", str(first), "--bogus"], ["nonsense"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+    # Handlers are looked up when a command runs, so a replaced one is used.
+    monkeypatch.setattr(cli, "_cmd_show", lambda args: 7)
+    assert run("show", "--in", str(first), "--alpha", "1,0", "--beta", "0,1") == 7

@@ -632,6 +632,14 @@ def test_matrix_model_basics():
     assert m[0, 1] == eps.value(1) and np.count_nonzero(m) == 1
 
 
+@pytest.mark.parametrize("alpha", [(0, 0, 0), (1, 0, 1), (1, -1, 0), (2, 0, 0), (1, 1, -1)])
+def test_matrix_model_rejects_non_roots(alpha):
+    # A root of type A is +-(alpha_i + ... + alpha_j): one sign, a contiguous support of +-1.
+    model = MatrixModel(4, cb.default_epsilon(system("A3").cartan))
+    with pytest.raises(ValueError):
+        model.root_pair(alpha)
+
+
 def test_sl_n_oracle_all_sizes():
     for n in range(2, 9):
         report = sl_n_oracle(table(f"A{n - 1}"))
@@ -642,11 +650,72 @@ def test_sl_n_oracle_flipped_epsilon():
     assert sl_n_oracle(table("A3", True)).passed
 
 
+def _scalar_sl_n_reference(table: BracketTable) -> VerificationReport:
+    """The per-pair form of ``sl_n_oracle``: two matrix products and one comparison per basis pair."""
+    rs = table.rs
+    n = rs.rank + 1
+    model = MatrixModel(n, table.eps)
+    mats = [model.root_matrix(alpha) for alpha in rs.roots]
+    cartans = [model.cartan_matrix(k) for k in range(1, n)]
+    w = table.opposite_brackets()
+    nn, _ = table.dense()
+    report = VerificationReport(suite="sl_n")
+    for a, alpha in enumerate(rs.roots):
+        sums = rs.sum_index[a].tolist()
+        for b, beta in enumerate(rs.roots):
+            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
+            if b == rs.neg_index(a):
+                expected = sum(c * h for c, h in zip(w[a].tolist(), cartans))
+            elif sums[b] >= 0:
+                expected = nn[a, b] * mats[sums[b]]
+            else:
+                expected = np.zeros((n, n), dtype=np.int64)
+            report.checked += 1
+            if not np.array_equal(comm, expected):
+                report.record((alpha, beta), expected.tolist(), comm.tolist())
+    for i in range(1, n):
+        for b, beta in enumerate(rs.roots):
+            comm = cartans[i - 1] @ mats[b] - mats[b] @ cartans[i - 1]
+            expected = table.cartan_action[i - 1, b] * mats[b]
+            report.checked += 1
+            if not np.array_equal(comm, expected):
+                report.record((i, beta), expected.tolist(), comm.tolist())
+    return report
+
+
+def _with_action_negated(t: BracketTable) -> BracketTable:
+    """A copy of a table with the first non-zero entry of alpha(h_1) negated."""
+    action = t.cartan_action.copy()
+    action[0, np.flatnonzero(action[0])[0]] *= -1
+    return with_constants(t, cartan_action=action)
+
+
+def _sl_n_corruptions(t: BracketTable) -> dict[str, BracketTable]:
+    """One corruption per branch of the oracle: a + b a root (if any), b = -a, and the Cartan block."""
+    bad = {"constant": with_flipped_constant(t)} if len(t.n) else {}
+    return {**bad, "opposite": with_flipped_opposite(t), "action": _with_action_negated(t)}
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_sl_n_oracle_matches_scalar_reference(rank):
+    for flipped in (False, True):
+        t = table(f"A{rank}", flipped)
+        for v in [t, *_sl_n_corruptions(t).values()]:
+            assert sl_n_oracle(v).to_json() == _scalar_sl_n_reference(v).to_json()
+
+
 def test_sl_n_oracle_negative_controls():
     t = table("A3")
     for site in range(3):
         bad = with_flipped_constant(t, which=site)
         assert not sl_n_oracle(bad).passed
+    sites = {"constant": ((0, 0, 1), (0, 1, 0)),
+             "opposite": ((0, 0, 1), (0, 0, -1)),
+             "action": (1, (0, 1, 0))}
+    for name, bad in _sl_n_corruptions(t).items():
+        report = sl_n_oracle(bad)
+        assert report.checked == 12 * 12 + 3 * 12
+        assert (report.violation_count, report.violations[0][0]) == (1, sites[name]), name
     for label in ("B2", "A8"):
         with pytest.raises(IllegalType):
             sl_n_oracle(table(label))
