@@ -42,6 +42,20 @@ def parse_type_label(label: str) -> tuple[str, int]:
     return family, rank
 
 
+_EXCEPTIONAL_ROOTS = {("E", 6): 72, ("E", 7): 126, ("E", 8): 240, ("F", 4): 48, ("G", 2): 12}
+
+
+def root_count(family: str, rank: int) -> int:
+    """Number of roots of a type, in closed form, for (family, rank) as ``parse_type_label`` gives them."""
+    if family == "A":
+        return rank * (rank + 1)
+    if family in ("B", "C"):
+        return 2 * rank * rank
+    if family == "D":
+        return 2 * rank * (rank - 1)
+    return _EXCEPTIONAL_ROOTS[family, rank]
+
+
 @dataclass(frozen=True)
 class CartanMatrix:
     """An indecomposable Cartan matrix of finite type.

@@ -8,14 +8,16 @@ linear uint64 key with the hit confirmed on the coefficients
 (``RootSystem._search``); ``sum_index``, ``find`` and ``index_of`` /
 ``contains`` all go through it.  Every layer asks "is alpha + beta a
 root, and which one?" through ``sum_index``, and root strings are walks
-over it.  Everything here is exact integer arithmetic.
+over it.  ``sum_index`` looks up only the pairs whose sum has a root's
+norm (alpha, alpha) / 2 under the invariant form; for simply-laced types
+those are exactly the summing pairs.  Everything here is exact: the one
+floating-point product, which gives those norms, holds small integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -62,11 +64,15 @@ class RootSystem:
     coefficients), then their negatives in the same order, so rows k and
     k + positive_count are a root and its negative; ``roots`` is the same
     list as tuples, and ``simple[i - 1]`` the row of alpha_i.
-    ``sum_index[a, b]`` (nr x nr int32, derived from ``coeffs`` on
-    construction) is the index of roots[a] + roots[b], or -1.
     ``cartan_action`` (rank x nr) holds alpha(h_i) = <alpha_i, alpha> and
     ``coroots`` (nr x rank) the c with h_alpha = sum c_i h_i, so that
     <alpha, beta> = beta(h_alpha) is ``coroots[a] @ cartan_action[:, b]``.
+    ``norms`` (nr) holds (alpha, alpha) / 2 under the invariant form
+    (alpha_i, alpha_j) = s_i a_ij with s the minimal symmetrizer, so
+    ``norms[simple[i - 1]]`` is s_i.  ``sum_index[a, b]`` (nr x nr int32,
+    derived on construction) is the index of roots[a] + roots[b], or -1;
+    it is looked up only where the norm of the sum, norms[a] + norms[b] +
+    (alpha, beta), is one of the at most two root norms.
     Instances and their arrays are never mutated after construction and
     are safe to share between threads; they compare by identity.
     """
@@ -77,6 +83,7 @@ class RootSystem:
     simple: np.ndarray = field(repr=False)
     cartan_action: np.ndarray = field(repr=False)
     coroots: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(repr=False)
     sum_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -85,11 +92,27 @@ class RootSystem:
         self._sorted = keys[self._order]
         if (self._sorted[1:] == self._sorted[:-1]).any():
             raise InternalInconsistency("two roots share a lookup key")
-        self.sum_index = np.empty((len(keys), len(keys)), dtype=np.int32)
-        step = max(1, 2**12 // len(keys))
-        for lo in range(0, len(keys), step):
-            self.sum_index[lo:lo + step] = self._search(
-                keys[lo:lo + step, None] + keys, lambda hits: self.coeffs[hits[0] + lo] + self.coeffs[hits[1]])
+        # Roots and sums of two roots have entries in [-12, 12].
+        self._small = self.coeffs.astype(np.int8)
+        self._small.flags.writeable = False
+        # roots[a] + roots[b] can be a root only if its norm, norms[a] + norms[b]
+        # + (alpha, beta) with (alpha, beta) = sum_i alpha_i s_i beta(h_i), is one
+        # of the at most two root norms; only the pairs that pass are looked up.
+        # left @ right gives these norms: its entries and sums are integers far
+        # below 2^24, so float32 holds them exactly.  Blocks of 2^14 entries keep
+        # the working set small.
+        nr, norms = len(keys), self.norms
+        left = np.concatenate([self.coeffs, norms[:, None], np.ones((nr, 1))], axis=1, dtype=np.float32)
+        right = np.concatenate([self.cartan_action * norms[self.simple, None], np.ones((1, nr)), norms[None]],
+                               dtype=np.float32)
+        short, long = int(norms.min()), int(norms.max())
+        self.sum_index = np.full((nr, nr), -1, dtype=np.int32)
+        step = max(1, 2**14 // nr)
+        for lo in range(0, nr, step):
+            norm = left[lo:lo + step] @ right
+            a, b = np.nonzero((norm == short) | (norm == long))
+            a += lo
+            self.sum_index[a, b] = self._search(keys[a] + keys[b], lambda hits: self._small[a[hits]] + self._small[b[hits]])
         self.sum_index.flags.writeable = False
 
     @cached_property
@@ -107,7 +130,7 @@ class RootSystem:
         pos = np.minimum(self._sorted.searchsorted(keys), len(self._sorted) - 1)
         hits = (self._sorted[pos] == keys).nonzero()
         found = self._order[pos[hits]]
-        ok = (self.coeffs[found] == vectors(hits)).all(-1)
+        ok = (self._small[found] == vectors(hits)).all(-1)
         out = np.full(keys.shape, -1, dtype=np.intp)
         out[tuple(h[ok] for h in hits)] = found[ok]
         return out
@@ -171,37 +194,43 @@ class RootSystem:
     # -- co-roots ------------------------------------------------------
 
     def symmetrizer(self) -> tuple[int, ...]:
-        """Minimal positive integers s with s_i a_ij = s_j a_ji."""
-        return _symmetrizer(self.cartan)
+        """Minimal positive integers s with s_i a_ij = s_j a_ji: the norms of the simple roots."""
+        return tuple(self.norms[self.simple].tolist())
 
 
 def _symmetrizer(cm: CartanMatrix) -> tuple[int, ...]:
-    vals: dict[int, Fraction] = {1: Fraction(1)}
-    stack = [1]
+    """Minimal positive integers s with s_i a_ij = s_j a_ji, by propagation along the diagram.
+
+    Each edge has a_ij or a_ji = -1, so scaling every s found so far by
+    -a_ji makes s_j = s_i a_ij / a_ji integral.
+    """
+    a = cm.entries
+    s = [1] + [0] * (cm.rank - 1)
+    stack = [0]
     while stack:
         i = stack.pop()
-        for j in cm.neighbors(i):
-            if j not in vals:
-                vals[j] = vals[i] * Fraction(cm.a(i, j), cm.a(j, i))
+        for j, a_ij in enumerate(a[i]):
+            if a_ij and not s[j]:
+                if s[i] * a_ij % a[j][i]:
+                    s = [v * -a[j][i] for v in s]
+                s[j] = s[i] * a_ij // a[j][i]
                 stack.append(j)
-    lcm_den = math.lcm(*(v.denominator for v in vals.values()))
-    ints = [int(vals[i] * lcm_den) for i in cm.nodes]
-    g = math.gcd(*ints)
-    s = tuple(v // g for v in ints)
-    for i in cm.nodes:
-        for j in cm.nodes:
-            if s[i - 1] * cm.a(i, j) != s[j - 1] * cm.a(j, i):
-                raise InternalInconsistency("symmetrizer does not symmetrize")
-    return s
+    g = math.gcd(*s)
+    s = [v // g for v in s]
+    sym = np.array(s)[:, None] * np.array(a)
+    if not (sym == sym.T).all():
+        raise InternalInconsistency("symmetrizer does not symmetrize")
+    return tuple(s)
 
 
-def _coroots(cm: CartanMatrix, coeffs: np.ndarray, action: np.ndarray) -> np.ndarray:
-    """Integer coordinates c of h_alpha = sum c_i h_i, one row per root.
+def _coroots(cm: CartanMatrix, coeffs: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer coordinates c of h_alpha = sum c_i h_i, one row per root, and the norms s_alpha.
 
-    c_i = s_i n_i / s_alpha with s the symmetrizer and s_alpha the half
-    square length sum_i s_i n_i alpha(h_i) / 2; simply laced systems get
-    their coefficients back.  The square length must be positive and
-    even, the division exact, and alpha(h_alpha) = 2 for every root.
+    c_i = s_i n_i / s_alpha with s the symmetrizer and s_alpha the norm
+    (half square length) sum_i s_i n_i alpha(h_i) / 2; simply laced
+    systems get their coefficients back.  The square length must be
+    positive and even, the division exact, and alpha(h_alpha) = 2 for
+    every root.
     """
     num = coeffs * np.array(_symmetrizer(cm), dtype=np.int64)
     sq = (num * action.T).sum(axis=1)
@@ -214,7 +243,7 @@ def _coroots(cm: CartanMatrix, coeffs: np.ndarray, action: np.ndarray) -> np.nda
     check = (c * action.T).sum(axis=1)
     if (k := _first(check != 2)) is not None:
         raise InternalInconsistency(f"alpha(h_alpha) = {check[k]} != 2 for {tuple(coeffs[k].tolist())}")
-    return c
+    return c, s_alpha[:, 0]
 
 
 def _first(bad: np.ndarray) -> int | None:
@@ -251,19 +280,20 @@ def generate_roots(cm: CartanMatrix) -> RootSystem:
     positive = np.concatenate(layers)
     coeffs = np.concatenate([positive, -positive])
     action = entries @ coeffs.T
-    coroots = _coroots(cm, coeffs, action)
+    coroots, norms = _coroots(cm, coeffs, action)
     simple = np.arange(n - 1, -1, -1)
-    for a in (coeffs, action, coroots, simple):
+    for a in (coeffs, action, coroots, norms, simple):
         a.flags.writeable = False
     return RootSystem(cartan=cm, positive_count=len(positive), coeffs=coeffs, simple=simple,
-                      cartan_action=action, coroots=coroots)
+                      cartan_action=action, coroots=coroots, norms=norms)
 
 
 def _key(vectors: np.ndarray) -> np.ndarray:
     """Linear uint64 keys sum_i v_i 25^(i - 1) mod 2^64, so key(a + b) = key(a) + key(b).
 
     Exact on roots and sums of two roots (entries in [-12, 12]) while
-    25^rank < 2^63; past that they wrap, so root keys are checked distinct
-    and every hit is confirmed on the coefficients.
+    25^rank < 2^63, that is up to rank 13; past that they wrap, so root
+    keys are checked distinct and every hit, of ``find`` or of a pair that
+    the norm test admits to ``sum_index``, is confirmed on the coefficients.
     """
     return vectors.astype(np.uint64) @ np.uint64(25) ** np.arange(vectors.shape[-1], dtype=np.uint64)

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .bracket import BracketTable
-from .cartan import SignFunction, build_cartan, parse_type_label
+from .cartan import SignFunction, build_cartan, parse_type_label, root_count
 from .errors import ChevBasisError, InvalidEpsilon, NotARoot
 from .roots import Root, _first, generate_roots, root_sign
 
@@ -82,17 +82,23 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
     family, rank = parse_type_label(doc["type"])
     if type(doc["rank"]) is not int or doc["rank"] != rank:
         raise ChevBasisError(f"rank {doc['rank']!r} does not match the type {doc['type']}")
-    cm = build_cartan(family, rank)
-    if not np.array_equal(_int_rows(doc.get("cartan_matrix"), rank, rank, "cartan_matrix"), cm.entries):
-        raise ChevBasisError("document Cartan matrix does not match the type label")
-    rs = generate_roots(cm)
-    if not np.array_equal(_int_rows(doc["roots"], len(rs.roots), rank, "roots"), rs.coeffs):
-        raise ChevBasisError("document root list does not match the generated ordering")
-    if type(doc["positive_count"]) is not int or doc["positive_count"] != rs.positive_count:
+    # Every length is checked against the closed-form root count before
+    # anything of the type's size is built, so that a short file naming a
+    # large type is refused at once.
+    nr = root_count(family, rank)
+    matrix = _int_rows(doc.get("cartan_matrix"), rank, rank, "cartan_matrix")
+    roots = _int_rows(doc["roots"], nr, rank, "roots")
+    if type(doc["positive_count"]) is not int or 2 * doc["positive_count"] != nr:
         raise ChevBasisError("positive_count mismatch")
     epsilon = doc["epsilon"]
     if not (isinstance(epsilon, list) and len(epsilon) == rank):
         raise ChevBasisError(f"epsilon must be a list of {rank} signs, one per node")
+    cm = build_cartan(family, rank)
+    if not np.array_equal(matrix, cm.entries):
+        raise ChevBasisError("document Cartan matrix does not match the type label")
+    rs = generate_roots(cm)
+    if not np.array_equal(roots, rs.coeffs):
+        raise ChevBasisError("document root list does not match the generated ordering")
     if any(type(v) is not int or v not in (1, -1) for v in epsilon):
         raise ChevBasisError(f"epsilon {epsilon!r} has a value that is not the integer 1 or -1")
     eps = SignFunction(tuple(epsilon))
@@ -100,7 +106,6 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
         raise InvalidEpsilon(f"epsilon {epsilon} is not a 2-colouring of the {cm.label} diagram")
     if not isinstance(doc["constants"], list):
         raise ChevBasisError("constants must be a list")
-    nr = len(rs.roots)
     a, b, s, value = _int_rows(doc["constants"], len(doc["constants"]), 4, "constants").T
     if (k := _first(~((0 <= a) & (a < b) & (b < nr) & (0 <= s) & (s < nr)))) is not None:
         raise ChevBasisError(f"constant entry {doc['constants'][k]} needs 0 <= a < b < {nr} and 0 <= sum < {nr}")

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chevbasis as cb
+from chevbasis.cartan import root_count
 from chevbasis.errors import DegeneratePair, InternalInconsistency, NotARoot
 from chevbasis.roots import Root, _coroots, add, negate, root_height, root_sign, sub
 from conftest import DESK_TYPES, SIMPLY_LACED_TYPES, coroot, system, tuple_index
@@ -51,7 +54,7 @@ def test_cardinalities_all_types():
         family, rank = cb.parse_type_label(label)
         rs = system(label)
         assert rs.positive_count == POSITIVE_COUNTS[family](rank), label
-        assert len(rs.roots) == 2 * rs.positive_count
+        assert len(rs.roots) == 2 * rs.positive_count == root_count(family, rank)
 
 
 def test_ordering_and_negation_layout():
@@ -252,7 +255,8 @@ def test_reflection_closure_property(label, data):
     assert rs.contains(tuple(b - m * a for a, b in zip(alpha, beta)))
 
 
-@pytest.mark.parametrize("label", DESK_TYPES + ("D16", "A24"))
+# B14 and C14 are past rank 13, where the lookup keys wrap, and have two root lengths.
+@pytest.mark.parametrize("label", DESK_TYPES + ("D16", "A24", "B14", "C14"))
 def test_sum_index_matches_tuple_sums(label):
     rs = system(label)
     expected = [[tuple_index(rs).get(add(alpha, beta), -1) for beta in rs.roots] for alpha in rs.roots]
@@ -260,6 +264,47 @@ def test_sum_index_matches_tuple_sums(label):
     assert rs.sum_index.tolist() == expected
     assert all(rs.sum_index[k, rs.neg_index(k)] == -1 for k in range(len(rs.roots)))
     assert not rs.sum_index.flags.writeable
+
+
+def _length_test(rs) -> tuple[np.ndarray, np.ndarray]:
+    """(admitted, norms): pairs whose sum has a root's norm under the integer form s_i a_ij."""
+    s = np.array(rs.symmetrizer())
+    entries = np.array(rs.cartan.entries)
+    assert (s[:, None] * entries == (s[:, None] * entries).T).all()
+    gram = rs.coeffs @ (s[:, None] * entries) @ rs.coeffs.T
+    norms = np.diag(gram) // 2
+    lengths = np.unique(norms)
+    assert len(lengths) <= 2
+    return np.isin(norms[:, None] + norms + gram, lengths), norms
+
+
+@pytest.mark.parametrize("label", DESK_TYPES + ("B14", "C14", "D16", "A24"))
+def test_length_test_admits_every_summing_pair(label):
+    rs = system(label)
+    admitted, norms = _length_test(rs)
+    assert rs.norms.tolist() == norms.tolist()
+    summing = rs.sum_index >= 0
+    assert not (summing & ~admitted).any()
+    family, rank = cb.parse_type_label(label)
+    if family != "C" or rank < 4:
+        # Exact except on C_n, n >= 4, where orthogonal short roots such as
+        # e1 + e2 and e3 + e4 have a sum of the long norm.
+        assert (admitted == summing).all()
+    if label == "C14":
+        # The search rejects admitted pairs here, so its reject path runs.
+        assert (int(admitted.sum()), int(summing.sum())) == (115_752, 19_656)
+
+
+def test_generate_roots_memory_on_a40():
+    cm = cb.build_cartan("A", 40)
+    tracemalloc.start()
+    try:
+        rs = cb.generate_roots(cm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    over = (peak - rs.sum_index.nbytes) / 2**20
+    assert over <= 4, f"generate_roots peak {over:.1f} MB above sum_index on A40"
 
 
 def test_string_lengths_at_matches_tuple_walk():

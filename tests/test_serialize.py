@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chevbasis as cb
+from chevbasis import serialize
 from chevbasis.cli import main
 from chevbasis.errors import ChevBasisError
 from chevbasis.serialize import (
@@ -195,6 +197,42 @@ def test_malformed_fields_rejected(mutation, tmp_path, capsys):
     assert main(["verify", "--in", str(path)]) == 2
     assert main(["verify", "--in", str(path), "--suite", "jacobi"]) == 2
     assert message in capsys.readouterr().err
+
+
+# Each gives one length that does not fit the type's closed-form root count.
+LENGTH_FAULTS = {
+    "cartan-rows": (_update(cartan_matrix=[[2, -1]]), "cartan_matrix must be 2 lists of 2 integers"),
+    "roots-rows": (lambda doc: {**doc, "roots": doc["roots"][:-1]}, "roots must be 12 lists of 2 integers"),
+    "positive-count": (_update(positive_count=7), "positive_count mismatch"),
+    "epsilon-length": (_update(epsilon=[-1, 1, -1]), "list of 2 signs"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(LENGTH_FAULTS))
+def test_lengths_are_checked_before_the_root_system_is_built(mutation, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built before the document's lengths were checked")
+
+    monkeypatch.setattr(serialize, "build_cartan", refuse)
+    monkeypatch.setattr(serialize, "generate_roots", refuse)
+    mutate, message = LENGTH_FAULTS[mutation]
+    with pytest.raises(ChevBasisError, match=message):
+        table_from_document(mutate(from_json_bytes(GOLDEN_G2.read_bytes())))
+
+
+def test_oversized_document_is_refused_early(tmp_path, capsys):
+    # A 191-byte A1500 file with empty fields made the reader build and
+    # validate the 1500 x 1500 Cartan matrix, about 0.8 s and 63 MB, before
+    # it compared the file's first length.
+    doc = {"schema_version": 1, "provenance": {"method": "closed"}, "type": "A1500", "rank": 1500,
+           "cartan_matrix": [], "roots": [], "positive_count": 0, "epsilon": [],
+           "constants": [], "cartan_action": [], "opposite": []}
+    path = tmp_path / "a1500.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "error: cartan_matrix must be 1500 lists of 1500 integers\n"
 
 
 def test_entries_beyond_the_bound_are_refused(tmp_path):
