@@ -6,7 +6,7 @@ and a closed sign formula for the simply-laced types which transfers to
 B, C, F4 and G2 by folding along diagram automorphisms.
 """
 
-from .bracket import BracketTable, build_inductive, check_negation_symmetry, flip_epsilon_table
+from .bracket import BracketTable, build_inductive
 from .cartan import (
     CartanMatrix,
     DiagramAutomorphism,
@@ -16,9 +16,9 @@ from .cartan import (
     parse_type_label,
     standard_automorphism,
 )
-from .closedform import closed_constant, closed_table, constant_sign
+from .closedform import closed_table
 from .errors import ChevBasisError
-from .folding import FoldedSystem, fold, fold_source, folded_table, restrict_root
+from .folding import FoldedSystem, fold, fold_source, folded_table
 from .report import VerificationReport
 from .roots import Root, RootSystem, generate_roots
 from .verify import chevalley_audit, differential, jacobi_sweep, sl_n_oracle
@@ -36,20 +36,15 @@ __all__ = [
     "build_cartan",
     "build_inductive",
     "chevalley_audit",
-    "check_negation_symmetry",
-    "closed_constant",
     "closed_table",
-    "constant_sign",
     "default_epsilon",
     "differential",
-    "flip_epsilon_table",
     "fold",
     "fold_source",
     "folded_table",
     "generate_roots",
     "jacobi_sweep",
     "parse_type_label",
-    "restrict_root",
     "sl_n_oracle",
     "standard_automorphism",
 ]

@@ -159,37 +159,3 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
         )
     return t
 
-
-def flip_epsilon_table(t: BracketTable) -> BracketTable:
-    """The table for -epsilon: every e_alpha negates, so every N negates.
-
-    The Cartan part is unchanged since both factors of [e_alpha, e_{-alpha}]
-    pick up the same sign.
-    """
-    return BracketTable(
-        rs=t.rs,
-        eps=t.eps.flipped(),
-        pairs=t.pairs,
-        n=-t.n,
-        cartan_action=t.cartan_action,
-        opposite=t.opposite,
-    )
-
-
-def check_negation_symmetry(t: BracketTable):
-    """Verify N_{-alpha,-beta} = -N_{alpha,beta} for every stored pair.
-
-    This is the compatibility of the basis with the involution swapping
-    e_i and f_i; the report must come back empty for a canonical table.
-    """
-    from .report import VerificationReport
-
-    report = VerificationReport(suite="negation-symmetry", checked=len(t.n))
-    rs = t.rs
-    nn, stored = t.dense()
-    a, b = t.pairs.T
-    na, nb = (t.pairs.T + rs.positive_count) % len(rs.roots)
-    for k in np.flatnonzero(~stored[na, nb] | (nn[na, nb] != -t.n)).tolist():
-        got = int(nn[na[k], nb[k]]) if stored[na[k], nb[k]] else None
-        report.record((rs.roots[a[k]], rs.roots[b[k]]), -int(t.n[k]), got)
-    return report

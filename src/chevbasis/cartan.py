@@ -56,6 +56,13 @@ def root_count(family: str, rank: int) -> int:
     return _EXCEPTIONAL_ROOTS[family, rank]
 
 
+# Every layer holds nr x nr arrays: sum_index (int32), and while verifying a
+# few int64 ones of 8 nr^2 bytes each.  Capping one int64 nr x nr array at
+# 2^27 bytes (128 MiB) caps nr at 2^12 = 4096: A63 (4032 roots) and D45 (3960)
+# are built, A64 (4160) is refused.
+MAX_ROOTS = math.isqrt(2**27 // 8)
+
+
 @dataclass(frozen=True)
 class CartanMatrix:
     """An indecomposable Cartan matrix of finite type.
@@ -142,11 +149,17 @@ def _chain_entries(rank: int, edges: dict[tuple[int, int], int]) -> tuple[tuple[
 
 
 def build_cartan(type_label: str, rank: int) -> CartanMatrix:
-    """Cartan matrix of the given finite type in this package's numbering."""
+    """Cartan matrix of the given finite type in this package's numbering.
+
+    Types with more than ``MAX_ROOTS`` roots are refused before anything
+    of their size is built.
+    """
     family = type_label.upper()
     lo, hi = RANK_BOUNDS.get(family, (None, None))
     if lo is None or rank < lo or (hi is not None and rank > hi):
         raise IllegalType(f"no simple type {family}{rank}")
+    if (nr := root_count(family, rank)) > MAX_ROOTS:
+        raise IllegalType(f"{family}{rank} has {nr} roots, above the limit of {MAX_ROOTS}")
 
     edges: dict[tuple[int, int], int] = {}
 
@@ -313,14 +326,6 @@ class DiagramAutomorphism:
                 cycle.add(j)
             if cycle != set(orbit):
                 raise NoFoldableSymmetry("orbit list does not match the permutation")
-
-
-def identity_automorphism(cm: CartanMatrix) -> DiagramAutomorphism:
-    return DiagramAutomorphism(
-        perm=tuple(cm.nodes),
-        orbits=tuple((i,) for i in cm.nodes),
-        order=1,
-    )
 
 
 def standard_automorphism(cm: CartanMatrix) -> DiagramAutomorphism:

@@ -7,13 +7,12 @@ root signs and epsilon values:
                        * prod_{i,j} eps(i)^(a_ij n_i m_j),
 
 and since every exponent only matters mod 2 the product reduces to a bit
-parity.  An equivalent single-index form replaces the double sum in the
-exponent by n_i <alpha_i, beta>.  Together with q = 0 for simply-laced
-string lengths this gives the whole table without any recursion.
+parity.  Together with q = 0 for simply-laced string lengths this gives
+the whole table without any recursion.
 
-:func:`pair_signs` evaluates the formula on arrays of root indices and is
-what the table builders use; the scalar functions on coefficient tuples
-are the reference implementations it is tested against.
+:func:`pair_signs` evaluates the formula on arrays of root indices for
+the table builders; its statement on coefficient tuples, pair by pair,
+is the reference in ``tests/reference.py`` that it is tested against.
 """
 
 from __future__ import annotations
@@ -22,55 +21,12 @@ import numpy as np
 
 from .bracket import BracketTable
 from .cartan import SignFunction
-from .errors import NotARoot, NotSimplyLaced
-from .report import VerificationReport
-from .roots import Root, RootSystem, add, negate, root_sign
-
-
-def _require_summing_pair(rs: RootSystem, alpha: Root, beta: Root) -> None:
-    if not rs.cartan.simply_laced:
-        raise NotSimplyLaced("the closed sign formula needs a symmetric Cartan matrix")
-    if not rs.contains(alpha) or not rs.contains(beta):
-        raise NotARoot("both arguments must be roots")
-    if not rs.contains(add(alpha, beta)):
-        raise NotARoot(f"{alpha} + {beta} is not a root")
-
-
-def constant_sign(rs: RootSystem, eps: SignFunction, alpha: Root, beta: Root) -> int:
-    """The +-1 sign of the canonical constant, by the double-product formula."""
-    _require_summing_pair(rs, alpha, beta)
-    entries = rs.cartan.entries
-    n = rs.cartan.rank
-    parity = 0
-    for i in range(n):
-        if eps.values[i] == 1 or alpha[i] == 0:
-            continue
-        parity += alpha[i] * sum(entries[i][j] * beta[j] for j in range(n))
-    sgn = root_sign(alpha) * root_sign(beta) * root_sign(add(alpha, beta))
-    return -sgn if parity % 2 else sgn
-
-
-def constant_sign_reduced(rs: RootSystem, eps: SignFunction, alpha: Root, beta: Root) -> int:
-    """Same sign through the single-index exponent n_i <alpha_i, beta>."""
-    _require_summing_pair(rs, alpha, beta)
-    b = rs.index_of(beta)
-    parity = 0
-    for i in rs.cartan.nodes:
-        if eps.value(i) == -1:
-            parity += alpha[i - 1] * int(rs.cartan_action[i - 1, b])
-    sgn = root_sign(alpha) * root_sign(beta) * root_sign(add(alpha, beta))
-    return -sgn if parity % 2 else sgn
-
-
-def closed_constant(rs: RootSystem, eps: SignFunction, alpha: Root, beta: Root) -> int:
-    """N_{alpha,beta} = sign * (q+1); q is always 0 here, so the value is +-1."""
-    sign = constant_sign(rs, eps, alpha, beta)
-    _, q = rs.string_lengths(alpha, beta)
-    return sign * (q + 1)
+from .errors import NotSimplyLaced
+from .roots import RootSystem
 
 
 def pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """constant_sign for index arrays a, b whose sums are roots, as int64 +-1.
+    """The sign of N_{a,b} for index arrays a, b whose sums are roots, as int64 +-1.
 
     The exponent n diag[eps = -1] A m is read mod 2 from one nr x nr
     uint8 product of 0/1 matrices (uint8 sums wrap mod 256, which keeps
@@ -103,42 +59,3 @@ def closed_table(rs: RootSystem, eps: SignFunction) -> BracketTable:
     n = pair_signs(rs, eps, pairs[:, 0], pairs[:, 1])
     return BracketTable(rs=rs, eps=eps, pairs=pairs, n=n, cartan_action=rs.cartan_action, opposite=rs.coroots)
 
-
-def check_split_identity(rs: RootSystem, eps: SignFunction) -> VerificationReport:
-    """Exhaustively check the ladder-split behaviour of the sign formula.
-
-    For every node l and roots alpha, beta with alpha_l + alpha and
-    alpha_l + alpha + beta roots, alpha != +-beta, beta != +-alpha_l:
-    exactly one of alpha + beta, alpha_l + beta is a root, and the sign
-    transfers as sign(alpha_l+alpha, beta) = sign(alpha, beta) in the
-    first case and -sign(alpha, alpha_l+beta) in the second.
-    """
-    report = VerificationReport(suite="ladder-split")
-    if not rs.cartan.simply_laced:
-        raise NotSimplyLaced("split identity is a simply-laced statement")
-    for l in rs.cartan.nodes:
-        al = rs.simple_root(l)
-        neg_al = negate(al)
-        for alpha in rs.roots:
-            lifted = add(al, alpha)
-            if not rs.contains(lifted):
-                continue
-            for beta in rs.roots:
-                if beta in (alpha, negate(alpha), al, neg_al):
-                    continue
-                if not rs.contains(add(lifted, beta)):
-                    continue
-                first = rs.contains(add(alpha, beta))
-                second = rs.contains(add(al, beta))
-                report.checked += 1
-                if first == second:
-                    report.record((l, alpha, beta), "exactly one summand root", (first, second))
-                    continue
-                lhs = constant_sign(rs, eps, lifted, beta)
-                if first:
-                    rhs = constant_sign(rs, eps, alpha, beta)
-                else:
-                    rhs = -constant_sign(rs, eps, alpha, add(al, beta))
-                if lhs != rhs:
-                    report.record((l, alpha, beta), rhs, lhs)
-    return report

@@ -27,25 +27,15 @@ from .cartan import (
     standard_automorphism,
     swap_fork_automorphism,
 )
-from .closedform import closed_table, constant_sign, pair_signs
+from .closedform import closed_table, pair_signs
 from .errors import (
     FoldingPreconditionViolated,
     IllegalType,
     InternalInconsistency,
     NoFoldableSymmetry,
-    NotARoot,
     RepresentativeNotFound,
 )
-from .report import VerificationReport
-from .roots import Root, RootSystem, _first, add, generate_roots
-
-
-def permute_root(auto: DiagramAutomorphism, alpha: Root) -> Root:
-    """The induced permutation of roots: coefficient of node i moves to i'."""
-    out = [0] * len(alpha)
-    for i, coeff in enumerate(alpha, start=1):
-        out[auto.apply(i) - 1] = coeff
-    return tuple(out)
+from .roots import RootSystem, _first, generate_roots
 
 
 # (parent family, parent rank, order) -> folded (family, rank)
@@ -166,62 +156,6 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
                         orbit_id=tuple(orbit_id.tolist()), restriction=tuple(restriction.tolist()))
 
 
-def restrict_root(fs: FoldedSystem, alpha: Root) -> Root:
-    """Coordinates of the restriction of a parent root over the folded nodes."""
-    return fs.folded_rs.roots[fs.restriction[fs.parent.index_of(alpha)]]
-
-
-def root_orbit(auto: DiagramAutomorphism, alpha: Root) -> list[Root]:
-    """The orbit of a root under the induced coefficient permutation."""
-    orbit = [alpha]
-    beta = permute_root(auto, alpha)
-    while beta != alpha:
-        orbit.append(beta)
-        beta = permute_root(auto, beta)
-    return orbit
-
-
-def summing_orbit_pairs(
-    fs: FoldedSystem, alpha: Root, beta: Root
-) -> list[tuple[Root, Root]]:
-    """All pairs (a0, b0) from the orbits of alpha, beta with a0 + b0 a root."""
-    rs = fs.parent
-    return [
-        (a0, b0)
-        for a0 in root_orbit(fs.auto, alpha)
-        for b0 in root_orbit(fs.auto, beta)
-        if rs.contains(add(a0, b0))
-    ]
-
-
-def q_tilde_by_count(fs: FoldedSystem, alpha: Root, beta: Root) -> int:
-    """Folded backward string length as (orbit pairs summing to alpha+beta) - 1."""
-    total = add(alpha, beta)
-    if not fs.parent.contains(total):
-        raise NotARoot("pair must sum to a parent root")
-    pairs = summing_orbit_pairs(fs, alpha, beta)
-    return sum(1 for a0, b0 in pairs if add(a0, b0) == total) - 1
-
-
-def q_tilde_by_case(fs: FoldedSystem, alpha: Root, beta: Root) -> int:
-    """Folded backward string length by orbit case analysis.
-
-    For a pair with alpha + beta a parent root: 0 when either root is
-    fixed; d-1 when both move and alpha+beta = alpha'+beta'; otherwise 0
-    for order 2 and 1 for order 3 (the triality case, where all three
-    orbits involved have size three).
-    """
-    if not fs.parent.contains(add(alpha, beta)):
-        raise NotARoot("pair must sum to a parent root")
-    a1 = permute_root(fs.auto, alpha)
-    b1 = permute_root(fs.auto, beta)
-    if a1 == alpha or b1 == beta:
-        return 0
-    if add(a1, b1) == add(alpha, beta):
-        return fs.auto.order - 1
-    return 0 if fs.auto.order == 2 else 1
-
-
 def _q_routes(fs: FoldedSystem) -> tuple[np.ndarray, ...]:
     """Folded pairs, parent representatives and their q by all three routes.
 
@@ -229,12 +163,12 @@ def _q_routes(fs: FoldedSystem) -> tuple[np.ndarray, ...]:
     with a root sum, in row-major order; ka the first parent of x and kb
     the first member of y's parent orbit with ka + kb a root (valid where
     ``found``); and q, a 3 x P array of the folded backward string length
-    by string walk, orbit pair count and orbit case analysis.  Array forms
-    of ``string_lengths_at``, :func:`q_tilde_by_count` and
-    :func:`q_tilde_by_case`, which the tests hold them to.
+    by string walk, orbit pair count and orbit case analysis.  The tests
+    hold each route to its statement on coefficient tuples, pair by pair,
+    in ``tests/reference.py``.
     """
     rs, rs_f = fs.parent, fs.folded_rs
-    # orbits[x] is the parent orbit of folded root x in root_orbit order,
+    # orbits[x] is the parent orbit of folded root x in cycle order,
     # padded with -1; perm is the induced root permutation.
     orbits = np.full((len(rs_f.roots), max(map(len, fs.root_orbits))), -1, dtype=np.intp)
     perm = np.empty(len(rs.roots), dtype=np.intp)
@@ -309,48 +243,6 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
         cartan_action=rs_f.cartan_action,
         opposite=rs_f.coroots,
     )
-
-
-def check_automorphism_invariance(
-    rs: RootSystem, auto: DiagramAutomorphism, table: BracketTable
-) -> VerificationReport:
-    """Verify N_{alpha',beta'} = N_{alpha,beta} for the induced permutation."""
-    report = VerificationReport(suite="automorphism-invariance", checked=len(table.n))
-    perm = np.array([rs.index_of(permute_root(auto, alpha)) for alpha in rs.roots], dtype=np.intp)
-    nn, stored = table.dense()
-    a, b = table.pairs.T
-    pa, pb = perm[a], perm[b]
-    for k in np.flatnonzero(~stored[pa, pb] | (nn[pa, pb] != table.n)).tolist():
-        got = int(nn[pa[k], pb[k]]) if stored[pa[k], pb[k]] else None
-        report.record((rs.roots[a[k]], rs.roots[b[k]]), int(table.n[k]), got)
-    return report
-
-
-def check_orbit_sign_constancy(
-    rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism
-) -> VerificationReport:
-    """Verify the closed-form sign is constant on every set of orbit pairs.
-
-    For each (alpha, beta) with a root sum, every pair in the orbit-pair
-    set must carry the same sign as (alpha, beta) itself; this is what
-    makes the folded orbit-sum brackets cancellation-free.
-    """
-    report = VerificationReport(suite="orbit-sign-constancy")
-    for alpha in rs.roots:
-        orbit_a = root_orbit(auto, alpha)
-        for beta in rs.roots:
-            if not rs.contains(add(alpha, beta)):
-                continue
-            base = constant_sign(rs, eps, alpha, beta)
-            for a0 in orbit_a:
-                for b0 in root_orbit(auto, beta):
-                    if not rs.contains(add(a0, b0)):
-                        continue
-                    report.checked += 1
-                    got = constant_sign(rs, eps, a0, b0)
-                    if got != base:
-                        report.record((alpha, beta, a0, b0), base, got)
-    return report
 
 
 def fold_source(family: str, rank: int) -> tuple[CartanMatrix, DiagramAutomorphism]:

@@ -5,11 +5,11 @@ roots, built one height at a time: beta + alpha_i is a root exactly when
 q - <alpha_i, beta> > 0, with q the backward string length.  A
 coefficient vector is found among the roots in one way only, by its
 linear uint64 key with the hit confirmed on the coefficients
-(``RootSystem._search``); ``sum_index``, ``find`` and ``index_of`` /
-``contains`` all go through it.  Every layer asks "is alpha + beta a
-root, and which one?" through ``sum_index``, and root strings are walks
-over it.  ``sum_index`` looks up only the pairs whose sum has a root's
-norm (alpha, alpha) / 2 under the invariant form; for simply-laced types
+(``RootSystem._search``); ``sum_index``, ``find`` and ``index_of`` all
+go through it.  Every layer asks "is alpha + beta a root, and which
+one?" through ``sum_index``, and root strings are walks over it.
+``sum_index`` looks up only the pairs whose sum has a root's norm
+(alpha, alpha) / 2 under the invariant form; for simply-laced types
 those are exactly the summing pairs.  Everything here is exact: the one
 floating-point product, which gives those norms, holds small integers.
 """
@@ -29,10 +29,6 @@ from .errors import DegeneratePair, InternalInconsistency, NotARoot
 Root = tuple[int, ...]
 
 
-def root_height(alpha: Root) -> int:
-    return sum(alpha)
-
-
 def root_sign(alpha: Root) -> int:
     """+1 for positive roots, -1 for negative ones.
 
@@ -42,18 +38,6 @@ def root_sign(alpha: Root) -> int:
         if x != 0:
             return 1 if x > 0 else -1
     raise NotARoot("zero vector has no sign")
-
-
-def negate(alpha: Root) -> Root:
-    return tuple(-x for x in alpha)
-
-
-def add(alpha: Root, beta: Root) -> Root:
-    return tuple(x + y for x, y in zip(alpha, beta))
-
-
-def sub(alpha: Root, beta: Root) -> Root:
-    return tuple(x - y for x, y in zip(alpha, beta))
 
 
 @dataclass(eq=False)
@@ -139,25 +123,15 @@ class RootSystem:
         """The root index of each coefficient row of ``vectors`` (shape (..., rank)), or -1."""
         return self._search(_key(vectors), lambda hits: vectors[hits])
 
-    def _index(self, alpha: Root) -> int:
-        v = np.array(alpha)
-        return int(self.find(v[None])[0]) if v.shape == (self.rank,) and v.dtype.kind in "iu" else -1
-
-    def contains(self, alpha: Root) -> bool:
-        return self._index(alpha) >= 0
-
     def index_of(self, alpha: Root) -> int:
-        if (k := self._index(alpha)) < 0:
+        v = np.array(alpha)
+        if v.shape != (self.rank,) or v.dtype.kind not in "iu" or (k := int(self.find(v[None])[0])) < 0:
             raise NotARoot(f"{alpha} is not a root")
         return k
 
     def neg_index(self, k: int) -> int:
         p = self.positive_count
         return k + p if k < p else k - p
-
-    def simple_root(self, i: int) -> Root:
-        """The i-th simple root (1-based node id) as a unit vector."""
-        return tuple(1 if j == i else 0 for j in self.cartan.nodes)
 
     @property
     def rank(self) -> int:
@@ -166,11 +140,8 @@ class RootSystem:
     # -- strings ------------------------------------------------------
 
     def string_lengths(self, alpha: Root, beta: Root) -> tuple[int, int]:
-        """(p, q) with p = max{i >= 0 : beta + i alpha root}, q backwards."""
-        return self.string_lengths_at(self.index_of(alpha), self.index_of(beta))
-
-    def string_lengths_at(self, a: int, b: int) -> tuple[int, int]:
-        """(p, q) for root indices a, b, by walking ``sum_index``."""
+        """(p, q) with p = max{i >= 0 : beta + i alpha root}, q backwards, by walking ``sum_index``."""
+        a, b = self.index_of(alpha), self.index_of(beta)
         neg_a = self.neg_index(a)
         if b == a or b == neg_a:
             raise DegeneratePair("string through beta = +/- alpha is undefined")
@@ -179,7 +150,7 @@ class RootSystem:
     def backward_lengths(self, a: int | np.ndarray, b: np.ndarray) -> np.ndarray:
         """Steps b -> b - a that stay roots, for root indices or index arrays of one shape.
 
-        ``string_lengths_at(a, b)`` is (backward_lengths(-a, b),
+        ``string_lengths`` of the roots at a, b is (backward_lengths(-a, b),
         backward_lengths(a, b)).  Pairs are not checked for degeneracy;
         callers pass pairs with b != +-a.
         """
@@ -190,12 +161,6 @@ class RootSystem:
             b = np.where(live, self.sum_index[neg_a, b], -1)
             q += b >= 0
         return q
-
-    # -- co-roots ------------------------------------------------------
-
-    def symmetrizer(self) -> tuple[int, ...]:
-        """Minimal positive integers s with s_i a_ij = s_j a_ji: the norms of the simple roots."""
-        return tuple(self.norms[self.simple].tolist())
 
 
 def _symmetrizer(cm: CartanMatrix) -> tuple[int, ...]:

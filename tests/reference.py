@@ -1,0 +1,300 @@
+"""Scalar references on coefficient tuples, which the array code of the package is tested against.
+
+Each function states one property per root or per pair, the way the
+paper does: the closed sign formula (``closedform.pair_signs`` evaluates
+it on index arrays), the folded backward string length by orbit pair
+count and by orbit case analysis (``folding._q_routes``), root strings
+(``RootSystem.string_lengths`` and ``backward_lengths``), the induced
+root permutation and the restriction (``folding.fold``), and the split,
+negation, flip and invariance statements about whole tables.  Roots are
+looked up in :func:`conftest.tuple_index`, a dict built from
+``rs.roots``, and never through the key lookups or ``sum_index`` that
+are under test.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from chevbasis.bracket import BracketTable
+from chevbasis.cartan import CartanMatrix, DiagramAutomorphism, SignFunction
+from chevbasis.errors import DegeneratePair, NotARoot, NotSimplyLaced
+from chevbasis.folding import FoldedSystem
+from chevbasis.report import VerificationReport
+from chevbasis.roots import Root, RootSystem, root_sign
+from conftest import tuple_index
+
+# -- tuple arithmetic and membership ---------------------------------------
+
+
+def root_height(alpha: Root) -> int:
+    return sum(alpha)
+
+
+def negate(alpha: Root) -> Root:
+    return tuple(-x for x in alpha)
+
+
+def add(alpha: Root, beta: Root) -> Root:
+    return tuple(x + y for x, y in zip(alpha, beta))
+
+
+def sub(alpha: Root, beta: Root) -> Root:
+    return tuple(x - y for x, y in zip(alpha, beta))
+
+
+def contains(rs: RootSystem, alpha: Root) -> bool:
+    return tuple(alpha) in tuple_index(rs)
+
+
+def simple_root(rs: RootSystem, i: int) -> Root:
+    """The i-th simple root (1-based node id) as a unit vector."""
+    return tuple(1 if j == i else 0 for j in rs.cartan.nodes)
+
+
+def string_lengths(rs: RootSystem, alpha: Root, beta: Root) -> tuple[int, int]:
+    """(p, q) with p = max{i >= 0 : beta + i alpha root}, q backwards, walked on tuples."""
+    if not contains(rs, alpha) or not contains(rs, beta):
+        raise NotARoot("both arguments must be roots")
+    if beta in (alpha, negate(alpha)):
+        raise DegeneratePair("string through beta = +/- alpha is undefined")
+
+    def length(step: int) -> int:
+        k = 0
+        while contains(rs, tuple(b + (k + 1) * step * a for a, b in zip(alpha, beta))):
+            k += 1
+        return k
+
+    return length(1), length(-1)
+
+
+# -- the closed sign formula -----------------------------------------------
+
+
+def _require_summing_pair(rs: RootSystem, alpha: Root, beta: Root) -> None:
+    if not rs.cartan.simply_laced:
+        raise NotSimplyLaced("the closed sign formula needs a symmetric Cartan matrix")
+    if not contains(rs, alpha) or not contains(rs, beta):
+        raise NotARoot("both arguments must be roots")
+    if not contains(rs, add(alpha, beta)):
+        raise NotARoot(f"{alpha} + {beta} is not a root")
+
+
+def constant_sign(rs: RootSystem, eps: SignFunction, alpha: Root, beta: Root) -> int:
+    """The +-1 sign of the canonical constant, by the double-product formula."""
+    _require_summing_pair(rs, alpha, beta)
+    entries = rs.cartan.entries
+    n = rs.cartan.rank
+    parity = 0
+    for i in range(n):
+        if eps.values[i] == 1 or alpha[i] == 0:
+            continue
+        parity += alpha[i] * sum(entries[i][j] * beta[j] for j in range(n))
+    sgn = root_sign(alpha) * root_sign(beta) * root_sign(add(alpha, beta))
+    return -sgn if parity % 2 else sgn
+
+
+def constant_sign_reduced(rs: RootSystem, eps: SignFunction, alpha: Root, beta: Root) -> int:
+    """Same sign through the single-index exponent n_i <alpha_i, beta>."""
+    _require_summing_pair(rs, alpha, beta)
+    b = tuple_index(rs)[beta]
+    parity = 0
+    for i in rs.cartan.nodes:
+        if eps.value(i) == -1:
+            parity += alpha[i - 1] * int(rs.cartan_action[i - 1, b])
+    sgn = root_sign(alpha) * root_sign(beta) * root_sign(add(alpha, beta))
+    return -sgn if parity % 2 else sgn
+
+
+def closed_constant(rs: RootSystem, eps: SignFunction, alpha: Root, beta: Root) -> int:
+    """N_{alpha,beta} = sign * (q+1); q is always 0 here, so the value is +-1."""
+    sign = constant_sign(rs, eps, alpha, beta)
+    _, q = string_lengths(rs, alpha, beta)
+    return sign * (q + 1)
+
+
+def check_split_identity(rs: RootSystem, eps: SignFunction) -> VerificationReport:
+    """Exhaustively check the ladder-split behaviour of the sign formula.
+
+    For every node l and roots alpha, beta with alpha_l + alpha and
+    alpha_l + alpha + beta roots, alpha != +-beta, beta != +-alpha_l:
+    exactly one of alpha + beta, alpha_l + beta is a root, and the sign
+    transfers as sign(alpha_l+alpha, beta) = sign(alpha, beta) in the
+    first case and -sign(alpha, alpha_l+beta) in the second.
+    """
+    report = VerificationReport(suite="ladder-split")
+    if not rs.cartan.simply_laced:
+        raise NotSimplyLaced("split identity is a simply-laced statement")
+    for l in rs.cartan.nodes:
+        al = simple_root(rs, l)
+        neg_al = negate(al)
+        for alpha in rs.roots:
+            lifted = add(al, alpha)
+            if not contains(rs, lifted):
+                continue
+            for beta in rs.roots:
+                if beta in (alpha, negate(alpha), al, neg_al):
+                    continue
+                if not contains(rs, add(lifted, beta)):
+                    continue
+                first = contains(rs, add(alpha, beta))
+                second = contains(rs, add(al, beta))
+                report.checked += 1
+                if first == second:
+                    report.record((l, alpha, beta), "exactly one summand root", (first, second))
+                    continue
+                lhs = constant_sign(rs, eps, lifted, beta)
+                if first:
+                    rhs = constant_sign(rs, eps, alpha, beta)
+                else:
+                    rhs = -constant_sign(rs, eps, alpha, add(al, beta))
+                if lhs != rhs:
+                    report.record((l, alpha, beta), rhs, lhs)
+    return report
+
+
+# -- folding ---------------------------------------------------------------
+
+
+def identity_automorphism(cm: CartanMatrix) -> DiagramAutomorphism:
+    return DiagramAutomorphism(
+        perm=tuple(cm.nodes),
+        orbits=tuple((i,) for i in cm.nodes),
+        order=1,
+    )
+
+
+def permute_root(auto: DiagramAutomorphism, alpha: Root) -> Root:
+    """The induced permutation of roots: coefficient of node i moves to i'."""
+    out = [0] * len(alpha)
+    for i, coeff in enumerate(alpha, start=1):
+        out[auto.apply(i) - 1] = coeff
+    return tuple(out)
+
+
+def restrict_root(fs: FoldedSystem, alpha: Root) -> Root:
+    """Coordinates of the restriction of a parent root over the folded nodes."""
+    return fs.folded_rs.roots[fs.restriction[tuple_index(fs.parent)[alpha]]]
+
+
+def root_orbit(auto: DiagramAutomorphism, alpha: Root) -> list[Root]:
+    """The orbit of a root under the induced coefficient permutation."""
+    orbit = [alpha]
+    beta = permute_root(auto, alpha)
+    while beta != alpha:
+        orbit.append(beta)
+        beta = permute_root(auto, beta)
+    return orbit
+
+
+def summing_orbit_pairs(fs: FoldedSystem, alpha: Root, beta: Root) -> list[tuple[Root, Root]]:
+    """All pairs (a0, b0) from the orbits of alpha, beta with a0 + b0 a root."""
+    rs = fs.parent
+    return [
+        (a0, b0)
+        for a0 in root_orbit(fs.auto, alpha)
+        for b0 in root_orbit(fs.auto, beta)
+        if contains(rs, add(a0, b0))
+    ]
+
+
+def q_tilde_by_count(fs: FoldedSystem, alpha: Root, beta: Root) -> int:
+    """Folded backward string length as (orbit pairs summing to alpha+beta) - 1."""
+    total = add(alpha, beta)
+    if not contains(fs.parent, total):
+        raise NotARoot("pair must sum to a parent root")
+    pairs = summing_orbit_pairs(fs, alpha, beta)
+    return sum(1 for a0, b0 in pairs if add(a0, b0) == total) - 1
+
+
+def q_tilde_by_case(fs: FoldedSystem, alpha: Root, beta: Root) -> int:
+    """Folded backward string length by orbit case analysis.
+
+    For a pair with alpha + beta a parent root: 0 when either root is
+    fixed; d-1 when both move and alpha+beta = alpha'+beta'; otherwise 0
+    for order 2 and 1 for order 3 (the triality case, where all three
+    orbits involved have size three).
+    """
+    if not contains(fs.parent, add(alpha, beta)):
+        raise NotARoot("pair must sum to a parent root")
+    a1 = permute_root(fs.auto, alpha)
+    b1 = permute_root(fs.auto, beta)
+    if a1 == alpha or b1 == beta:
+        return 0
+    if add(a1, b1) == add(alpha, beta):
+        return fs.auto.order - 1
+    return 0 if fs.auto.order == 2 else 1
+
+
+def check_automorphism_invariance(rs: RootSystem, auto: DiagramAutomorphism, table: BracketTable) -> VerificationReport:
+    """Verify N_{alpha',beta'} = N_{alpha,beta} for the induced permutation."""
+    report = VerificationReport(suite="automorphism-invariance", checked=len(table.n))
+    perm = np.array([tuple_index(rs)[permute_root(auto, alpha)] for alpha in rs.roots], dtype=np.intp)
+    nn, stored = table.dense()
+    a, b = table.pairs.T
+    pa, pb = perm[a], perm[b]
+    for k in np.flatnonzero(~stored[pa, pb] | (nn[pa, pb] != table.n)).tolist():
+        got = int(nn[pa[k], pb[k]]) if stored[pa[k], pb[k]] else None
+        report.record((rs.roots[a[k]], rs.roots[b[k]]), int(table.n[k]), got)
+    return report
+
+
+def check_orbit_sign_constancy(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> VerificationReport:
+    """Verify the closed-form sign is constant on every set of orbit pairs.
+
+    For each (alpha, beta) with a root sum, every pair in the orbit-pair
+    set must carry the same sign as (alpha, beta) itself; this is what
+    makes the folded orbit-sum brackets cancellation-free.
+    """
+    report = VerificationReport(suite="orbit-sign-constancy")
+    for alpha in rs.roots:
+        orbit_a = root_orbit(auto, alpha)
+        for beta in rs.roots:
+            if not contains(rs, add(alpha, beta)):
+                continue
+            base = constant_sign(rs, eps, alpha, beta)
+            for a0 in orbit_a:
+                for b0 in root_orbit(auto, beta):
+                    if not contains(rs, add(a0, b0)):
+                        continue
+                    report.checked += 1
+                    got = constant_sign(rs, eps, a0, b0)
+                    if got != base:
+                        report.record((alpha, beta, a0, b0), base, got)
+    return report
+
+
+# -- tables ----------------------------------------------------------------
+
+
+def flip_epsilon_table(t: BracketTable) -> BracketTable:
+    """The table for -epsilon: every e_alpha negates, so every N negates.
+
+    The Cartan part is unchanged since both factors of [e_alpha, e_{-alpha}]
+    pick up the same sign.
+    """
+    return BracketTable(
+        rs=t.rs,
+        eps=t.eps.flipped(),
+        pairs=t.pairs,
+        n=-t.n,
+        cartan_action=t.cartan_action,
+        opposite=t.opposite,
+    )
+
+
+def check_negation_symmetry(t: BracketTable) -> VerificationReport:
+    """Verify N_{-alpha,-beta} = -N_{alpha,beta} for every stored pair.
+
+    This is the compatibility of the basis with the involution swapping
+    e_i and f_i; the report must come back empty for a canonical table.
+    """
+    report = VerificationReport(suite="negation-symmetry", checked=len(t.n))
+    rs = t.rs
+    nn, stored = t.dense()
+    a, b = t.pairs.T
+    na, nb = (t.pairs.T + rs.positive_count) % len(rs.roots)
+    for k in np.flatnonzero(~stored[na, nb] | (nn[na, nb] != -t.n)).tolist():
+        got = int(nn[na[k], nb[k]]) if stored[na[k], nb[k]] else None
+        report.record((rs.roots[a[k]], rs.roots[b[k]]), -int(t.n[k]), got)
+    return report

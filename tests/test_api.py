@@ -1,0 +1,37 @@
+"""The public surface: what ``chevbasis`` exports, and what it no longer holds."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import chevbasis as cb
+
+# The scalar references on coefficient tuples live in tests/reference.py;
+# the package keeps one array path per job.
+REFERENCE_NAMES = (
+    "_require_summing_pair", "constant_sign", "constant_sign_reduced", "closed_constant", "check_split_identity",
+    "permute_root", "root_orbit", "restrict_root", "summing_orbit_pairs", "q_tilde_by_count", "q_tilde_by_case",
+    "check_automorphism_invariance", "check_orbit_sign_constancy", "flip_epsilon_table", "check_negation_symmetry",
+    "identity_automorphism", "root_height", "add", "sub", "negate",
+)
+REMOVED_METHODS = ("contains", "_index", "simple_root", "symmetrizer", "string_lengths_at")
+
+
+def test_public_names_are_pinned():
+    assert sorted(cb.__all__) == [
+        "BracketTable", "CartanMatrix", "ChevBasisError", "DiagramAutomorphism", "FoldedSystem", "Root",
+        "RootSystem", "SignFunction", "VerificationReport", "build_cartan", "build_inductive", "chevalley_audit",
+        "closed_table", "default_epsilon", "differential", "fold", "fold_source", "folded_table",
+        "generate_roots", "jacobi_sweep", "parse_type_label", "sl_n_oracle", "standard_automorphism",
+    ]
+    assert all(hasattr(cb, name) for name in cb.__all__)
+
+
+def test_test_references_stay_out_of_the_package():
+    modules = [cb] + [importlib.import_module(f"chevbasis.{m.name}") for m in pkgutil.iter_modules(cb.__path__)]
+    assert {"bracket", "cartan", "cli", "closedform", "folding", "roots", "verify"} <= {
+        m.__name__.rpartition(".")[2] for m in modules}
+    for module in modules:
+        assert not [name for name in REFERENCE_NAMES if hasattr(module, name)], module.__name__
+    assert not [name for name in REMOVED_METHODS if hasattr(cb.RootSystem, name)]

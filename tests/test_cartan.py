@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chevbasis as cb
-from chevbasis.cartan import identity_automorphism, swap_fork_automorphism
+from chevbasis.cartan import swap_fork_automorphism
 from chevbasis.errors import IllegalType, InvalidEpsilon, NoFoldableSymmetry
 from conftest import DESK_TYPES
+from reference import identity_automorphism
 
 
 def test_parse_type_label():

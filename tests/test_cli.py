@@ -5,14 +5,21 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from chevbasis import cli, folding
+from chevbasis.cartan import MAX_ROOTS, root_count
 from chevbasis.cli import main
 from chevbasis.errors import InternalInconsistency
-from chevbasis.serialize import from_json_bytes
+from chevbasis.serialize import from_json_bytes, render_root
+from conftest import constants, system, table
+from reference import string_lengths
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -151,6 +158,100 @@ def test_verify_suite_selection(tmp_path):
     assert run("verify", "--in", str(out), "--suite", "jacobi,chevalley") == 0
     assert run("verify", "--in", str(out), "--suite", "slN") == 2
     assert run("verify", "--in", str(out), "--suite", "bogus") == 2
+
+
+def test_verify_checks_suite_names_before_running_any(tmp_path, capsys, monkeypatch):
+    # An unknown name is refused before the file is read or any suite runs.
+    calls = []
+    monkeypatch.setattr(cli, "jacobi_sweep", lambda t: calls.append(t))
+    capsys.readouterr()
+    assert run("verify", "--in", str(GOLDEN / "g2.json"), "--suite", "jacobi,bogus") == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err == "error: unknown suite 'bogus'\n"
+
+
+@pytest.fixture(scope="module", params=["G2", "B3"])
+def shown(request, tmp_path_factory):
+    """A default ``gen`` file of the type and its label."""
+    path = tmp_path_factory.mktemp("show") / f"{request.param}.json"
+    assert main(["gen", "--type", request.param, "--out", str(path)]) == 0
+    return request.param, path
+
+
+def test_show_every_pair(shown, capsys):
+    # G2 and B3 have strings with q up to 2 (G2 up to 3); N, (p, q) and the
+    # printed string must be those of the table and of the tuple walk.
+    label, path = shown
+    rs = system(label)
+    n = constants(table(label))
+    capsys.readouterr()
+    for a, alpha in enumerate(rs.roots):
+        for b, beta in enumerate(rs.roots):
+            if b in (a, rs.neg_index(a)):
+                continue
+            argv = ["show", "--in", str(path), f"--alpha={','.join(map(str, alpha))}",
+                    f"--beta={','.join(map(str, beta))}"]
+            assert run(*argv) == 0
+            p, q = string_lengths(rs, alpha, beta)
+            chain = [render_root(tuple(y + k * x for x, y in zip(alpha, beta))) for k in range(-q, p + 1)]
+            assert capsys.readouterr().out.splitlines() == [
+                f"N[{render_root(alpha)}, {render_root(beta)}] = {n.get((a, b), 0)}",
+                f"string (p={p}, q={q}): " + " , ".join(chain),
+            ]
+
+
+def test_show_refuses_non_roots_and_degenerate_pairs(shown, capsys):
+    label, path = shown
+    rs = system(label)
+    alpha = rs.roots[0]
+    zero = (0,) * rs.rank
+    doubled = tuple(2 * x for x in alpha)
+    bad = [(alpha, alpha), (alpha, tuple(-x for x in alpha)), (zero, alpha), (alpha, zero),
+           (doubled, alpha), (alpha, doubled), (alpha, alpha + (0,)), (alpha[:-1], alpha)]
+    capsys.readouterr()
+    for x, y in bad:
+        assert run("show", "--in", str(path), f"--alpha={','.join(map(str, x))}",
+                   f"--beta={','.join(map(str, y))}") == 2, (x, y)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _limited_main(tmp_path, *argv: str) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a fresh process with 1 GiB of address space and a 60 s timeout."""
+    code = f"import sys; from chevbasis.cli import main; sys.exit(main({list(argv)!r}))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_oversized_types_are_refused_before_building(tmp_path):
+    # A300 would need 30 GiB for sum_index alone; the fold parent of C40 is
+    # A79, with 6320 roots.  A file that names A300 is refused by its lengths.
+    assert root_count("A", 300) > MAX_ROOTS >= root_count("A", 63)
+    big = tmp_path / "a300.json"
+    big.write_text(json.dumps({"schema_version": 1, "type": "A300", "rank": 300, "cartan_matrix": [],
+                               "epsilon": [], "roots": [], "positive_count": 45150, "constants": [],
+                               "cartan_action": [], "opposite": [], "provenance": {"method": "closed"}}))
+    for argv in (["gen", "--type", "A300", "--out", "x.json"],
+                 ["gen", "--type", "A2000", "--method", "inductive", "--out", "x.json"],
+                 ["gen", "--type", "C40", "--out", "x.json"],
+                 ["fold", "--type", "A301", "--out", "x.json"],
+                 ["verify", "--in", str(big)],
+                 ["show", "--in", str(big), "--alpha", "1", "--beta", "1"]):
+        done = _limited_main(tmp_path, *argv)
+        assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr)
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, argv
+    assert not (tmp_path / "x.json").exists()
+    done = _limited_main(tmp_path, "gen", "--type", "A60", "--out", "x.json")
+    assert done.returncode == 0, done.stderr
+    assert from_json_bytes((tmp_path / "x.json").read_bytes())["positive_count"] == 1830
 
 
 def test_show(tmp_path, capsys):

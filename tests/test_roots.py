@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import chevbasis as cb
 from chevbasis.cartan import root_count
 from chevbasis.errors import DegeneratePair, InternalInconsistency, NotARoot
-from chevbasis.roots import Root, _coroots, add, negate, root_height, root_sign, sub
+from chevbasis.roots import Root, _coroots, root_sign
 from conftest import DESK_TYPES, SIMPLY_LACED_TYPES, coroot, system, tuple_index
+from reference import add, contains, negate, root_height, simple_root, string_lengths, sub
 
 def pairing(rs, alpha, beta) -> int:
     """<alpha, beta> = beta(h_alpha), read from the co-root and Cartan action arrays."""
@@ -115,11 +116,11 @@ def test_string_convexity_and_bounds():
                 assert p <= 3 and q <= 3
                 for k in range(-q, p + 1):
                     member = tuple(b + k * a for a, b in zip(alpha, beta))
-                    assert rs.contains(member)
+                    assert contains(rs, member)
                 beyond_p = tuple(b + (p + 1) * a for a, b in zip(alpha, beta))
                 beyond_q = tuple(b - (q + 1) * a for a, b in zip(alpha, beta))
-                assert not rs.contains(beyond_p)
-                assert not rs.contains(beyond_q)
+                assert not contains(rs, beyond_p)
+                assert not contains(rs, beyond_q)
 
 
 def test_pairing_on_simple_roots_recovers_cartan():
@@ -130,7 +131,7 @@ def test_pairing_on_simple_roots_recovers_cartan():
             for j in cm.nodes:
                 if i == j:
                     continue
-                assert pairing(rs, rs.simple_root(i), rs.simple_root(j)) == cm.a(i, j)
+                assert pairing(rs, simple_root(rs, i), simple_root(rs, j)) == cm.a(i, j)
 
 
 def test_pairing_self_is_two():
@@ -148,7 +149,7 @@ def test_reflection_closure():
             for beta in rs.roots:
                 m = pairing(rs, alpha, beta)
                 image = tuple(b - m * a for a, b in zip(alpha, beta))
-                assert rs.contains(image), (label, alpha, beta)
+                assert contains(rs, image), (label, alpha, beta)
 
 
 def test_pairing_sign_controls_string():
@@ -161,9 +162,9 @@ def test_pairing_sign_controls_string():
                     continue
                 m = pairing(rs, alpha, beta)
                 if m > 0:
-                    assert rs.contains(sub(beta, alpha))
+                    assert contains(rs, sub(beta, alpha))
                 elif m < 0:
-                    assert rs.contains(add(beta, alpha))
+                    assert contains(rs, add(beta, alpha))
 
 
 def test_simply_laced_pairing_dictionary():
@@ -175,8 +176,8 @@ def test_simply_laced_pairing_dictionary():
                     continue
                 m = pairing(rs, alpha, beta)
                 assert m in (-1, 0, 1)
-                assert (m == 1) == rs.contains(sub(alpha, beta))
-                assert (m == -1) == rs.contains(add(alpha, beta))
+                assert (m == 1) == contains(rs, sub(alpha, beta))
+                assert (m == -1) == contains(rs, add(alpha, beta))
                 assert m == pairing(rs, beta, alpha)
 
 
@@ -191,7 +192,7 @@ def test_coroot_simple_roots_are_units():
     for label in ("A3", "B3", "C3", "G2", "F4"):
         rs = system(label)
         for i in rs.cartan.nodes:
-            assert coroot(rs, rs.simple_root(i)) == rs.simple_root(i)
+            assert coroot(rs, simple_root(rs, i)) == simple_root(rs, i)
 
 
 def test_coroot_g2_highest_root():
@@ -219,7 +220,7 @@ def _scalar_coroot(rs, alpha) -> tuple[int, ...]:
     """c_i = s_i n_i / s_alpha, with s_alpha the half square length; identity if simply laced."""
     if rs.cartan.simply_laced:
         return alpha
-    s, a, r = rs.symmetrizer(), rs.cartan.entries, rs.rank
+    s, a, r = rs.norms[rs.simple].tolist(), rs.cartan.entries, rs.rank
     sq = sum(s[i] * a[i][j] * alpha[i] * alpha[j] for i in range(r) for j in range(r))
     assert sq > 0 and sq % 2 == 0
     num = [s[i] * alpha[i] for i in range(r)]
@@ -239,10 +240,10 @@ def test_root_arrays_match_scalar_formulas(label):
 
 
 def test_symmetrizer_values():
-    assert system("G2").symmetrizer() == (3, 1)
-    assert system("B3").symmetrizer() == (1, 2, 2)
-    assert system("C3").symmetrizer() == (2, 1, 1)
-    assert system("F4").symmetrizer() == (2, 2, 1, 1)
+    # The norms of the simple roots are the minimal symmetrizer s_i.
+    for label, s in (("G2", [3, 1]), ("B3", [1, 2, 2]), ("C3", [2, 1, 1]), ("F4", [2, 2, 1, 1])):
+        rs = system(label)
+        assert rs.norms[rs.simple].tolist() == s
 
 
 @settings(deadline=None)
@@ -252,7 +253,7 @@ def test_reflection_closure_property(label, data):
     alpha = data.draw(st.sampled_from(rs.roots))
     beta = data.draw(st.sampled_from(rs.roots))
     m = pairing(rs, alpha, beta)
-    assert rs.contains(tuple(b - m * a for a, b in zip(alpha, beta)))
+    assert contains(rs, tuple(b - m * a for a, b in zip(alpha, beta)))
 
 
 # B14 and C14 are past rank 13, where the lookup keys wrap, and have two root lengths.
@@ -268,7 +269,7 @@ def test_sum_index_matches_tuple_sums(label):
 
 def _length_test(rs) -> tuple[np.ndarray, np.ndarray]:
     """(admitted, norms): pairs whose sum has a root's norm under the integer form s_i a_ij."""
-    s = np.array(rs.symmetrizer())
+    s = rs.norms[rs.simple]
     entries = np.array(rs.cartan.entries)
     assert (s[:, None] * entries == (s[:, None] * entries).T).all()
     gram = rs.coeffs @ (s[:, None] * entries) @ rs.coeffs.T
@@ -307,7 +308,7 @@ def test_generate_roots_memory_on_a40():
     assert over <= 4, f"generate_roots peak {over:.1f} MB above sum_index on A40"
 
 
-def test_string_lengths_at_matches_tuple_walk():
+def test_string_lengths_match_tuple_walk():
     for label in ("B3", "G2", "F4"):
         rs = system(label)
         backward = {}
@@ -315,14 +316,10 @@ def test_string_lengths_at_matches_tuple_walk():
             for b, beta in enumerate(rs.roots):
                 if b in (a, rs.neg_index(a)):
                     with pytest.raises(DegeneratePair):
-                        rs.string_lengths_at(a, b)
+                        rs.string_lengths(alpha, beta)
                     continue
-                def on_string(k):
-                    return rs.contains(tuple(y + k * x for x, y in zip(alpha, beta)))
-
-                p = next(i for i in range(5) if not on_string(i + 1))
-                q = next(i for i in range(5) if not on_string(-i - 1))
-                assert rs.string_lengths_at(a, b) == (p, q)
+                p, q = string_lengths(rs, alpha, beta)
+                assert rs.string_lengths(alpha, beta) == (p, q)
                 if rs.sum_index[a, b] >= 0:
                     backward[(a, b)] = q
         xs, ys = np.nonzero(rs.sum_index >= 0)
@@ -375,16 +372,16 @@ def test_generate_roots_matches_tuple_induction(label):
     ordered = _reference_positive_roots(rs.cartan)
     assert rs.positive_count == len(ordered)
     assert rs.coeffs.tolist() == [list(r) for r in ordered] + [[-x for x in r] for r in ordered]
-    assert rs.simple.tolist() == [ordered.index(rs.simple_root(i)) for i in rs.cartan.nodes]
+    assert rs.simple.tolist() == [ordered.index(simple_root(rs, i)) for i in rs.cartan.nodes]
     assert not rs.simple.flags.writeable
 
 
-def test_index_of_and_contains_refuse_non_roots():
+def test_index_of_refuses_non_roots():
     rs = system("B3")
     p = rs.positive_count
     for k, alpha in enumerate(rs.roots[:p]):
-        assert rs.index_of(alpha) == k and rs.contains(alpha)
-        assert rs.index_of(negate(alpha)) == k + p and rs.contains(negate(alpha))
+        assert rs.index_of(alpha) == k
+        assert rs.index_of(negate(alpha)) == k + p
     # A wrong length, the zero vector, 2 alpha_1, and vectors of mixed sign
     # or large coefficients, which collide with roots under a linear key of
     # a small base.
@@ -392,6 +389,6 @@ def test_index_of_and_contains_refuse_non_roots():
     for m in range(1, 65):
         refused += [(m, -1, 0), (-m, 1, 0), (m + 1, 0, 0), (-m - 1, 0, 0), (0, 0, 2 * m + 1)]
     for vector in refused:
-        assert not rs.contains(vector), vector
+        assert not contains(rs, vector), vector
         with pytest.raises(NotARoot):
             rs.index_of(vector)
