@@ -25,6 +25,7 @@ follow from N_{-a,-b} = -N_{a,b}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from .cartan import SignFunction
 import numpy as np
@@ -67,11 +68,19 @@ class BracketTable:
     def dimension(self) -> int:
         return self.rs.rank + len(self.rs.roots)
 
+    @functools.cached_property
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored pairs' keys a * nr + b in ascending order, and their table positions (first first)."""
+        keys = self.pairs[:, 0] * len(self.rs.roots) + self.pairs[:, 1]
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+
     def constant(self, alpha: Root, beta: Root) -> int:
         """N_{alpha,beta}; zero when the pair is not stored (alpha + beta is not a root)."""
-        a, b = self.rs.index_of(alpha), self.rs.index_of(beta)
-        hit = np.flatnonzero((self.pairs[:, 0] == a) & (self.pairs[:, 1] == b))
-        return int(self.n[hit[0]]) if len(hit) else 0
+        keys, order = self._keys
+        key = self.rs.index_of(alpha) * len(self.rs.roots) + self.rs.index_of(beta)
+        k = int(keys.searchsorted(key))
+        return int(self.n[order[k]]) if k < len(keys) and keys[k] == key else 0
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(nn, stored): nr x nr arrays of N_{a,b} (0 where not stored) and of whether (a, b) is stored."""

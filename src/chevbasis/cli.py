@@ -52,7 +52,10 @@ def _build(family: str, rank: int, eps_choice: str, method: str) -> tuple[Bracke
         if not cm.simply_laced:
             raise NotSimplyLaced(f"--method closed needs a simply-laced type, not {cm.label}")
         return closed_table(generate_roots(cm), eps), {}
-    return fold_onto(cm, eps)
+    try:
+        return fold_onto(cm, eps)
+    except IllegalType as exc:
+        raise IllegalType(f"{exc}; --method inductive builds {cm.label} without folding") from None
 
 
 def _write_outputs(table: BracketTable, method: str, meta: dict, out: str, csv: str | None) -> None:

@@ -19,11 +19,13 @@ import numpy as np
 
 from .bracket import BracketTable
 from .cartan import (
+    MAX_ROOTS,
     CartanMatrix,
     DiagramAutomorphism,
     SignFunction,
     build_cartan,
     default_epsilon,
+    root_count,
     standard_automorphism,
     swap_fork_automorphism,
 )
@@ -249,22 +251,25 @@ def fold_source(family: str, rank: int) -> tuple[CartanMatrix, DiagramAutomorphi
     """The simply-laced parent and automorphism that fold onto a given type.
 
     B_n comes from D_{n+1} by the fork swap, C_n from A_{2n-1}, G2 from
-    triality on D4 and F4 from the E6 symmetry.
+    triality on D4 and F4 from the E6 symmetry.  A parent with more than
+    ``MAX_ROOTS`` roots is refused, naming the type it would fold onto.
     """
     family = family.upper()
     if family == "B" and rank >= 2:
-        cm = build_cartan("D", rank + 1)
-        return cm, swap_fork_automorphism(cm)
-    if family == "C" and rank >= 2:
-        cm = build_cartan("A", 2 * rank - 1)
-        return cm, standard_automorphism(cm)
-    if family == "G" and rank == 2:
-        cm = build_cartan("D", 4)
-        return cm, standard_automorphism(cm)
-    if family == "F" and rank == 4:
-        cm = build_cartan("E", 6)
-        return cm, standard_automorphism(cm)
-    raise IllegalType(f"{family}{rank} is not a folded type")
+        parent = ("D", rank + 1)
+    elif family == "C" and rank >= 2:
+        parent = ("A", 2 * rank - 1)
+    elif (family, rank) == ("G", 2):
+        parent = ("D", 4)
+    elif (family, rank) == ("F", 4):
+        parent = ("E", 6)
+    else:
+        raise IllegalType(f"{family}{rank} is not a folded type")
+    if (nr := root_count(*parent)) > MAX_ROOTS:
+        raise IllegalType(f"{family}{rank} folds from {parent[0]}{parent[1]}, which has {nr} roots, "
+                          f"above the limit of {MAX_ROOTS}")
+    cm = build_cartan(*parent)
+    return cm, swap_fork_automorphism(cm) if family == "B" else standard_automorphism(cm)
 
 
 def fold_onto(cm: CartanMatrix, eps: SignFunction) -> tuple[BracketTable, dict]:

@@ -60,17 +60,31 @@ def _links(bs, cs, ss, neg):
 
 
 def _root_terms(t: BracketTable, nn, neg, act, w):
-    """``linked(u, v)`` and ``term(x, y, z)`` on index arrays, for root triples with a root sum."""
-    si = t.rs.sum_index
-    wact = w @ act  # wact[b, a] = value of alpha_a on [e_b, e_{-b}]
-    nn_ext = np.concatenate([nn, np.zeros((len(neg), 1), dtype=np.int64)], axis=1)  # [:, -1] = 0
+    """``linked(u, v)`` and ``term(x, y, z)`` on index arrays, for root triples with a root sum.
+
+    Both read flat views with ``take``: ``sum_index`` and ``nn`` at
+    ``y * nr + z``, and ``nn`` widened by a zero column at ``x * (nr + 1)
+    + sum``, where a sum index of -1 lands on a zero.  The Cartan term of
+    a band triple (z = -y) is gathered there alone, as the int64 sum over
+    i of ``w[y, i] * act[i, x]``: each product is at most 2^40 for entries
+    within ``ENTRY_BOUND``, so no Jacobi sum can wrap.
+    """
+    nr = len(neg)
+    si = t.rs.sum_index.ravel()
+    flat = nn.ravel()
+    ext = np.concatenate([nn, np.zeros((nr, 1), dtype=np.int64)], axis=1).ravel()
+    act_t = np.ascontiguousarray(act.T)
 
     def linked(u, v):
-        return (si[u, v] >= 0) | (v == neg[u])
+        return (si.take(u * nr + v) >= 0) | (v == neg.take(u))
 
     def term(x, y, z):
         """Coefficient of [e_x, [e_y, e_z]] on e_{x+y+z}."""
-        return nn[y, z] * nn_ext[x, si[y, z]] - (z == neg[y]) * wact[y, x]
+        yz = y * nr + z
+        out = flat.take(yz) * ext.take(x * (nr + 1) + si.take(yz))
+        band = np.flatnonzero(z == neg.take(y))
+        out[band] -= np.einsum("ki,ki->k", w.take(y[band], axis=0), act_t.take(x[band], axis=0))
+        return out
 
     return linked, term
 
@@ -180,8 +194,9 @@ def _generator_triples(t: BracketTable, nn, neg, act, w, gens) -> int | None:
     for seg, at in _blocks(lo, start[link_s[pairs] + 1] - lo):
         x = members[at]
         y, z = link_y[pairs[seg]], link_z[pairs[seg]]
-        second = is_gen[z] & ~linked(x, y)
-        third = is_gen[y] & ~linked(x, y) & ~linked(z, x)
+        apart = ~linked(x, y)
+        second = is_gen[z] & apart
+        third = is_gen[y] & apart & ~linked(z, x)
         a = np.concatenate([z[second], y[third]])
         if not vanish(a, np.concatenate([x[second], z[third]]), np.concatenate([y[second], x[third]])):
             return None
@@ -286,18 +301,22 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationRepor
 
     # Remaining root-only triples (x, y, z) with x+y+z a root.  Every term
     # is a multiple of e_{x+y+z}; an inner bracket that lands on Cartan
-    # feeds through wact.  A term can be non-zero only if its inner pair is
-    # linked, so the triples are enumerated from the linked pairs (y, z):
-    # the summing pairs, whose x run over the roots with x + (y+z) a root,
-    # and the band z = -y, whose x run over all roots.  members[start[s]:
-    # start[s+1]] lists those x, with s = nr standing for the band.  Each
-    # linked pair is placed at (1,2), (2,0) and (0,1) of the triple, and a
-    # placement is kept only if no earlier position holds a linked pair, so
-    # every triple is evaluated once.
+    # (the band z = -y) feeds through the Cartan vector w[y].  A term can
+    # be non-zero only if its inner pair is linked, so the triples are
+    # enumerated from the linked pairs (y, z): the summing pairs, whose x
+    # run over the roots with x + (y+z) a root, and the band, whose x run
+    # over all roots.  members[start[s]:start[s+1]] lists those x, with
+    # s = nr standing for the band.  Each linked pair is placed at (1,2),
+    # (2,0) and (0,1) of the triple, and a placement is kept only if no
+    # earlier position holds a linked pair, so every triple is evaluated
+    # once.  Sites are recorded by placement, in triple order within each,
+    # whatever the block size: up to max_recorded of each placement are
+    # kept across blocks and the rest only counted.
     link_y, link_z, link_s, members, start = _links(bs, cs, ss, neg)
     linked, term = _root_terms(t, nn, neg, act, w)
     cum = np.concatenate([[0], np.cumsum(start[link_s + 1] - start[link_s])])
-    evaluated = 0
+    evaluated = unkept = 0
+    kept = [np.empty((0, 3), dtype=np.intp)] * 3
     total = int(cum[-1])
     for first in range(0, total, JACOBI_BLOCK):
         tid = np.arange(first, min(first + JACOBI_BLOCK, total))
@@ -311,7 +330,14 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationRepor
         c = np.concatenate([z, y[second], x[third]])
         evaluated += len(a)
         bad = np.flatnonzero(term(a, b, c) + term(b, c, a) + term(c, a, b))
-        note("eee", np.column_stack([a[bad], b[bad], c[bad]]))
+        if len(bad):
+            cuts = np.searchsorted(bad, [len(x), len(x) + np.count_nonzero(second)])
+            for k, part in enumerate(np.split(np.column_stack([a[bad], b[bad], c[bad]]), cuts)):
+                sites = np.concatenate([kept[k], part])
+                kept[k] = sites[:max_recorded]
+                unkept += len(sites) - len(kept[k])
+    note("eee", np.concatenate(kept))
+    report.violation_count += unkept
     count(nr ** 3, len(bs) + evaluated)  # with the zero-sum triples
     return report
 

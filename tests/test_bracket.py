@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,26 @@ def test_constant_lookup_validates():
     t = table("A2")
     with pytest.raises(NotARoot):
         t.constant((2, 0), (0, 1))
+
+
+def _scanned_constant(t, a: int, b: int) -> int:
+    """N at root indices (a, b) by a scan of every stored pair: the first hit, else 0."""
+    hit = np.flatnonzero((t.pairs[:, 0] == a) & (t.pairs[:, 1] == b))
+    return int(t.n[hit[0]]) if len(hit) else 0
+
+
+@pytest.mark.parametrize("label", ("G2", "B3", "E6"))
+def test_constant_lookup_matches_a_scan(label):
+    # Every ordered pair, on the table, on its file-order copy, and on an
+    # in-memory table with a stray key and a pair stored twice (the first wins).
+    t = table(label)
+    pairs = np.concatenate([t.pairs, [[0, 0]], t.pairs[-1:]])
+    odd = dataclasses.replace(t, pairs=pairs, n=np.concatenate([t.n, [7], -t.n[-1:]]))
+    for v in (t, _loaded(t), odd):
+        rs = v.rs
+        for a, alpha in enumerate(rs.roots):
+            for b, beta in enumerate(rs.roots):
+                assert v.constant(alpha, beta) == _scanned_constant(v, a, b), (label, a, b)
 
 
 def _loaded(t):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -45,22 +46,26 @@ GOLDEN_G2 = Path(__file__).parent / "golden" / "g2.json"
 
 # The dense sweep the graded ``jacobi_sweep`` replaced, kept as its reference:
 # it evaluates all nr**3 root triples with r x nr x nr intermediates.
-def _dense_table_arrays(t: BracketTable):
-    """Dense integer views of a table: constants, sums, actions, Cartan vectors."""
+def _dense_table_arrays(t: BracketTable, dtype=np.int64):
+    """Dense integer views of a table: constants, sums, actions, Cartan vectors.
+
+    With ``dtype=object`` the views hold Python ints, and every sum the
+    reference takes is exact.
+    """
     rs = t.rs
     nr = len(rs.roots)
-    nn = np.zeros((nr, nr), dtype=np.int64)
+    nn = np.zeros((nr, nr), dtype=dtype)
     for (a, b), value in constants(t).items():
         nn[a, b] = value
     valid = rs.sum_index >= 0
     total = np.where(valid, rs.sum_index, nr)  # nr = sentinel "no root"
     neg = np.array([rs.neg_index(k) for k in range(nr)], dtype=np.intp)
-    act = np.array(t.cartan_action, dtype=np.int64)
-    w = t.opposite_brackets()
+    act = np.array(t.cartan_action, dtype=dtype)
+    w = t.opposite_brackets().astype(dtype)
     return nn, total, valid, neg, act, w
 
 
-def _dense_jacobi_reference(t: BracketTable, max_recorded: int = 100) -> VerificationReport:
+def _dense_jacobi_reference(t: BracketTable, max_recorded: int = 100, dtype=np.int64) -> VerificationReport:
     """Evaluate [x,[y,z]] + [y,[z,x]] + [z,[x,y]] on every ordered basis triple.
 
     Basis order: h_1..h_rank then the roots in root-system order.  The
@@ -72,8 +77,8 @@ def _dense_jacobi_reference(t: BracketTable, max_recorded: int = 100) -> Verific
     rs = t.rs
     r = rs.rank
     nr = len(rs.roots)
-    nn, total, valid, neg, act, w = _dense_table_arrays(t)
-    nn_ext = np.concatenate([nn, np.zeros((nr, 1), dtype=np.int64)], axis=1)
+    nn, total, valid, neg, act, w = _dense_table_arrays(t, dtype)
+    nn_ext = np.concatenate([nn, np.zeros((nr, 1), dtype=dtype)], axis=1)
     arange = np.arange(nr)
 
     def note(kind, sites):
@@ -269,6 +274,20 @@ def test_jacobi_failing_reports_are_the_graded_sweeps(label):
             if not graded.passed:
                 assert report.to_json() == graded.to_json()
                 assert report.implied_by_generation == 0
+
+
+@pytest.mark.parametrize("label", ("E6", "F4", "A7", "D6"))
+def test_graded_sweep_sites_do_not_depend_on_the_block(label, monkeypatch):
+    # Sites are kept by placement across blocks, so the recorded ones, and
+    # those left out under max_recorded, are those of a single block.
+    for bad in (with_flipped_constant(table(label), 5), _with_action_bumped(table(label, True))):
+        for max_recorded in (10, 100):
+            reports = []
+            for block in (1 << 4, 1 << 13, 1 << 20):
+                monkeypatch.setattr(cb.verify, "JACOBI_BLOCK", block)
+                reports.append(cb.jacobi_sweep(bad, max_recorded).to_json())
+            assert reports[0]["violation_count"] > 10
+            assert reports[0] == reports[1] == reports[2]
 
 
 def _generator_parts(t: BracketTable):
@@ -618,6 +637,77 @@ def test_differential_incompatible():
         differential(table("A2"), table("A3"))
     with pytest.raises(IncompatibleTables):
         differential(table("B3"), table("C3"))  # same size, different roots
+
+
+def _scalar_differential_reference(t1: BracketTable, t2: BracketTable) -> VerificationReport:
+    """``differential`` on Python ints, pair by pair."""
+    report = VerificationReport(suite="differential")
+    rs = t1.rs
+    n1, n2 = constants(t1), constants(t2)
+    for (a, b), value in n1.items():
+        if n2.get((a, b)) != value:
+            report.record((rs.roots[a], rs.roots[b]), value, n2.get((a, b)))
+    extra = sorted(n2.keys() - n1.keys())
+    for a, b in extra:
+        report.record((rs.roots[a], rs.roots[b]), None, n2[(a, b)])
+    report.checked = len(n1) + len(extra) + len(rs.roots) + t1.cartan_action.size
+    w1, w2 = ([tuple(-c if sum(alpha) % 2 else c for c in t.opposite[k].tolist()) for k, alpha in enumerate(rs.roots)]
+              for t in (t1, t2))
+    for k, alpha in enumerate(rs.roots):
+        if w1[k] != w2[k]:
+            report.record(alpha, w1[k], w2[k])
+    for i, row in enumerate(t1.cartan_action.tolist()):
+        for k, value in enumerate(row):
+            if value != t2.cartan_action[i][k]:
+                report.record(("action", i + 1, rs.roots[k]), value, int(t2.cartan_action[i][k]))
+    return report
+
+
+def _at_the_bound(t: BracketTable) -> dict[str, BracketTable]:
+    """Tables whose constants, Cartan actions and co-root entries sit at +-ENTRY_BOUND, read from files.
+
+    ``signs`` keeps every sign and zero, so the bracket stays antisymmetric
+    and generated, and the generator triples are evaluated at the bound;
+    ``full`` also puts every zero action and co-root entry at the bound.
+    """
+    bound = cb.serialize.ENTRY_BOUND
+    pos = t.rs.positive_count
+    full = np.full_like(t.opposite, bound)
+    full[pos:] = -bound
+    n = np.sign(t.n) * bound
+    tables = {"signs": dataclasses.replace(t, n=n, cartan_action=np.sign(t.cartan_action) * bound,
+                                           opposite=np.sign(t.opposite) * bound),
+              "full": dataclasses.replace(t, n=n, cartan_action=np.full_like(t.cartan_action, -bound), opposite=full)}
+    return {name: table_from_document(from_json_bytes(to_json_bytes(document_from_table(v, "inductive"))))
+            for name, v in tables.items()}
+
+
+@pytest.mark.parametrize("label", ("A1", "A2", "B2", "G2", "B3"))
+def test_reports_at_the_entry_bound_are_exact(label):
+    # Products of two entries reach 2^40 and a Jacobi sum 3(r + 1) of them;
+    # every report must equal its reference on Python ints.
+    everything = 10 ** 9
+    t = table(label)
+    for name, v in _at_the_bound(t).items():
+        assert max(np.abs(v.n).max(initial=0), np.abs(v.cartan_action).max(),
+                   np.abs(v.opposite).max()) == cb.serialize.ENTRY_BOUND
+        exact = _dense_jacobi_reference(v, everything, dtype=object)
+        graded = _graded_sweep(v, everything)
+        assert graded.violation_count == exact.violation_count
+        assert _sites(graded) == _sites(exact) and len(_sites(graded)) == graded.violation_count
+        # Only A1 with its signs kept stays a Lie algebra; elsewhere the fast
+        # path must refuse, on "signs" by a non-zero generator triple.
+        holds, evaluated = _generator_parts(v)
+        assert holds or name == "full"
+        assert (holds and evaluated is not None) == exact.passed == (v.rs.rank == 1 and name == "signs")
+        report = cb.jacobi_sweep(v)
+        if exact.passed:
+            assert report.passed and report.evaluated == evaluated
+        else:
+            assert report.to_json() == _graded_sweep(v).to_json() and report.implied_by_generation == 0
+        assert cb.chevalley_audit(v).to_json() == _scalar_chevalley_reference(v).to_json()
+        for pair in ((t, v), (v, t)):
+            assert differential(*pair).to_json() == _scalar_differential_reference(*pair).to_json()
 
 
 def test_matrix_model_basics():
