@@ -1,9 +1,15 @@
 """Canonical JSON documents and CSV export for bracket tables.
 
-A table document is a plain dict with sorted keys and a fixed field set,
-so serialisation is byte-stable across runs: same table, same bytes.
-Roots are stored as coefficient lists in root-system order, constants as
-(a, b, sum, N) index quadruples sorted by (a, b).
+A table document is a dict with a fixed field set, so serialisation is
+byte-stable across runs: same table, same bytes.  Four fields are
+read-only int64 arrays: ``roots`` (coefficient rows in root-system
+order), ``constants`` ((a, b, sum, N) index quadruples sorted by (a, b)),
+``cartan_action`` and ``opposite``; the rest are plain JSON values.
+``json.dumps`` does not encode an array, so :func:`to_json_bytes` is the
+one encoder: it writes each array field by one gather from a text table
+of its values, and the bytes equal ``json.dumps`` with sorted keys and
+no whitespace on the same document held as lists.  A document read from
+a file holds lists; :func:`table_from_document` accepts both.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ ENTRY_BOUND = 2**20
 
 
 def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Flatten a table into a JSON-ready document with provenance metadata.
+    """A table as a document with provenance metadata; see the module docstring for its fields.
 
     Each unordered constant pair is stored once, under its (a < b) index
     order; the mirror entry is implied by antisymmetry, which is checked
@@ -54,10 +60,10 @@ def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any]
         "cartan_matrix": rs.cartan.to_json_rows(),
         "epsilon": list(t.eps.values),
         "positive_count": rs.positive_count,
-        "roots": [list(r) for r in rs.roots],
-        "constants": constants.tolist(),
-        "cartan_action": t.cartan_action.tolist(),
-        "opposite": t.opposite.tolist(),
+        "roots": _read_only(rs.coeffs),
+        "constants": _read_only(constants),
+        "cartan_action": _read_only(t.cartan_action),
+        "opposite": _read_only(t.opposite),
         "provenance": {"method": method, **(provenance or {})},
     }
     return doc
@@ -104,11 +110,13 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
     eps = SignFunction(tuple(epsilon))
     if not eps.is_coloring_of(cm):
         raise InvalidEpsilon(f"epsilon {epsilon} is not a 2-colouring of the {cm.label} diagram")
-    if not isinstance(doc["constants"], list):
+    entries = doc["constants"]
+    if not (isinstance(entries, list) or isinstance(entries, np.ndarray) and entries.ndim == 2):
         raise ChevBasisError("constants must be a list")
-    a, b, s, value = _int_rows(doc["constants"], len(doc["constants"]), 4, "constants").T
+    a, b, s, value = _int_rows(entries, len(entries), 4, "constants").T
     if (k := _first(~((0 <= a) & (a < b) & (b < nr) & (0 <= s) & (s < nr)))) is not None:
-        raise ChevBasisError(f"constant entry {doc['constants'][k]} needs 0 <= a < b < {nr} and 0 <= sum < {nr}")
+        entry = [int(a[k]), int(b[k]), int(s[k]), int(value[k])]
+        raise ChevBasisError(f"constant entry {entry} needs 0 <= a < b < {nr} and 0 <= sum < {nr}")
     key = a * nr + b
     first = np.zeros(len(key), dtype=bool)
     first[np.unique(key, return_index=True)[1]] = True
@@ -125,7 +133,18 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
 
 
 def _int_rows(value: Any, rows: int, cols: int, name: str) -> np.ndarray:
-    """A document matrix as a read-only rows x cols int64 array: integers (no bools or floats) up to ENTRY_BOUND."""
+    """A document matrix, lists or an array, as a read-only rows x cols int64 array.
+
+    Entries must be integers (no bools or floats) up to ENTRY_BOUND.
+    """
+    if isinstance(value, np.ndarray):
+        if value.shape != (rows, cols):
+            raise ChevBasisError(f"{name} must be {rows} lists of {cols} integers")
+        if value.dtype.kind not in "iu":
+            raise ChevBasisError(f"{name} has an entry that is not an integer")
+        if value.size and (value.max() > ENTRY_BOUND or value.min() < -ENTRY_BOUND):
+            raise ChevBasisError(f"{name} has an entry whose absolute value is above {ENTRY_BOUND}")
+        return _read_only(value.astype(np.int64))
     if not (isinstance(value, list) and len(value) == rows
             and set(map(type, value)) <= {list} and set(map(len, value)) <= {cols}):
         raise ChevBasisError(f"{name} must be {rows} lists of {cols} integers")
@@ -134,14 +153,72 @@ def _int_rows(value: Any, rows: int, cols: int, name: str) -> np.ndarray:
         raise ChevBasisError(f"{name} has an entry that is not an integer")
     if flat and max(max(flat), -min(flat)) > ENTRY_BOUND:
         raise ChevBasisError(f"{name} has an entry whose absolute value is above {ENTRY_BOUND}")
-    out = np.array(flat, dtype=np.int64).reshape(rows, cols)
-    out.flags.writeable = False
-    return out
+    return _read_only(np.array(flat, dtype=np.int64).reshape(rows, cols))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def to_json_bytes(doc: dict[str, Any]) -> bytes:
-    """Canonical encoding: sorted keys, no whitespace, one trailing LF."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    """Canonical encoding: sorted keys, no whitespace, one trailing LF.
+
+    An array field is written by :func:`_json_rows`, any other value by
+    ``json.dumps``; the bytes are those of ``json.dumps`` on the document
+    with its arrays as nested lists.
+    """
+    fields = []
+    for key, value in sorted(doc.items()):
+        if isinstance(value, np.ndarray):
+            text = _json_rows(value)
+        else:
+            text = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+        fields.append(json.dumps(key).encode("ascii") + b":" + text)
+    return b"{" + b",".join(fields) + b"}\n"
+
+
+# The text after a cell of a matrix, NUL-padded: within a row, at a row's end, at the end.
+_SEPARATORS = np.frombuffer(b",\0\0],[]]\0", dtype=np.uint8).reshape(3, 3)
+
+
+def _json_rows(a: np.ndarray) -> bytes:
+    """A 2-D integer array as JSON nested lists.
+
+    Each cell's text is gathered from :func:`_text_table` and followed by
+    its separator; one pass then drops the NUL padding.
+    """
+    rows, cols = a.shape
+    if not a.size:
+        return ("[" + ",".join(["[]"] * rows) + "]").encode("ascii")
+    text, index = _text_table(a.reshape(-1))
+    cells = np.concatenate([np.take(text, index, axis=0).reshape(rows, cols, -1),
+                            np.broadcast_to(_SEPARATORS[0], (rows, cols, 3))], axis=2)
+    cells[:, -1, -3:] = _SEPARATORS[1]
+    cells[-1, -1, -3:] = _SEPARATORS[2]
+    return b"[[" + _drop_nul(cells)
+
+
+def _drop_nul(cells: np.ndarray) -> bytes:
+    # bytes.translate deletes in one pass, about twice as fast as a boolean mask.
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _text_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(text, index): NUL-padded ASCII rows of decimal integers, and the row of each value.
+
+    The rows cover [min, max] when that range is no longer than ``values``,
+    and the distinct values otherwise, so time and memory stay linear in
+    ``values`` whatever their spread.
+    """
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < len(values):
+        cells, index = lo + np.arange(hi - lo + 1), values - lo
+    else:
+        cells, index = np.unique(values, return_inverse=True)
+    width = max(len(str(lo)), len(str(hi)))
+    return cells.astype(f"S{width}").view(np.uint8).reshape(len(cells), width), index
 
 
 def from_json_bytes(data: bytes) -> dict[str, Any]:
@@ -169,9 +246,23 @@ def parse_coeffs(text: str, rank: int) -> Root:
 
 
 def csv_export(doc: dict[str, Any]) -> bytes:
-    """Flat `alpha,beta,sum,N` rows with compact root rendering."""
-    names = [render_root(tuple(r)) for r in doc["roots"]]
-    lines = ["alpha,beta,sum,N"]
-    for a, b, s, value in doc["constants"]:
-        lines.append(f"{names[a]},{names[b]},{names[s]},{value}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    """Flat `alpha,beta,sum,N` rows with compact root rendering (see :func:`render_root`).
+
+    Each root name is rendered once, as a sign slot and one digit per
+    coefficient (root coefficients are at most 6), and each row gathers
+    its three names and its N text.
+    """
+    roots, constants = doc["roots"], doc["constants"]
+    header = b"alpha,beta,sum,N\n"
+    if not len(constants):
+        return header
+    names = np.zeros((len(roots), 1 + roots.shape[1]), dtype=np.uint8)
+    names[(roots < 0).any(axis=1), 0] = ord("-")
+    names[:, 1:] = ord("0") + np.abs(roots)
+    text, index = _text_table(constants[:, 3])
+    comma = np.full((len(constants), 1), ord(","), dtype=np.uint8)
+    a, b, s, _ = constants.T
+    rows = np.concatenate([np.take(names, a, axis=0), comma, np.take(names, b, axis=0), comma,
+                           np.take(names, s, axis=0), comma, np.take(text, index, axis=0),
+                           np.full_like(comma, ord("\n"))], axis=1)
+    return header + _drop_nul(rows)

@@ -218,7 +218,8 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
     sweep over all triples runs instead and its report, with its sites,
     is returned.  ``checked`` is always dim**3.
     """
-    nn, stray, neg, act, w = _table_arrays(t)
+    arrays = _table_arrays(t)
+    nn, stray, neg, act, w = arrays
     gens = _generators(t.rs)
     if _generation_holds(t, nn, stray, neg, w, gens):
         evaluated = _generator_triples(t, nn, neg, act, w, gens)
@@ -227,10 +228,10 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
             return VerificationReport(suite="jacobi", max_recorded=max_recorded, checked=dim ** 3,
                                       zero_by_grading=len(gens) * dim ** 2 - evaluated,
                                       implied_by_generation=dim ** 3 - len(gens) * dim ** 2)
-    return _graded_sweep(t, max_recorded)
+    return _graded_sweep(t, max_recorded, arrays)
 
 
-def _graded_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport:
+def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None = None) -> VerificationReport:
     """Check [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on every ordered basis triple.
 
     Basis order: h_1..h_rank then the roots in root-system order.  The
@@ -248,15 +249,16 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationRepor
     batches, and each non-zero sum is recorded.  Grading holds only if
     every stored constant sits on a pair that sums to a root, so a stored
     key that does not is recorded as a violation too.  ``checked`` is
-    always dim**3.  :func:`jacobi_sweep` falls back to this sweep, and its
-    generator triples are tested against it.
+    always dim**3.  :func:`jacobi_sweep` falls back to this sweep, passing
+    the :func:`_table_arrays` it built, and its generator triples are
+    tested against it.
     """
     report = VerificationReport(suite="jacobi", max_recorded=max_recorded)
     rs = t.rs
     r = rs.rank
     nr = len(rs.roots)
     si = rs.sum_index
-    nn, stray, neg, act, w = _table_arrays(t)
+    nn, stray, neg, act, w = arrays or _table_arrays(t)
 
     def note(kind, sites):
         room = max(0, max_recorded - len(report.violations))

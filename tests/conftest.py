@@ -14,6 +14,7 @@ import numpy as np
 
 import chevbasis as cb
 from chevbasis.bracket import BracketTable
+from chevbasis.serialize import ENTRY_BOUND
 
 DESK_TYPES = (
     "A1", "A2", "A3", "A4", "A5", "A6", "A7",
@@ -101,3 +102,19 @@ def with_flipped_vectors(t: BracketTable, flipped: set[int]) -> BracketTable:
     si = t.rs.sum_index
     n = {(a, b): v * sign[a] * sign[b] * sign[int(si[a, b])] for (a, b), v in constants(t).items()}
     return with_constants(t, n)
+
+
+def at_the_bound(t: BracketTable) -> dict[str, BracketTable]:
+    """Tables whose constants, Cartan actions and co-root entries sit at +-ENTRY_BOUND.
+
+    ``signs`` keeps every sign and zero, so the bracket stays antisymmetric
+    and generated, and the generator triples are evaluated at the bound;
+    ``full`` also puts every zero action and co-root entry at the bound.
+    """
+    full = np.full_like(t.opposite, ENTRY_BOUND)
+    full[t.rs.positive_count:] = -ENTRY_BOUND
+    n = np.sign(t.n) * ENTRY_BOUND
+    return {"signs": dataclasses.replace(t, n=n, cartan_action=np.sign(t.cartan_action) * ENTRY_BOUND,
+                                         opposite=np.sign(t.opposite) * ENTRY_BOUND),
+            "full": dataclasses.replace(t, n=n, cartan_action=np.full_like(t.cartan_action, -ENTRY_BOUND),
+                                        opposite=full)}

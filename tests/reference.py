@@ -5,14 +5,19 @@ paper does: the closed sign formula (``closedform.pair_signs`` evaluates
 it on index arrays), the folded backward string length by orbit pair
 count and by orbit case analysis (``folding._q_routes``), root strings
 (``RootSystem.string_lengths`` and ``backward_lengths``), the induced
-root permutation and the restriction (``folding.fold``), and the split,
-negation, flip and invariance statements about whole tables.  Roots are
+root permutation and the restriction (``folding.fold``), the split,
+negation, flip and invariance statements about whole tables, and the
+list writer that ``serialize`` renders from arrays (a document of nested
+Python lists, encoded by ``json.dumps`` and one CSV line per row).  Roots are
 looked up in :func:`conftest.tuple_index`, a dict built from
 ``rs.roots``, and never through the key lookups or ``sum_index`` that
 are under test.
 """
 
 from __future__ import annotations
+
+import json
+from typing import Any
 
 import numpy as np
 
@@ -298,3 +303,38 @@ def check_negation_symmetry(t: BracketTable) -> VerificationReport:
         got = int(nn[na[k], nb[k]]) if stored[na[k], nb[k]] else None
         report.record((rs.roots[a[k]], rs.roots[b[k]]), -int(t.n[k]), got)
     return report
+
+
+# -- the list writer ---------------------------------------------------------
+
+
+def list_document(t: BracketTable, method: str, provenance: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The table document with every field as Python lists: constants (a, b, sum, N) for a < b, sorted."""
+    rs = t.rs
+    index = tuple_index(rs)
+    constants = sorted([a, b, index[add(rs.roots[a], rs.roots[b])], n]
+                       for (a, b), n in zip(map(tuple, t.pairs.tolist()), t.n.tolist()) if a < b)
+    return {
+        "schema_version": 1,
+        "type": rs.cartan.label,
+        "rank": rs.cartan.rank,
+        "cartan_matrix": rs.cartan.to_json_rows(),
+        "epsilon": list(t.eps.values),
+        "positive_count": rs.positive_count,
+        "roots": [list(r) for r in rs.roots],
+        "constants": constants,
+        "cartan_action": t.cartan_action.tolist(),
+        "opposite": t.opposite.tolist(),
+        "provenance": {"method": method, **(provenance or {})},
+    }
+
+
+def list_json_bytes(doc: dict[str, Any]) -> bytes:
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+
+
+def list_csv(doc: dict[str, Any]) -> bytes:
+    """One `alpha,beta,sum,N` line per constant; a root is its digits, after "-" when negative."""
+    names = [("-" if min(r) < 0 else "") + "".join(str(abs(c)) for c in r) for r in doc["roots"]]
+    lines = ["alpha,beta,sum,N"] + [f"{names[a]},{names[b]},{names[s]},{n}" for a, b, s, n in doc["constants"]]
+    return ("\n".join(lines) + "\n").encode("ascii")

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 from pathlib import Path
 
 from chevbasis.cli import main
 from chevbasis.serialize import from_json_bytes
 
 GOLDEN = Path(__file__).parent / "golden"
+# SHA-256 of every `gen --csv` output the benchmark checks, keyed "<type>/<epsilon>.<json|csv>".
+DIGESTS = Path(__file__).parents[1] / "bench" / "digests.json"
 
 
 def test_golden_files_regenerate_identically(tmp_path):
@@ -43,3 +49,17 @@ def test_golden_contents():
 def test_golden_verify_clean():
     for name in ("a2.json", "d4.json", "g2.json"):
         assert main(["verify", "--in", str(GOLDEN / name)]) == 0
+
+
+def test_gen_outputs_match_the_benchmark_digests(tmp_path):
+    digests = json.loads(DIGESTS.read_text())
+    labels = sorted({key.split("/")[0] for key in digests})
+    assert len(digests) == 4 * len(labels)
+    out, csv = tmp_path / "table.json", tmp_path / "table.csv"
+    for label in labels:
+        for eps in ("default", "flipped"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen", "--type", label, "--epsilon", eps, "--out", str(out), "--csv", str(csv)]) == 0
+            for path, ext in ((out, "json"), (csv, "csv")):
+                key = f"{label}/{eps}.{ext}"
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[key], key

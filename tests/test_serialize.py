@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -29,7 +31,9 @@ from chevbasis.serialize import (
     table_from_document,
     to_json_bytes,
 )
-from conftest import constants, folded, table, with_flipped_constant
+from chevbasis.folding import independent_table
+from conftest import DESK_TYPES, at_the_bound, constants, folded, table, with_flipped_constant
+from reference import list_csv, list_document, list_json_bytes
 
 
 def test_a2_document_shape():
@@ -80,14 +84,124 @@ def test_non_antisymmetric_table_is_rejected():
 def test_malformed_documents_rejected():
     doc = document_from_table(table("A2"), "inductive")
     wrong_version = {**doc, "schema_version": 99}
-    with pytest.raises(ChevBasisError):
+    with pytest.raises(ChevBasisError, match="unsupported schema version 99"):
         table_from_document(wrong_version)
     wrong_sum = {**doc, "constants": [[0, 1, 0, 1]]}
-    with pytest.raises(ChevBasisError):
+    with pytest.raises(ChevBasisError, match=re.escape("constant entry (0, 1, 0) has a wrong sum index")):
         table_from_document(wrong_sum)
-    wrong_roots = {**doc, "roots": list(reversed(doc["roots"]))}
-    with pytest.raises(ChevBasisError):
+    wrong_roots = {**doc, "roots": doc["roots"][::-1]}
+    with pytest.raises(ChevBasisError, match="does not match the generated ordering"):
         table_from_document(wrong_roots)
+
+
+def _assert_writes_like_the_list_writer(t, method, provenance=None):
+    doc = document_from_table(t, method, provenance)
+    ref = list_document(t, method, provenance)
+    assert to_json_bytes(doc) == list_json_bytes(ref)
+    assert csv_export(doc) == list_csv(ref)
+
+
+@pytest.mark.parametrize("label", DESK_TYPES)
+def test_writer_matches_the_list_writer(label):
+    # Inductive, and closed (A, D, E) or folded (B, C, F4, G2), at both
+    # epsilons; A1 stores no constants.
+    for flipped in (False, True):
+        t = table(label, flipped)
+        _assert_writes_like_the_list_writer(t, "inductive")
+        other, meta = independent_table(t.rs, t.eps)
+        _assert_writes_like_the_list_writer(other, "folded" if meta else "closed", meta)
+
+
+@pytest.mark.parametrize("label", ("A1", "A2", "B2", "G2", "B3"))
+def test_writer_matches_the_list_writer_at_the_entry_bound(label):
+    for v in at_the_bound(table(label)).values():
+        _assert_writes_like_the_list_writer(v, "inductive")
+
+
+def test_writer_renders_wide_ranges_exactly():
+    # Constants near +-2^62 and int64 extremes in the Cartan actions span
+    # more values than the arrays hold, so their text comes from the
+    # distinct values; the co-roots sit in a short range far from zero.
+    for label in ("G2", "B3", "E6"):
+        t = table(label)
+        nr = len(t.rs.roots)
+        a, b = t.pairs.T
+        n = np.sign(t.n) * (2**62 - np.minimum(a, b) * nr - np.maximum(a, b))
+        k = np.arange(t.cartan_action.size).reshape(t.cartan_action.shape)
+        action = np.where(k % 2, 2**63 - 1 - (k - 1), -2**63 + k)
+        opposite = 2**62 + np.sign(t.opposite)
+        wide = dataclasses.replace(t, n=n, cartan_action=action, opposite=opposite)
+        doc = document_from_table(wide, "inductive")
+        assert doc["cartan_action"].min() == -2**63 and doc["cartan_action"].max() == 2**63 - 1
+        _assert_writes_like_the_list_writer(wide, "inductive")
+
+
+def test_document_holds_read_only_int64_arrays():
+    # The document freezes views, not the table's own arrays.
+    t = dataclasses.replace(table("B3"), cartan_action=table("B3").cartan_action.copy())
+    doc = document_from_table(t, "inductive")
+    ref = list_document(t, "inductive")
+    assert doc.keys() == ref.keys()
+    for field, value in doc.items():
+        if field in ("roots", "constants", "cartan_action", "opposite"):
+            assert value.dtype == np.int64 and not value.flags.writeable, field
+            assert value.tolist() == ref[field], field
+        else:
+            assert value == ref[field], field
+    assert t.cartan_action.flags.writeable
+    with pytest.raises(TypeError):
+        json.dumps(doc)
+
+
+def _as_float(a):
+    return a.astype(float)
+
+
+def _as_bool(a):
+    return a != 0
+
+
+def _short(a):
+    return a[:, :-1]
+
+
+def _above_bound(a):
+    a = a.copy()
+    a[0, -1] = ENTRY_BOUND + 1
+    return a
+
+
+def _swapped(a):
+    a = a.copy()
+    a[0, :2] = a[0, 1::-1]
+    return a
+
+
+ARRAY_FAULTS = {
+    "float": (_as_float, "has an entry that is not an integer"),
+    "bool": (_as_bool, "has an entry that is not an integer"),
+    "short": (_short, "must be"),
+    "above-bound": (_above_bound, "has an entry whose absolute value is above 1048576"),
+    "swapped": (_swapped, "needs 0 <= a < b"),
+}
+ARRAY_CASES = [(field, fault) for field in ("roots", "constants", "cartan_action", "opposite")
+               for fault in sorted(ARRAY_FAULTS) if fault != "swapped" or field == "constants"]
+
+
+@pytest.mark.parametrize("field,fault", ARRAY_CASES)
+def test_in_memory_arrays_are_checked_like_lists(field, fault):
+    # A document's int64 arrays pass the reader's shape, type and bound
+    # checks with the message a list of the same entries gets.
+    doc = document_from_table(table("G2"), "inductive")
+    assert constants(table_from_document(doc)) == constants(table("G2"))
+    mutate, message = ARRAY_FAULTS[fault]
+    bad = mutate(doc[field])
+    messages = []
+    for value in (bad, bad.tolist()):
+        with pytest.raises(ChevBasisError, match=message) as caught:
+            table_from_document({**doc, field: value})
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 def test_render_root():
@@ -247,7 +361,7 @@ def test_entries_beyond_the_bound_are_refused(tmp_path):
            "constant": g2}
     for name, doc in bad.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(to_json_bytes(doc))
         assert main(["verify", "--in", str(path), "--suite", "jacobi"]) == 2, name
         assert main(["verify", "--in", str(path), "--suite", "jacobi,chevalley"]) == 2, name
     at_bound = table_from_document({**a1, "cartan_action": [[ENTRY_BOUND, -ENTRY_BOUND]]})

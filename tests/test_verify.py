@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -29,6 +28,7 @@ from chevbasis.verify import (
 )
 from conftest import (
     DESK_TYPES,
+    at_the_bound,
     constants,
     folded,
     system,
@@ -274,6 +274,18 @@ def test_jacobi_failing_reports_are_the_graded_sweeps(label):
             if not graded.passed:
                 assert report.to_json() == graded.to_json()
                 assert report.implied_by_generation == 0
+
+
+@pytest.mark.parametrize("label", ("B3", "E6", "G2"))
+def test_fallback_builds_the_dense_arrays_once(label, monkeypatch):
+    # jacobi_sweep hands the arrays it built to the graded sweep it falls back to.
+    calls = []
+    dense = BracketTable.dense
+    monkeypatch.setattr(BracketTable, "dense", lambda self: calls.append(self) or dense(self))
+    bad = with_flipped_constant(table(label))
+    report = cb.jacobi_sweep(bad)
+    assert not report.passed and report.implied_by_generation == 0
+    assert calls == [bad]
 
 
 @pytest.mark.parametrize("label", ("E6", "F4", "A7", "D6"))
@@ -664,22 +676,9 @@ def _scalar_differential_reference(t1: BracketTable, t2: BracketTable) -> Verifi
 
 
 def _at_the_bound(t: BracketTable) -> dict[str, BracketTable]:
-    """Tables whose constants, Cartan actions and co-root entries sit at +-ENTRY_BOUND, read from files.
-
-    ``signs`` keeps every sign and zero, so the bracket stays antisymmetric
-    and generated, and the generator triples are evaluated at the bound;
-    ``full`` also puts every zero action and co-root entry at the bound.
-    """
-    bound = cb.serialize.ENTRY_BOUND
-    pos = t.rs.positive_count
-    full = np.full_like(t.opposite, bound)
-    full[pos:] = -bound
-    n = np.sign(t.n) * bound
-    tables = {"signs": dataclasses.replace(t, n=n, cartan_action=np.sign(t.cartan_action) * bound,
-                                           opposite=np.sign(t.opposite) * bound),
-              "full": dataclasses.replace(t, n=n, cartan_action=np.full_like(t.cartan_action, -bound), opposite=full)}
+    """The tables of :func:`conftest.at_the_bound`, read back from their files."""
     return {name: table_from_document(from_json_bytes(to_json_bytes(document_from_table(v, "inductive"))))
-            for name, v in tables.items()}
+            for name, v in at_the_bound(t).items()}
 
 
 @pytest.mark.parametrize("label", ("A1", "A2", "B2", "G2", "B3"))
