@@ -70,17 +70,26 @@ class BracketTable:
 
     @functools.cached_property
     def _keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored pairs' keys a * nr + b in ascending order, and their table positions (first first)."""
-        keys = self.pairs[:, 0] * len(self.rs.roots) + self.pairs[:, 1]
+        """The stored pairs' keys a * nr + b in ascending order, then nr * nr, and their table positions, then -1."""
+        nr = len(self.rs.roots)
+        keys = self.pairs[:, 0] * nr + self.pairs[:, 1]
         order = np.argsort(keys, kind="stable")
-        return keys[order], order
+        return np.append(keys[order], nr * nr), np.append(order, -1)
+
+    def find(self, a, b) -> np.ndarray:
+        """Table positions of the pairs (a[j], b[j]): -1 where not stored, the first where stored twice."""
+        keys, order = self._keys
+        key = np.asarray(a) * len(self.rs.roots) + b
+        # Searched in ascending order, each query narrows the next.
+        up = np.argsort(key)
+        k = np.empty_like(up)
+        k[up] = keys.searchsorted(key[up])
+        return np.where(keys[k] == key, order[k], -1)
 
     def constant(self, alpha: Root, beta: Root) -> int:
         """N_{alpha,beta}; zero when the pair is not stored (alpha + beta is not a root)."""
-        keys, order = self._keys
-        key = self.rs.index_of(alpha) * len(self.rs.roots) + self.rs.index_of(beta)
-        k = int(keys.searchsorted(key))
-        return int(self.n[order[k]]) if k < len(keys) and keys[k] == key else 0
+        k = int(self.find([self.rs.index_of(alpha)], [self.rs.index_of(beta)])[0])
+        return int(self.n[k]) if k >= 0 else 0
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(nn, stored): nr x nr arrays of N_{a,b} (0 where not stored) and of whether (a, b) is stored."""

@@ -87,7 +87,7 @@ SUITES = ("jacobi", "chevalley", "differential", "slN")
 
 
 def _cmd_verify(args) -> int:
-    suites = args.suite.split(",") if args.suite else None
+    suites = args.suite.split(",") if args.suite is not None else None
     for suite in suites or ():
         if suite not in SUITES:
             raise IllegalType(f"unknown suite {suite!r}")

@@ -42,9 +42,9 @@ def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any]
     here so nothing is lost.
     """
     rs = t.rs
-    nn, stored = t.dense()
     a, b = t.pairs.T
-    bad = ~stored[b, a] | (nn[b, a] != -t.n)
+    mirror = t.find(b, a)
+    bad = (mirror < 0) | (t.n[mirror] != -t.n)
     if bad.any():
         k = int(bad.argmax())
         raise ChevBasisError(f"table is not antisymmetric at {(int(a[k]), int(b[k]))}; refusing to serialise")

@@ -25,8 +25,9 @@ from .report import VerificationReport
 from .roots import Root
 
 
-# Triples expanded per step of the root-triple sweep.  Big enough that numpy
-# call overhead stays small, small enough that the block's few MB of
+# (Linked pair, member) positions expanded per step of the root-triple
+# sweep, and summing pairs per step of the zero-sum check.  Big enough that
+# numpy call overhead stays small, small enough that the block's few MB of
 # working set do not raise the peak of small runs.
 JACOBI_BLOCK = 1 << 13
 
@@ -41,22 +42,6 @@ def _table_arrays(t: BracketTable):
     stray = t.pairs[rs.sum_index[t.pairs[:, 0], t.pairs[:, 1]] < 0]
     neg = (np.arange(len(rs.roots)) + rs.positive_count) % len(rs.roots)
     return nn, stray, neg, t.cartan_action, t.opposite_brackets()
-
-
-def _links(bs, cs, ss, neg):
-    """The linked pairs (y, z) of the root-triple sweeps, and the x each one meets.
-
-    The pairs are the summing pairs (bs, cs), with sum ss, then the band
-    (y, -y) for every root y, with sum nr.  ``members[start[s]:start[s+1]]``
-    lists the x with x + s a root, all roots for the band.
-    """
-    nr = len(neg)
-    link_y = np.concatenate([bs, np.arange(nr)])
-    link_z = np.concatenate([cs, neg])
-    link_s = np.concatenate([ss, np.full(nr, nr)])
-    members = np.concatenate([cs, np.arange(nr)])
-    start = np.append(np.searchsorted(bs, np.arange(nr + 1)), len(bs) + nr)
-    return link_y, link_z, link_s, members, start
 
 
 def _root_terms(t: BracketTable, nn, neg, act, w):
@@ -130,78 +115,34 @@ def _generation_holds(t: BracketTable, nn, stray, neg, w, gens) -> bool:
     return bool(reached.all()) and _invertible(w[gens[:rs.rank]])
 
 
-def _blocks(first: np.ndarray, count: np.ndarray):
-    """Yield (range id, position) arrays covering the ranges [first, first + count), about JACOBI_BLOCK at a time."""
-    ends = np.cumsum(count)
-    starts = ends - count
+def _blocks(start: np.ndarray, group: np.ndarray):
+    """Yield (item, position) arrays over the ranges [start[g], start[g + 1]) of the items' groups g.
+
+    The items come in order, whole, about JACOBI_BLOCK positions at a time.
+    """
+    size = np.diff(start)
+    ends = size[group]
+    np.cumsum(ends, out=ends)
     lo = 0
-    while lo < len(count):
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + JACOBI_BLOCK, side="right")))
-        seg = np.repeat(np.arange(lo, hi), count[lo:hi])
-        yield seg, first[seg] + np.arange(starts[lo], ends[hi - 1]) - starts[seg]
+    while lo < len(group):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + JACOBI_BLOCK, side="right")))
+        g = group[lo:hi]
+        count = size[g]
+        yield (np.repeat(np.arange(lo, hi), count),
+               np.repeat(start[g] - ends[lo:hi] + count, count) + np.arange(base, ends[hi - 1]))
         lo = hi
 
 
-def _generator_triples(t: BracketTable, nn, neg, act, w, gens) -> int | None:
-    """Evaluate J(s, y, z) for every generator s wherever grading leaves it.
+def _members(bs, cs, mine):
+    """The roots x with ``mine[x]`` that meet each sum s, listed in ``members[start[s]:start[s + 1]]``.
 
-    Returns the number of triples evaluated, or None if any is non-zero.
-    Assumes an antisymmetric table with no stored key off the grading.
+    They are the x with x + s a root, for the sums s of the summing pairs
+    (bs, cs), and all of them for the band, s = nr.
     """
-    rs = t.rs
-    nr = len(rs.roots)
-    si = rs.sum_index
-    # One Cartan element, on (s, z) with z summing with s, and on the band z = -s.
-    g, zs = np.nonzero(si[gens] >= 0)
-    s = gens[g]
-    ss = si[s, zs]
-    if np.any(nn[s, zs] * (act[:, ss] - act[:, s] - act[:, zs])):
-        return None
-    if np.any(act[:, neg[gens], None] * w[gens] - act[:, gens, None] * w[neg[gens]]):
-        return None
-    # Root triples with zero sum: (s, y, -(s+y)) for y summing with s.
-    az = neg[ss]
-    if np.any(nn[zs, az, None] * w[s] + nn[az, s, None] * w[zs] + nn[s, zs, None] * w[az]):
-        return None
-
-    # Root triples with a root sum.  As in the graded sweep, a triple is
-    # built from its first linked pair among positions (1,2), (2,0), (0,1):
-    # a linked pair (y', z') and a member x' give (x', y', z'), (z', x', y')
-    # or (y', z', x').  A generator comes first in the first form when
-    # x' = s, so (y', z') runs over the pairs whose sum is a partner of s,
-    # and the band; in the second when z' = s; in the third when y' = s.
-    bs, cs = np.nonzero(si >= 0)
-    link_y, link_z, link_s, members, start = _links(bs, cs, si[bs, cs], neg)
-    linked, term = _root_terms(t, nn, neg, act, w)
-    by_sum = np.argsort(link_s, kind="stable")
-    bounds = np.searchsorted(link_s[by_sum], np.arange(nr + 2))
-
-    def vanish(a, b, c):
-        return not np.any(term(a, b, c) + term(b, c, a) + term(c, a, b))
-
-    # (s, h_i, z) and (s, z, h_i) for z linked to s, and the zero-sum triples.
-    evaluated = 2 * rs.rank * (len(s) + len(gens)) + len(s)
-    x1 = np.concatenate([s, gens])
-    group = np.concatenate([zs, np.full(len(gens), nr)])
-    for seg, at in _blocks(bounds[group], bounds[group + 1] - bounds[group]):
-        if not vanish(x1[seg], link_y[by_sum[at]], link_z[by_sum[at]]):
-            return None
-        evaluated += len(seg)
-    is_gen = np.zeros(nr, dtype=bool)
-    is_gen[gens] = True
-    pairs = np.flatnonzero(is_gen[link_y] | is_gen[link_z])
-    lo = start[link_s[pairs]]
-    for seg, at in _blocks(lo, start[link_s[pairs] + 1] - lo):
-        x = members[at]
-        y, z = link_y[pairs[seg]], link_z[pairs[seg]]
-        apart = ~linked(x, y)
-        second = is_gen[z] & apart
-        third = is_gen[y] & apart & ~linked(z, x)
-        a = np.concatenate([z[second], y[third]])
-        if not vanish(a, np.concatenate([x[second], z[third]]), np.concatenate([y[second], x[third]])):
-            return None
-        evaluated += len(a)
-    return evaluated
+    keep = mine[cs]
+    members = np.concatenate([cs[keep], np.flatnonzero(mine)])
+    return members, np.append(np.searchsorted(bs[keep], np.arange(len(mine) + 1)), len(members))
 
 
 def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport:
@@ -211,9 +152,9 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
     a subalgebra, and ``ad x`` is one exactly when J(x, y, z) = 0 for all
     y, z.  So when the 2r Chevalley generators e_{+-alpha_i} generate the
     table (see :func:`_generation_holds`), Jacobi on the 2r * dim**2
-    triples with a generator first implies it on all dim**3.  Those
-    triples are evaluated wherever grading leaves them, and the other
-    dim**3 - 2r * dim**2 are counted in ``implied_by_generation``.  If a
+    triples with a generator first implies it on all dim**3.  The graded
+    sweep restricted to those triples runs first, and the other dim**3 -
+    2r * dim**2 are counted in ``implied_by_generation``.  If a
     precondition fails or a generator triple is non-zero, the graded
     sweep over all triples runs instead and its report, with its sites,
     is returned.  ``checked`` is always dim**3.
@@ -222,22 +163,25 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
     nn, stray, neg, act, w = arrays
     gens = _generators(t.rs)
     if _generation_holds(t, nn, stray, neg, w, gens):
-        evaluated = _generator_triples(t, nn, neg, act, w, gens)
-        if evaluated is not None:
-            dim = t.dimension
-            return VerificationReport(suite="jacobi", max_recorded=max_recorded, checked=dim ** 3,
-                                      zero_by_grading=len(gens) * dim ** 2 - evaluated,
-                                      implied_by_generation=dim ** 3 - len(gens) * dim ** 2)
+        report = _graded_sweep(t, max_recorded, arrays, gens)
+        if report.passed:
+            report.implied_by_generation = t.dimension ** 3 - report.checked
+            report.checked = t.dimension ** 3
+            return report
     return _graded_sweep(t, max_recorded, arrays)
 
 
-def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None = None) -> VerificationReport:
-    """Check [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on every ordered basis triple.
+def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None = None,
+                  first: np.ndarray | None = None) -> VerificationReport:
+    """Check [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on the ordered basis triples.
 
-    Basis order: h_1..h_rank then the roots in root-system order.  The
-    algebra is graded by the root lattice, so the Jacobi sum of a triple
-    lies in the space of weight x+y+z, and grading alone makes it zero
-    for these triples, counted in ``zero_by_grading``:
+    The triples are all dim**3 of them, or, given root indices ``first``,
+    the len(first) * dim**2 whose first element is e_x for an x in
+    ``first``; ``checked`` counts the triples covered.  Basis order:
+    h_1..h_rank then the roots in root-system order.  The algebra is
+    graded by the root lattice, so the Jacobi sum of a triple lies in the
+    space of weight x+y+z, and grading alone makes it zero for these
+    triples, counted in ``zero_by_grading``:
 
     - two or three Cartan elements (the actions are scalars and commute);
     - one Cartan element and two roots that neither sum to a root nor are
@@ -245,20 +189,21 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
     - three roots whose sum is neither a root nor zero, or of which no
       two are linked (sum to a root, or are opposite).
 
-    Every other triple is evaluated from the table's data, in vectorised
-    batches, and each non-zero sum is recorded.  Grading holds only if
-    every stored constant sits on a pair that sums to a root, so a stored
-    key that does not is recorded as a violation too.  ``checked`` is
-    always dim**3.  :func:`jacobi_sweep` falls back to this sweep, passing
-    the :func:`_table_arrays` it built, and its generator triples are
-    tested against it.
+    Every other triple covered is evaluated from the table's data, in
+    vectorised batches, and each non-zero sum is recorded.  Grading holds
+    only if every stored constant sits on a pair that sums to a root, so
+    a stored key that does not is recorded as a violation too.
+    :func:`jacobi_sweep` runs this sweep with ``first`` the generators,
+    and falls back to it over all triples, passing the
+    :func:`_table_arrays` it built.
     """
     report = VerificationReport(suite="jacobi", max_recorded=max_recorded)
-    rs = t.rs
-    r = rs.rank
-    nr = len(rs.roots)
-    si = rs.sum_index
+    si = t.rs.sum_index
+    r, nr = t.rs.rank, len(si)
     nn, stray, neg, act, w = arrays or _table_arrays(t)
+    mine = np.ones(nr, dtype=bool) if first is None else np.bincount(first, minlength=nr) > 0
+    rows = np.flatnonzero(mine)
+    report.checked = t.dimension ** 2 * (t.dimension if first is None else len(rows))
 
     def note(kind, sites):
         room = max(0, max_recorded - len(report.violations))
@@ -266,81 +211,98 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
             report.record((kind, *map(int, s)), 0, "nonzero")
         report.violation_count += max(0, len(sites) - room)
 
-    def count(size, evaluated):
-        report.checked += size
-        report.zero_by_grading += size - evaluated
-
     note("grading", stray)
 
-    # All-Cartan triples and two Cartan elements (three layouts).
-    count(r ** 3 + 3 * r * r * nr, 0)
+    # The linked pairs (y, z) and the group of each, its sum: the summing
+    # pairs (bs, cs), then the band (y, -y) in group nr.
+    bs, cs = np.nonzero(si >= 0)
+    link_y = np.concatenate([bs, np.arange(nr)])
+    link_z = np.concatenate([cs, neg])
+    group = np.concatenate([si[bs, cs], np.full(nr, nr)])
+    bs, cs = link_y[:len(bs)], link_z[:len(cs)]
 
     # One Cartan element.  On a summing pair (b, c) the identity reduces to
     # additivity of the action along b+c; on the band c = -b the two
     # surviving terms are Cartan vectors read from the table.  The three
-    # layouts give the same values up to sign.
-    bs, cs = np.nonzero(si >= 0)
-    ss = si[bs, cs]
-    hee = nn[bs, cs] * (act[:, ss] - act[:, bs] - act[:, cs])
-    bad = np.argwhere(hee)
-    hee_sites = np.column_stack([bad[:, 0], bs[bad[:, 1]], cs[bad[:, 1]]])
-    band_x = (act[:, neg][:, :, None] * w[None, :, :]
-              - act[:, :, None] * w[neg][None, :, :])
-    band_sites = np.argwhere(band_x)
-    for kind in ("hee", "ehe", "eeh"):
-        count(r * nr * nr, r * (len(bs) + nr))
+    # layouts (h, b, c), (b, h, c) and (b, c, h) give the same values up to
+    # sign, sites (i, b, c) by node, then pair; a restricted sweep covers
+    # the last two on the b in ``first``.  The nodes come a few at a time,
+    # about JACOBI_BLOCK entries of each check.
+    layouts = ("hee", "ehe", "eeh") if first is None else ("ehe", "eeh")
+    own = np.flatnonzero(mine[bs])
+    hb, hc, hs = bs[own], cs[own], group[own]
+    hn = nn[hb, hc]
+    wy, wn = w[rows], w[neg[rows]]
+    hee_sites, band_sites = [], []
+    step = max(1, JACOBI_BLOCK // (len(own) + len(rows) * r))
+    for lo in range(0, r, step):
+        i = slice(lo, lo + step)
+        node, k = np.nonzero(hn * (act[i, hs] - act[i, hb] - act[i, hc]))
+        hee_sites.append(np.column_stack([node + lo, hb[k], hc[k]]))
+        node, y, j = np.nonzero(act[i, neg[rows], None] * wy - act[i, rows, None] * wn)
+        band_sites.append(np.column_stack([node + lo, rows[y], j]))
+    hee_sites, band_sites = np.concatenate(hee_sites), np.concatenate(band_sites)
+    for kind in layouts:
         note(kind, hee_sites)
         note(kind + "-band", band_sites)
+    evaluated = len(layouts) * r * (len(own) + len(rows))
 
-    # Root-only triples whose coefficients sum to zero: all three terms
-    # are Cartan vectors.
-    az = neg[ss]
-    jz = (nn[bs, cs, None] * w[az]
-          + nn[cs, az, None] * w[bs]
-          + nn[az, bs, None] * w[cs])
-    bad = np.flatnonzero(np.any(jz != 0, axis=1))
-    note("eee0", np.column_stack([az[bad], bs[bad], cs[bad]]))
+    # Root-only triples whose coefficients sum to zero: (-(b+c), b, c) for
+    # each summing pair with -(b+c) in ``first``, all three terms Cartan
+    # vectors, JACOBI_BLOCK pairs at a time.
+    def flagged(k):
+        a, b, c = neg[group[k]], bs[k], cs[k]
+        return k[np.any(nn[b, c, None] * w[a] + nn[c, a, None] * w[b] + nn[a, b, None] * w[c], axis=1)]
+
+    zero = np.flatnonzero(mine[neg[group[:len(bs)]]])
+    k = np.concatenate([zero[:0]] + [flagged(zero[lo:lo + JACOBI_BLOCK]) for lo in range(0, len(zero), JACOBI_BLOCK)])
+    note("eee0", np.column_stack([neg[group[k]], bs[k], cs[k]]))
+    evaluated += len(zero)
 
     # Remaining root-only triples (x, y, z) with x+y+z a root.  Every term
     # is a multiple of e_{x+y+z}; an inner bracket that lands on Cartan
     # (the band z = -y) feeds through the Cartan vector w[y].  A term can
     # be non-zero only if its inner pair is linked, so the triples are
-    # enumerated from the linked pairs (y, z): the summing pairs, whose x
-    # run over the roots with x + (y+z) a root, and the band, whose x run
-    # over all roots.  members[start[s]:start[s+1]] lists those x, with
-    # s = nr standing for the band.  Each linked pair is placed at (1,2),
-    # (2,0) and (0,1) of the triple, and a placement is kept only if no
-    # earlier position holds a linked pair, so every triple is evaluated
-    # once.  Sites are recorded by placement, in triple order within each,
-    # whatever the block size: up to max_recorded of each placement are
-    # kept across blocks and the rest only counted.
-    link_y, link_z, link_s, members, start = _links(bs, cs, ss, neg)
+    # enumerated from the linked pairs (y, z): the summing pairs, whose
+    # members x run over the roots with x + (y+z) a root, and the band,
+    # whose x run over all roots.  Each linked pair is placed at (1,2),
+    # (2,0) and (0,1) of the triple, as (x, y, z), (z, x, y) and (y, z, x),
+    # and a placement is kept only if no earlier position holds a linked
+    # pair and its first root is in ``first``, so every triple is evaluated
+    # once.  A linked pair with neither root in ``first`` keeps only the
+    # first placement, so it meets only the members in ``first``, listed
+    # after all members.  Sites are recorded by placement, in triple order
+    # within each, whatever the block size: up to max_recorded of each
+    # placement are kept across blocks and the rest only counted.
+    members, start = _members(bs, cs, np.ones(nr, dtype=bool))
+    if first is not None:
+        few, few_start = _members(bs, cs, mine)
+        group = np.where(mine[link_y] | mine[link_z], group, group + len(start))
+        start = np.concatenate([start, few_start + len(members)])
+        members = np.concatenate([members, few])
     linked, term = _root_terms(t, nn, neg, act, w)
-    cum = np.concatenate([[0], np.cumsum(start[link_s + 1] - start[link_s])])
-    evaluated = unkept = 0
     kept = [np.empty((0, 3), dtype=np.intp)] * 3
-    total = int(cum[-1])
-    for first in range(0, total, JACOBI_BLOCK):
-        tid = np.arange(first, min(first + JACOBI_BLOCK, total))
-        p = np.searchsorted(cum, tid, side="right") - 1
-        x = members[start[link_s[p]] + tid - cum[p]]
-        y, z = link_y[p], link_z[p]
+    for seg, at in _blocks(start, group):
+        x = members[at]
+        y, z = link_y[seg], link_z[seg]
+        one = mine[x]
         second = ~linked(x, y)
-        third = second & ~linked(z, x)
-        a = np.concatenate([x, z[second], y[third]])
-        b = np.concatenate([y, x[second], z[third]])
-        c = np.concatenate([z, y[second], x[third]])
+        third = second & ~linked(z, x) & mine[y]
+        second &= mine[z]
+        a = np.concatenate([x[one], z[second], y[third]])
+        b = np.concatenate([y[one], x[second], z[third]])
+        c = np.concatenate([z[one], y[second], x[third]])
         evaluated += len(a)
         bad = np.flatnonzero(term(a, b, c) + term(b, c, a) + term(c, a, b))
         if len(bad):
-            cuts = np.searchsorted(bad, [len(x), len(x) + np.count_nonzero(second)])
+            ones = np.count_nonzero(one)
+            cuts = np.searchsorted(bad, [ones, ones + np.count_nonzero(second)])
             for k, part in enumerate(np.split(np.column_stack([a[bad], b[bad], c[bad]]), cuts)):
                 sites = np.concatenate([kept[k], part])
                 kept[k] = sites[:max_recorded]
-                unkept += len(sites) - len(kept[k])
+                report.violation_count += len(sites) - len(kept[k])
     note("eee", np.concatenate(kept))
-    report.violation_count += unkept
-    count(nr ** 3, len(bs) + evaluated)  # with the zero-sum triples
+    report.zero_by_grading = report.checked - evaluated
     return report
 
 
@@ -399,7 +361,8 @@ def differential(t1: BracketTable, t2: BracketTable) -> VerificationReport:
 
     Every constant, every [e_alpha, e_{-alpha}] and every Cartan action
     must agree exactly.  The pairs t1 stores come in its table order, then
-    the pairs only t2 stores in row-major order.  Raises IncompatibleTables
+    the pairs only t2 stores in row-major order; each pair is looked up by
+    :meth:`BracketTable.find`, with no dense view.  Raises IncompatibleTables
     unless both tables have the same Cartan matrix, which fixes the root
     order.
     """
@@ -407,16 +370,21 @@ def differential(t1: BracketTable, t2: BracketTable) -> VerificationReport:
     if rs1.cartan.entries != rs2.cartan.entries:
         raise IncompatibleTables(f"cannot compare a {rs1.cartan.label} table with a {rs2.cartan.label} table")
     report = VerificationReport(suite="differential")
-    stored1 = t1.dense()[1]
-    nn2, stored2 = t2.dense()
     a, b = t1.pairs.T
-    found = stored2[a, b]
-    for k in np.flatnonzero(~found | (nn2[a, b] != t1.n)).tolist():
-        report.record((rs1.roots[a[k]], rs1.roots[b[k]]), int(t1.n[k]), int(nn2[a[k], b[k]]) if found[k] else None)
-    extra_a, extra_b = np.nonzero(stored2 & ~stored1)
-    for x, y in zip(extra_a.tolist(), extra_b.tolist()):
-        report.record((rs2.roots[x], rs2.roots[y]), None, int(nn2[x, y]))
-    report.checked = len(t1.n) + len(extra_a)
+    at = t2.find(a, b)
+    got = np.append(t2.n, 0)[at]
+    for k in np.flatnonzero((at < 0) | (got != t1.n)).tolist():
+        report.record((rs1.roots[a[k]], rs1.roots[b[k]]), int(t1.n[k]), int(got[k]) if at[k] >= 0 else None)
+    # The pairs only t2 stores, each once in key order: the first position
+    # of each key that no pair of t1 hit (a miss marks the spare last slot).
+    hit = np.zeros(len(t2.n) + 1, dtype=bool)
+    hit[at] = True
+    a, b = t2.pairs.T
+    first = np.unique(a * len(rs2.roots) + b, return_index=True)[1]
+    extra = first[~hit[first]]
+    for k in extra.tolist():
+        report.record((rs2.roots[a[k]], rs2.roots[b[k]]), None, int(t2.n[k]))
+    report.checked = len(t1.n) + len(extra)
     w1, w2 = t1.opposite_brackets(), t2.opposite_brackets()
     report.checked += len(w1) + t1.cartan_action.size
     for k in np.flatnonzero((w1 != w2).any(axis=1)).tolist():

@@ -244,6 +244,19 @@ def test_constant_lookup_matches_a_scan(label):
                 assert v.constant(alpha, beta) == _scanned_constant(v, a, b), (label, a, b)
 
 
+@pytest.mark.parametrize("label", ("A1", "G2", "B3"))
+def test_find_matches_a_scan(label):
+    # Every ordered pair at once: the first stored position, or -1.
+    t = table(label)
+    pairs = np.concatenate([t.pairs, [[0, 0]], t.pairs[-1:]])
+    odd = dataclasses.replace(t, pairs=pairs, n=np.concatenate([t.n, [7], -t.n[-1:]]))
+    nr = len(t.rs.roots)
+    a, b = np.divmod(np.arange(nr * nr), nr)
+    for v in (t, _loaded(t), odd):
+        hits = [np.flatnonzero((v.pairs[:, 0] == x) & (v.pairs[:, 1] == y)) for x, y in zip(a, b)]
+        assert v.find(a, b).tolist() == [int(h[0]) if len(h) else -1 for h in hits]
+
+
 def _loaded(t):
     return table_from_document(from_json_bytes(to_json_bytes(document_from_table(t, "inductive"))))
 

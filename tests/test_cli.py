@@ -152,12 +152,14 @@ def test_verify_json_output(tmp_path, capsys):
     assert {"jacobi", "chevalley", "differential", "sl_n"} <= suites
 
 
-def test_verify_suite_selection(tmp_path):
+def test_verify_suite_selection(tmp_path, capsys):
     out = tmp_path / "g2.json"
     run("gen", "--type", "G2", "--out", str(out))
     assert run("verify", "--in", str(out), "--suite", "jacobi,chevalley") == 0
     assert run("verify", "--in", str(out), "--suite", "slN") == 2
     assert run("verify", "--in", str(out), "--suite", "bogus") == 2
+    assert run("verify", "--in", str(out), "--suite", "") == 2
+    assert capsys.readouterr().err.endswith("error: unknown suite ''\n")
 
 
 def test_verify_checks_suite_names_before_running_any(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ import json
 import re
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import chevbasis as cb
 from chevbasis import serialize
 from chevbasis.cli import main
+from chevbasis.closedform import closed_table
 from chevbasis.errors import ChevBasisError
 from chevbasis.serialize import (
     ENTRY_BOUND,
@@ -79,6 +81,20 @@ def test_non_antisymmetric_table_is_rejected():
     bad = with_flipped_constant(table("A2"))
     with pytest.raises(ChevBasisError):
         document_from_table(bad, "inductive")
+
+
+def test_document_memory_on_a24():
+    # The antisymmetry check looks each mirror pair up by key: no nr x nr view.
+    rs = cb.generate_roots(cb.build_cartan("A", 24))
+    t = closed_table(rs, cb.default_epsilon(rs.cartan))
+    tracemalloc.start()
+    try:
+        document_from_table(t, "closed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nr = len(rs.roots)
+    assert peak < nr * nr * 8, f"document_from_table peak {peak / 2 ** 20:.2f} MB on A24"
 
 
 def test_malformed_documents_rejected():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -19,7 +20,6 @@ from chevbasis.serialize import document_from_table, from_json_bytes, table_from
 from chevbasis.verify import (
     MatrixModel,
     _generation_holds,
-    _generator_triples,
     _generators,
     _graded_sweep,
     _table_arrays,
@@ -303,10 +303,14 @@ def test_graded_sweep_sites_do_not_depend_on_the_block(label, monkeypatch):
 
 
 def _generator_parts(t: BracketTable):
-    nn, stray, neg, act, w = _table_arrays(t)
+    """Whether the fast path's preconditions hold, and the generator triples evaluated, or None if one is non-zero."""
+    arrays = _table_arrays(t)
+    nn, stray, neg, act, w = arrays
     gens = _generators(t.rs)
-    return (_generation_holds(t, nn, stray, neg, w, gens),
-            _generator_triples(t, nn, neg, act, w, gens))
+    report = _graded_sweep(t, 10 ** 9, arrays, gens)
+    # A stray key is recorded once, and is no triple.
+    vanish = report.violation_count == len(stray)
+    return _generation_holds(t, nn, stray, neg, w, gens), report.evaluated if vanish else None
 
 
 def test_jacobi_needs_no_stray_key():
@@ -349,39 +353,90 @@ def test_jacobi_preconditions_each_detected():
     assert _generator_parts(t) == (True, cb.jacobi_sweep(t).evaluated)
 
 
+def _evaluated_by_brute_force(t: BracketTable, firsts) -> int:
+    """Count over root tuples the triples with a root of ``firsts`` first that grading leaves.
+
+    They are (x, h_i, z) and (x, z, h_i) with z linked to x, and root
+    triples (x, y, z) with a root or zero sum and a linked pair.
+    """
+    rs = t.rs
+    zero = (0,) * rs.rank
+
+    def linked(u, v):
+        s = add(u, v)
+        return s == zero or s in tuple_index(rs)
+
+    evaluated = 0
+    for x in firsts:
+        evaluated += 2 * rs.rank * sum(linked(x, z) for z in rs.roots)
+        for y in rs.roots:
+            for z in rs.roots:
+                s = add(add(x, y), z)
+                if (s == zero or s in tuple_index(rs)) and (
+                        linked(y, z) or linked(z, x) or linked(x, y)):
+                    evaluated += 1
+    return evaluated
+
+
 def test_jacobi_fast_path_evaluates_exactly_the_generator_triples():
-    # Count by brute force over root tuples the triples with a generator
-    # e_{+-alpha_i} first that grading leaves: (s, h_i, z) and (s, z, h_i)
-    # with z linked to s, and root triples (s, y, z) with a root or zero
-    # sum and a linked pair.
+    # The triples with a generator e_{+-alpha_i} first that grading leaves.
     for label in ("A1", "A3", "B3", "G2", "D4"):
         t = table(label)
         rs = t.rs
-        zero = (0,) * rs.rank
-
-        def linked(u, v):
-            s = add(u, v)
-            return s == zero or s in tuple_index(rs)
-
         gens = [simple_root(rs, i) for i in rs.cartan.nodes]
         gens += [tuple(-c for c in g) for g in gens]
-        evaluated = 0
-        for x in gens:
-            evaluated += 2 * rs.rank * sum(linked(x, z) for z in rs.roots)
-            for y in rs.roots:
-                for z in rs.roots:
-                    s = add(add(x, y), z)
-                    if (s == zero or s in tuple_index(rs)) and (
-                            linked(y, z) or linked(z, x) or linked(x, y)):
-                        evaluated += 1
         report = cb.jacobi_sweep(t)
         dim = t.dimension
-        assert report.evaluated == evaluated, label
+        assert report.evaluated == _evaluated_by_brute_force(t, gens), label
         assert report.implied_by_generation == dim ** 3 - 2 * rs.rank * dim ** 2
         assert report.evaluated + report.zero_by_grading == 2 * rs.rank * dim ** 2
         doc = report.to_json()
         assert doc["implied_by_generation"] == report.implied_by_generation
         assert f"{report.implied_by_generation} implied by generation" in report.summary()
+
+
+def test_restricted_sweep_evaluates_exactly_the_triples_it_covers():
+    # Every third root first: the restricted sweep covers len(first) * dim**2
+    # triples and evaluates those grading leaves, counted by brute force.
+    for label in ("A1", "A3", "B3", "G2", "D4"):
+        t = table(label)
+        first = np.arange(0, len(t.rs.roots), 3)
+        report = _graded_sweep(t, first=first)
+        assert report.passed and report.implied_by_generation == 0
+        assert report.checked == len(first) * t.dimension ** 2
+        assert report.evaluated == _evaluated_by_brute_force(t, [t.rs.roots[k] for k in first]), label
+
+
+def _first_root(site) -> int | None:
+    """The root index that comes first in a Jacobi site's triple, None for a Cartan element or a stray key."""
+    kind = site[0]
+    if kind in ("eee", "eee0"):
+        return site[1]
+    return site[2] if kind[:3] in ("ehe", "eeh") else None
+
+
+@pytest.mark.parametrize("label", ("A3", "B3", "G2", "D4"))
+def test_restricted_sweeps_partition_the_root_first_triples(label):
+    # Restricted to each residue class of the roots mod 3, the sweeps record
+    # only sites whose triple starts with a root of the class; together they
+    # give the full sweep's root-first sites, and their evaluated triples
+    # with those of (h_i, b, c) make up the full sweep's.
+    everything = 10 ** 9
+    t = table(label)
+    rs = t.rs
+    linked = int(np.count_nonzero(rs.sum_index >= 0)) + len(rs.roots)
+    for v in _jacobi_variants(t):
+        full = _graded_sweep(v, everything)
+        sites, evaluated = set(), rs.rank * linked
+        for residue in range(3):
+            first = np.arange(residue, len(rs.roots), 3)
+            part = _graded_sweep(v, everything, first=first)
+            triples = {site for site in _sites(part) if site[0] != "grading"}
+            assert {_first_root(site) for site in triples} <= set(first.tolist())
+            sites |= triples
+            evaluated += part.evaluated
+        assert sites == {site for site in _sites(full) if _first_root(site) is not None}
+        assert evaluated == full.evaluated
 
 
 def test_jacobi_fast_path_on_every_clean_table():
@@ -420,6 +475,21 @@ def test_jacobi_sweep_memory_on_a24():
         tracemalloc.stop()
     assert report.passed and report.checked == t.dimension ** 3
     assert peak < 64 * 2 ** 20, f"jacobi_sweep peak {peak / 2 ** 20:.1f} MB on A24"
+
+
+def test_jacobi_fallback_memory_on_a24():
+    # The fallback sweep takes the one-Cartan checks one node at a time and
+    # the zero-sum triples JACOBI_BLOCK pairs at a time.
+    rs = system("A24")
+    bad = with_flipped_constant(closed_table(rs, cb.default_epsilon(rs.cartan)), 5)
+    tracemalloc.start()
+    try:
+        report = cb.jacobi_sweep(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.passed and report.implied_by_generation == 0
+    assert peak <= 20 * 2 ** 20, f"fallback jacobi_sweep peak {peak / 2 ** 20:.1f} MB on A24"
 
 
 def test_jacobi_counts_every_ordered_triple():
@@ -642,6 +712,18 @@ def test_differential_reports_pinned():
     for name, bad in variants.items():
         got = [differential(t, bad), differential(bad, t)]
         assert [(r.checked, r.violations) for r in got] == PINNED_C3_DIFFERENTIALS[name], name
+
+
+def test_differential_reports_a_pair_stored_twice_once():
+    # A stray pair stored twice, and a summing pair stored twice, in t2: the
+    # stray one is one pair only t2 stores, the summing one is not.
+    t = table("B3")
+    pairs = np.concatenate([t.pairs, [[0, 0], [0, 0]], t.pairs[:1]])
+    odd = dataclasses.replace(t, pairs=pairs, n=np.concatenate([t.n, [7, 7], t.n[:1]]))
+    alpha = t.rs.roots[0]
+    report = differential(t, odd)
+    assert report.violations == [((alpha, alpha), None, 7)]
+    assert report.checked == differential(t, t).checked + 1
 
 
 def test_differential_incompatible():
