@@ -2,10 +2,11 @@
 
 Everything here treats a table as opaque data and re-derives what it
 claims from scratch: the Jacobi identity over the full adjoint basis
-(evaluated on the Chevalley generators' triples wherever the root
-grading does not already force it, and implied on the rest because the
-generators generate the table; a graded sweep over every triple is the
-fallback), the |N| = q+1 bound with string lengths walked in the root
+(evaluated on the triples of the positive simple Chevalley generators
+wherever the root grading does not already force it, and implied on the
+rest because the generators generate the table and the Chevalley
+involution is an automorphism of it; a graded sweep over every triple is
+the fallback), the |N| = q+1 bound with string lengths walked in the root
 system, the canonical signs of the generator rows, and the co-roots and
 Cartan actions against the root system's, a differential comparison of
 two tables of the same root system (built independently by the caller),
@@ -93,18 +94,30 @@ def _invertible(m: np.ndarray) -> bool:
     return True
 
 
-def _generation_holds(t: BracketTable, nn, stray, neg, w, gens) -> bool:
-    """The preconditions under which Jacobi on the generators' triples implies it on all.
+def _generation_holds(t: BracketTable, arrays: tuple) -> bool:
+    """The preconditions under which Jacobi on the positive simple generators' triples implies it on all.
 
-    No stored key off the grading, an antisymmetric bracket, every root
-    other than the generators' reached by a ladder mu = g + nu with
-    N(g, nu) != 0 and |ht nu| < |ht mu|, and r independent brackets
+    No stored key off the grading; an antisymmetric bracket, N(b, a) =
+    -N(a, b) and [e_{-alpha}, e_alpha] = -[e_alpha, e_{-alpha}]; the
+    Chevalley involution omega(e_alpha) = -e_{-alpha}, omega(h) = -h an
+    automorphism of it, N(-a, -b) = -N(a, b) and (-alpha)(h_i) =
+    -alpha(h_i) (on the Cartan vectors it asks what antisymmetry does);
+    every root other than the 2r generators' reached by a ladder mu = g + nu
+    with N(g, nu) != 0 and |ht nu| < |ht mu|; and r independent brackets
     [e_{alpha_i}, e_{-alpha_i}], so that the generators generate the table.
+    The constants are read at the stored pairs only, as every other entry
+    of ``nn`` is 0: O(K + rank * nr), with no dense transpose.
+    ``arrays`` are the table's :func:`_table_arrays`.
     """
-    if len(stray) or not np.array_equal(nn, -nn.T) or not np.array_equal(w[neg], -w):
+    nn, stray, neg, act, w = arrays
+    a, b = t.pairs.T
+    ab = nn[a, b]
+    if (len(stray) or np.any(nn[b, a] != -ab) or np.any(nn[neg[a], neg[b]] != -ab)
+            or not np.array_equal(w[neg], -w) or not np.array_equal(act[:, neg], -act)):
         return False
     rs = t.rs
     p = rs.positive_count
+    gens = _generators(rs)
     mu = rs.sum_index[gens]
     # g = +-alpha_i moves the height by +-1, so |ht nu| < |ht mu| exactly
     # when nu has the sign of g.
@@ -151,19 +164,21 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
     For an antisymmetric bracket the x whose ``ad x`` is a derivation form
     a subalgebra, and ``ad x`` is one exactly when J(x, y, z) = 0 for all
     y, z.  So when the 2r Chevalley generators e_{+-alpha_i} generate the
-    table (see :func:`_generation_holds`), Jacobi on the 2r * dim**2
-    triples with a generator first implies it on all dim**3.  The graded
-    sweep restricted to those triples runs first, and the other dim**3 -
-    2r * dim**2 are counted in ``implied_by_generation``.  If a
+    table, Jacobi on the 2r * dim**2 triples with a generator first implies
+    it on all dim**3.  When the Chevalley involution omega(e_alpha) =
+    -e_{-alpha}, omega(h) = -h is also an automorphism of the bracket,
+    ad e_{-alpha_i} = -omega ad(e_{alpha_i}) omega^-1 is a derivation
+    whenever ad e_{alpha_i} is, so the r * dim**2 triples with a positive
+    simple generator first suffice (see :func:`_generation_holds`).  The
+    graded sweep restricted to those triples runs first, and the other
+    dim**3 - r * dim**2 are counted in ``implied_by_generation``.  If a
     precondition fails or a generator triple is non-zero, the graded
     sweep over all triples runs instead and its report, with its sites,
     is returned.  ``checked`` is always dim**3.
     """
     arrays = _table_arrays(t)
-    nn, stray, neg, act, w = arrays
-    gens = _generators(t.rs)
-    if _generation_holds(t, nn, stray, neg, w, gens):
-        report = _graded_sweep(t, max_recorded, arrays, gens)
+    if _generation_holds(t, arrays):
+        report = _graded_sweep(t, max_recorded, arrays, t.rs.simple)
         if report.passed:
             report.implied_by_generation = t.dimension ** 3 - report.checked
             report.checked = t.dimension ** 3
@@ -193,8 +208,8 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
     vectorised batches, and each non-zero sum is recorded.  Grading holds
     only if every stored constant sits on a pair that sums to a root, so
     a stored key that does not is recorded as a violation too.
-    :func:`jacobi_sweep` runs this sweep with ``first`` the generators,
-    and falls back to it over all triples, passing the
+    :func:`jacobi_sweep` runs this sweep with ``first`` the positive
+    simple roots, and falls back to it over all triples, passing the
     :func:`_table_arrays` it built.
     """
     report = VerificationReport(suite="jacobi", max_recorded=max_recorded)

@@ -246,15 +246,27 @@ def test_constant_lookup_matches_a_scan(label):
 
 @pytest.mark.parametrize("label", ("A1", "G2", "B3"))
 def test_find_matches_a_scan(label):
-    # Every ordered pair at once: the first stored position, or -1.
+    # Every ordered pair at once, in key order and shuffled: the first
+    # stored position, or -1.  The tables' keys come in key order (t, and
+    # twice with two pairs stored twice, each copy next to the first), in
+    # file order, and shuffled, with and without a pair stored twice.
     t = table(label)
     pairs = np.concatenate([t.pairs, [[0, 0]], t.pairs[-1:]])
     odd = dataclasses.replace(t, pairs=pairs, n=np.concatenate([t.n, [7], -t.n[-1:]]))
     nr = len(t.rs.roots)
-    a, b = np.divmod(np.arange(nr * nr), nr)
-    for v in (t, _loaded(t), odd):
-        hits = [np.flatnonzero((v.pairs[:, 0] == x) & (v.pairs[:, 1] == y)) for x, y in zip(a, b)]
-        assert v.find(a, b).tolist() == [int(h[0]) if len(h) else -1 for h in hits]
+    pairs = np.concatenate([odd.pairs, [[0, 0]]])
+    up = np.argsort(pairs[:, 0] * nr + pairs[:, 1], kind="stable")
+    twice = dataclasses.replace(t, pairs=pairs[up], n=np.append(odd.n, -7)[up])
+    rng = np.random.default_rng(0)
+    shuffle = rng.permutation(len(odd.n))
+    mine = shuffle[shuffle < len(t.n)]
+    shuffled = dataclasses.replace(t, pairs=t.pairs[mine], n=t.n[mine])
+    shuffled_odd = dataclasses.replace(t, pairs=odd.pairs[shuffle], n=odd.n[shuffle])
+    for query in (np.arange(nr * nr), rng.permutation(nr * nr)):
+        a, b = np.divmod(query, nr)
+        for v in (t, _loaded(t), odd, twice, shuffled, shuffled_odd):
+            hits = [np.flatnonzero((v.pairs[:, 0] == x) & (v.pairs[:, 1] == y)) for x, y in zip(a, b)]
+            assert v.find(a, b).tolist() == [int(h[0]) if len(h) else -1 for h in hits]
 
 
 def _loaded(t):

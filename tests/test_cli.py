@@ -381,6 +381,10 @@ CORRUPTIONS = {
 # recorded from the per-root tuple code that the co-root and Cartan action
 # arrays replaced.  Report values must stay plain ints and tuples: numpy
 # renders an array scalar as "np.int64(1)", which only these bytes show.
+# The three "epsilon" tables pass Jacobi on the fast path, so their bytes
+# follow its counts; they were taken again when it moved to the r positive
+# simple generators, with only evaluated, zero_by_grading and
+# implied_by_generation changed.
 PINNED_VERIFY_REPORTS = {
     ("a2", "negated"): "9179a9e255f445f1739ebd2129a1ed61e7e5239c82aa9e4ee526f910a2cff2af",
     ("a2", "doubled"): "2d4dfc50b38a425029c3eccc86bf981ee56b8ea244f13624a7b8b0a709fcd430",
@@ -388,21 +392,21 @@ PINNED_VERIFY_REPORTS = {
     ("a2", "action"): "c31be244f1babf189f9b32ed880d1cd746738f801fb81bc466a3fc8371ea1cb2",
     ("a2", "first-coroot"): "e03a4a7f6d37aad3f2d347face92e04c33ebb244c25925821526609521bd2c63",
     ("a2", "last-coroot"): "bfccb11359dd28d6327a5e6429b252784e04f549ccbd6c04a90387a025dad34e",
-    ("a2", "epsilon"): "b1e77eb20165692a0a5b0a037877dfc5d916ea223d3d503218081830a27d75ec",
+    ("a2", "epsilon"): "009080bd03f23bf5635862cf84164fbc5f9b475c8d543686cbc996dd40bbb65c",
     ("d4", "negated"): "7d5e6f6827e489977f9f8d022f941b5204746523100943082a48057a4d8e040b",
     ("d4", "doubled"): "d120b51ca102acf1524e1fb10637f932ae3d430a0f2962b862067be08140de7c",
     ("d4", "dropped"): "aa843e388f97e8dab5e6c8e4616c88c571ffd3e33bac1c43a0cd118d53077e9b",
     ("d4", "action"): "655c518b20c8a02e521caeba3840b9a0d982a2d125a0c0221f531fa15a0026b1",
     ("d4", "first-coroot"): "d9a9f4b2ead88bddc0a9ed20154d49c5ab06eb38f1731e8882210e84c0812fd4",
     ("d4", "last-coroot"): "ea96e0ad541953f0e2dd68912e6b7caa70deaa9277d327750c784169b682b606",
-    ("d4", "epsilon"): "411b84f63a58685390d3559454b73f6227134410de7b9eedd90827a1467e33e4",
+    ("d4", "epsilon"): "f9e07ef43d5396fb8f4d540b724660d2837b2256f6a779dbb1d2a0769a7cd938",
     ("g2", "negated"): "f85367815a8e13fb3254bd6ad0e7455819ddbc6359aab779440dab3bfb24379c",
     ("g2", "doubled"): "7af44078d0a70a9ee5f822224dba9ae7374b14521eadd22fb9ca9d699664c300",
     ("g2", "dropped"): "2bff7841b69e6098a410d213bfec633e4e1e8487d3e54aad18f552e2a4180d5c",
     ("g2", "action"): "8f116e86925bc81601e8bd375290dc5bb758b156cb841bd70570ea17798433b9",
     ("g2", "first-coroot"): "666dd4983bc882a38bbe6cba0003668db19f3a5e3c4a244221175ed0cf26ca8a",
     ("g2", "last-coroot"): "473c5dea68579b290c8d53337bf3236382f65fa87dc0825b7ed8f5fbbdada841",
-    ("g2", "epsilon"): "fadb5bef2b9a8d4fe9048ff49998b2cd3ebf65025af7cb18aa8e09f2d6555b4e",
+    ("g2", "epsilon"): "7d614214e9558aef1d46abdfc92e86b5c5ad8407f63158df0a428ae1ba6a9483",
 }
 
 

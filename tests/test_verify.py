@@ -254,7 +254,9 @@ def _jacobi_variants(t: BracketTable) -> list[BracketTable]:
 
 @pytest.mark.parametrize("label", DESK_TYPES)
 def test_jacobi_fast_path_matches_graded_sweep(label):
-    # The fast path is taken exactly on the tables the graded sweep passes.
+    # Among these variants the fast path is taken exactly on the tables the
+    # graded sweep passes; a table that keeps Jacobi but breaks the Chevalley
+    # involution is refused too (test_jacobi_fast_path_needs_the_involution).
     for flipped in (False, True):
         for v in _jacobi_variants(table(label, flipped)):
             graded = _graded_sweep(v)
@@ -303,14 +305,12 @@ def test_graded_sweep_sites_do_not_depend_on_the_block(label, monkeypatch):
 
 
 def _generator_parts(t: BracketTable):
-    """Whether the fast path's preconditions hold, and the generator triples evaluated, or None if one is non-zero."""
+    """Whether the fast path's preconditions hold, and the positive simple generator triples evaluated, or None if one is non-zero."""
     arrays = _table_arrays(t)
-    nn, stray, neg, act, w = arrays
-    gens = _generators(t.rs)
-    report = _graded_sweep(t, 10 ** 9, arrays, gens)
+    report = _graded_sweep(t, 10 ** 9, arrays, t.rs.simple)
     # A stray key is recorded once, and is no triple.
-    vanish = report.violation_count == len(stray)
-    return _generation_holds(t, nn, stray, neg, w, gens), report.evaluated if vanish else None
+    vanish = report.violation_count == len(arrays[1])
+    return _generation_holds(t, arrays), report.evaluated if vanish else None
 
 
 def test_jacobi_needs_no_stray_key():
@@ -353,6 +353,60 @@ def test_jacobi_preconditions_each_detected():
     assert _generator_parts(t) == (True, cb.jacobi_sweep(t).evaluated)
 
 
+def _with_vector_negated(t: BracketTable, k: int) -> BracketTable:
+    """The same algebra in the basis with e_k negated alone, its Cartan vectors [e_{+-k}, e_{-+k}] with it.
+
+    A basis change, so Jacobi still holds, but N(-a, -b) = -N(a, b) fails
+    wherever one of a, b, a + b is k or -k and the others are not.
+    """
+    opposite = t.opposite.copy()
+    opposite[[k, t.rs.neg_index(k)]] *= -1
+    return with_constants(with_flipped_vectors(t, {k}), opposite=opposite)
+
+
+@pytest.mark.parametrize("label", ("A3", "B3", "G2", "D4", "E6"))
+def test_jacobi_fast_path_needs_the_involution(label):
+    # With e_k negated alone the Chevalley involution is no automorphism, so
+    # the triples of e_{alpha_i} do not give those of e_{-alpha_i}: the fast
+    # path refuses, and the graded sweep over all triples passes the table.
+    t = table(label)
+    for k in (0, t.rs.positive_count - 1):
+        v = _with_vector_negated(t, k)
+        report = cb.jacobi_sweep(v)
+        assert report.passed and report.implied_by_generation == 0, (label, k)
+        assert report.to_json() == _graded_sweep(v).to_json()
+
+
+def test_jacobi_pair_and_involution_checks_each_detected():
+    # One table per check read at the stored pairs or the action columns,
+    # failing it alone: N(a, b) and N(-a, -b) negated together break
+    # antisymmetry only; e_0 negated alone breaks N(-a, -b) = -N(a, b) only;
+    # one action bumped on the last (negative) root breaks alpha(h_i) =
+    # -(-alpha)(h_i) only.  None moves a zero of the constants or changes a
+    # Cartan vector beyond its sign, so the ladders and the rank check hold
+    # as on the clean table.  The second keeps Jacobi, so its generator
+    # triples all vanish; the others also make a generator triple non-zero.
+    t = table("A3")
+    clean, _, neg, _, w_clean = _table_arrays(t)
+    n = constants(t)
+    a, b = sorted(n)[0]
+    one_sided = with_constants(t, {**n, (a, b): -n[(a, b)], (neg[a], neg[b]): -n[(neg[a], neg[b])]})
+    flipped, bumped = _with_vector_negated(t, 0), _with_action_bumped(t)
+    for bad, kept in ((one_sided, (False, True, True)), (flipped, (True, False, True)),
+                      (bumped, (True, True, False))):
+        nn, stray, _, act, w = _table_arrays(bad)
+        assert not len(stray) and np.array_equal(w[neg], -w)
+        assert np.array_equal(nn != 0, clean != 0) and np.array_equal(np.abs(w), np.abs(w_clean))
+        assert (np.array_equal(nn, -nn.T), np.array_equal(nn[np.ix_(neg, neg)], -nn),
+                np.array_equal(act[:, neg], -act)) == kept
+        report = cb.jacobi_sweep(bad)
+        assert report.implied_by_generation == 0
+        assert report.to_json() == _graded_sweep(bad).to_json()
+    holds, evaluated = _generator_parts(flipped)
+    assert not holds and evaluated is not None
+    assert _generator_parts(one_sided) == _generator_parts(bumped) == (False, None)
+
+
 def _evaluated_by_brute_force(t: BracketTable, firsts) -> int:
     """Count over root tuples the triples with a root of ``firsts`` first that grading leaves.
 
@@ -379,17 +433,17 @@ def _evaluated_by_brute_force(t: BracketTable, firsts) -> int:
 
 
 def test_jacobi_fast_path_evaluates_exactly_the_generator_triples():
-    # The triples with a generator e_{+-alpha_i} first that grading leaves.
+    # The triples with a positive simple generator e_{alpha_i} first that
+    # grading leaves; those of e_{-alpha_i} follow by the Chevalley involution.
     for label in ("A1", "A3", "B3", "G2", "D4"):
         t = table(label)
         rs = t.rs
         gens = [simple_root(rs, i) for i in rs.cartan.nodes]
-        gens += [tuple(-c for c in g) for g in gens]
         report = cb.jacobi_sweep(t)
         dim = t.dimension
         assert report.evaluated == _evaluated_by_brute_force(t, gens), label
-        assert report.implied_by_generation == dim ** 3 - 2 * rs.rank * dim ** 2
-        assert report.evaluated + report.zero_by_grading == 2 * rs.rank * dim ** 2
+        assert report.implied_by_generation == dim ** 3 - rs.rank * dim ** 2
+        assert report.evaluated + report.zero_by_grading == rs.rank * dim ** 2
         doc = report.to_json()
         assert doc["implied_by_generation"] == report.implied_by_generation
         assert f"{report.implied_by_generation} implied by generation" in report.summary()
