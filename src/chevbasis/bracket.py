@@ -91,14 +91,12 @@ class BracketTable:
         k = int(self.find([self.rs.index_of(alpha)], [self.rs.index_of(beta)])[0])
         return int(self.n[k]) if k >= 0 else 0
 
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nn, stored): nr x nr arrays of N_{a,b} (0 where not stored) and of whether (a, b) is stored."""
+    def dense(self) -> np.ndarray:
+        """N_{a,b} as one nr x (nr + 1) int64 array: 0 where not stored, and a last column of 0s for a sum index of -1."""
         nr = len(self.rs.roots)
-        nn = np.zeros((nr, nr), dtype=np.int64)
-        stored = np.zeros((nr, nr), dtype=bool)
+        nn = np.zeros((nr, nr + 1), dtype=np.int64)
         nn[self.pairs[:, 0], self.pairs[:, 1]] = self.n
-        stored[self.pairs[:, 0], self.pairs[:, 1]] = True
-        return nn, stored
+        return nn
 
     def opposite_brackets(self) -> np.ndarray:
         """[e_alpha, e_{-alpha}] for every root alpha, as nr rows of h-coordinates."""
@@ -121,12 +119,12 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
     pos = rs.positive_count
     nr = len(roots)
     si = rs.sum_index
-    neg = (np.arange(nr) + pos) % nr
+    neg = rs.neg
     simple = rs.simple
-    # nn[a, b] = N_{a,b}, zero off the summing pairs.  The extra column stays
-    # 0 and is where a sum index of -1 points.  Simple rows first:
-    # N_{alpha_i,beta} = eps(i)(q+1).
-    nn = np.zeros((nr, nr + 1), dtype=np.int64)
+    # nn[a, b] = N_{a,b} for positive a, zero off the summing pairs, in the
+    # layout of BracketTable.dense: the extra column stays 0 and is where a
+    # sum index of -1 points.  Simple rows first: N_{alpha_i,beta} = eps(i)(q+1).
+    nn = np.zeros((pos, nr + 1), dtype=np.int64)
     node, bs = np.nonzero(si[simple] >= 0)
     nn[simple[node], bs] = np.array(eps.values)[node] * (rs.backward_lengths(simple[node], bs) + 1)
     # hvec[k] = [e_alpha, e_{-alpha}] as an h-coordinate vector, positive k only.
@@ -162,10 +160,12 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
             raise InternalInconsistency(f"non-exact Cartan division at {roots[m]}")
         hvec[m] = combo // d
 
-    # N_{-a,-b} = -N_{a,b}.
-    nn[pos:, :nr] = -nn[:pos, neg]
+    # N_{-a,-b} = -N_{a,b}: a negative row is read at the negated pair.
     pairs = np.argwhere(si >= 0)
-    t = BracketTable(rs=rs, eps=eps, pairs=pairs, n=nn[pairs[:, 0], pairs[:, 1]],
+    a, b = pairs.T
+    n = nn[a % pos, np.where(a < pos, b, neg[b])]
+    n[a >= pos] *= -1
+    t = BracketTable(rs=rs, eps=eps, pairs=pairs, n=n,
                      cartan_action=rs.cartan_action, opposite=rs.coroots)
     # The recursion must reproduce (-1)^ht h_alpha with h_alpha the co-root.
     expected = t.opposite_brackets()[:pos]

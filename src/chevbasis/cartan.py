@@ -56,10 +56,10 @@ def root_count(family: str, rank: int) -> int:
     return _EXCEPTIONAL_ROOTS[family, rank]
 
 
-# Every layer holds nr x nr arrays: sum_index (int32), and while verifying a
-# few int64 ones of 8 nr^2 bytes each.  Capping one int64 nr x nr array at
-# 2^27 bytes (128 MiB) caps nr at 2^12 = 4096: A63 (4032 roots) and D45 (3960)
-# are built, A64 (4160) is refused.
+# Every layer holds nr x nr arrays: sum_index (int32), and while verifying the
+# one int64 nr x (nr + 1) dense view of the constants, about 8 nr^2 bytes.
+# Capping one int64 nr x nr array at 2^27 bytes (128 MiB) caps nr at 2^12 =
+# 4096: A63 (4032 roots) and D45 (3960) are built, A64 (4160) is refused.
 MAX_ROOTS = math.isqrt(2**27 // 8)
 
 

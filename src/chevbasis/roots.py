@@ -46,8 +46,9 @@ class RootSystem:
 
     ``coeffs`` (nr x rank) holds the positive roots sorted by (height,
     coefficients), then their negatives in the same order, so rows k and
-    k + positive_count are a root and its negative; ``roots`` is the same
-    list as tuples, and ``simple[i - 1]`` the row of alpha_i.
+    k + positive_count are a root and its negative, and ``neg[k]`` (nr
+    intp, derived on construction) is the row of -roots[k]; ``roots`` is
+    the same list as tuples, and ``simple[i - 1]`` the row of alpha_i.
     ``cartan_action`` (rank x nr) holds alpha(h_i) = <alpha_i, alpha> and
     ``coroots`` (nr x rank) the c with h_alpha = sum c_i h_i, so that
     <alpha, beta> = beta(h_alpha) is ``coroots[a] @ cartan_action[:, b]``.
@@ -69,6 +70,7 @@ class RootSystem:
     coroots: np.ndarray = field(repr=False)
     norms: np.ndarray = field(repr=False)
     sum_index: np.ndarray = field(init=False, repr=False)
+    neg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = _key(self.coeffs)
@@ -86,6 +88,8 @@ class RootSystem:
         # below 2^24, so float32 holds them exactly.  Blocks of 2^14 entries keep
         # the working set small.
         nr, norms = len(keys), self.norms
+        self.neg = (np.arange(nr) + self.positive_count) % nr
+        self.neg.flags.writeable = False
         left = np.concatenate([self.coeffs, norms[:, None], np.ones((nr, 1))], axis=1, dtype=np.float32)
         right = np.concatenate([self.cartan_action * norms[self.simple, None], np.ones((1, nr)), norms[None]],
                                dtype=np.float32)
@@ -129,10 +133,6 @@ class RootSystem:
             raise NotARoot(f"{alpha} is not a root")
         return k
 
-    def neg_index(self, k: int) -> int:
-        p = self.positive_count
-        return k + p if k < p else k - p
-
     @property
     def rank(self) -> int:
         return self.cartan.rank
@@ -142,7 +142,7 @@ class RootSystem:
     def string_lengths(self, alpha: Root, beta: Root) -> tuple[int, int]:
         """(p, q) with p = max{i >= 0 : beta + i alpha root}, q backwards, by walking ``sum_index``."""
         a, b = self.index_of(alpha), self.index_of(beta)
-        neg_a = self.neg_index(a)
+        neg_a = self.neg[a]
         if b == a or b == neg_a:
             raise DegeneratePair("string through beta = +/- alpha is undefined")
         return tuple(self.backward_lengths([neg_a, a], [b, b]).tolist())
@@ -154,7 +154,7 @@ class RootSystem:
         backward_lengths(a, b)).  Pairs are not checked for degeneracy;
         callers pass pairs with b != +-a.
         """
-        neg_a = (np.asarray(a) + self.positive_count) % len(self.coeffs)
+        neg_a = self.neg[a]
         b = np.asarray(b)
         q = np.zeros(b.shape, dtype=np.int64)
         while (live := b >= 0).any():

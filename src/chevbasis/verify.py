@@ -34,31 +34,28 @@ JACOBI_BLOCK = 1 << 13
 
 
 def _table_arrays(t: BracketTable):
-    """Dense integer views of a table: constants, stray keys, negation, actions, Cartan vectors.
+    """Dense integer views of a table: constants (:meth:`BracketTable.dense`), stray keys, actions, Cartan vectors.
 
     A stray key is a stored pair (a, b) whose roots do not sum to a root.
     """
-    rs = t.rs
-    nn, _ = t.dense()
-    stray = t.pairs[rs.sum_index[t.pairs[:, 0], t.pairs[:, 1]] < 0]
-    neg = (np.arange(len(rs.roots)) + rs.positive_count) % len(rs.roots)
-    return nn, stray, neg, t.cartan_action, t.opposite_brackets()
+    stray = t.pairs[t.rs.sum_index[t.pairs[:, 0], t.pairs[:, 1]] < 0]
+    return t.dense(), stray, t.cartan_action, t.opposite_brackets()
 
 
-def _root_terms(t: BracketTable, nn, neg, act, w):
+def _root_terms(t: BracketTable, nn, act, w):
     """``linked(u, v)`` and ``term(x, y, z)`` on index arrays, for root triples with a root sum.
 
-    Both read flat views with ``take``: ``sum_index`` and ``nn`` at
-    ``y * nr + z``, and ``nn`` widened by a zero column at ``x * (nr + 1)
-    + sum``, where a sum index of -1 lands on a zero.  The Cartan term of
-    a band triple (z = -y) is gathered there alone, as the int64 sum over
-    i of ``w[y, i] * act[i, x]``: each product is at most 2^40 for entries
-    within ``ENTRY_BOUND``, so no Jacobi sum can wrap.
+    Both read flat views with ``take``: ``sum_index`` at ``y * nr + z``, and
+    the nr x (nr + 1) ``nn`` at ``y * (nr + 1) + z`` and ``x * (nr + 1) +
+    sum``, where a sum index of -1 lands on the zero column.  The Cartan
+    term of a band triple (z = -y) is gathered there alone, as the int64 sum
+    over i of ``w[y, i] * act[i, x]``: each product is at most 2^40 for
+    entries within ``ENTRY_BOUND``, so no Jacobi sum can wrap.
     """
+    neg = t.rs.neg
     nr = len(neg)
     si = t.rs.sum_index.ravel()
     flat = nn.ravel()
-    ext = np.concatenate([nn, np.zeros((nr, 1), dtype=np.int64)], axis=1).ravel()
     act_t = np.ascontiguousarray(act.T)
 
     def linked(u, v):
@@ -67,7 +64,7 @@ def _root_terms(t: BracketTable, nn, neg, act, w):
     def term(x, y, z):
         """Coefficient of [e_x, [e_y, e_z]] on e_{x+y+z}."""
         yz = y * nr + z
-        out = flat.take(yz) * ext.take(x * (nr + 1) + si.take(yz))
+        out = flat.take(yz + y) * flat.take(x * (nr + 1) + si.take(yz))
         band = np.flatnonzero(z == neg.take(y))
         out[band] -= np.einsum("ki,ki->k", w.take(y[band], axis=0), act_t.take(x[band], axis=0))
         return out
@@ -77,7 +74,7 @@ def _root_terms(t: BracketTable, nn, neg, act, w):
 
 def _generators(rs) -> np.ndarray:
     """Root indices of the Chevalley generators: alpha_1..alpha_r, then -alpha_1..-alpha_r."""
-    return np.concatenate([rs.simple, rs.simple + rs.positive_count])
+    return np.concatenate([rs.simple, rs.neg[rs.simple]])
 
 
 def _invertible(m: np.ndarray) -> bool:
@@ -109,7 +106,7 @@ def _generation_holds(t: BracketTable, arrays: tuple) -> bool:
     of ``nn`` is 0: O(K + rank * nr), with no dense transpose.
     ``arrays`` are the table's :func:`_table_arrays`.
     """
-    nn, stray, neg, act, w = arrays
+    (nn, stray, act, w), neg = arrays, t.rs.neg
     a, b = t.pairs.T
     ab = nn[a, b]
     if (len(stray) or np.any(nn[b, a] != -ab) or np.any(nn[neg[a], neg[b]] != -ab)
@@ -121,7 +118,7 @@ def _generation_holds(t: BracketTable, arrays: tuple) -> bool:
     mu = rs.sum_index[gens]
     # g = +-alpha_i moves the height by +-1, so |ht nu| < |ht mu| exactly
     # when nu has the sign of g.
-    ladder = (mu >= 0) & (nn[gens] != 0) & ((np.arange(len(rs.roots)) < p) == (gens[:, None] < p))
+    ladder = (mu >= 0) & (nn[gens, :-1] != 0) & ((np.arange(len(rs.roots)) < p) == (gens[:, None] < p))
     reached = np.zeros(len(rs.roots), dtype=bool)
     reached[gens] = True
     reached[mu[ladder]] = True
@@ -214,8 +211,8 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
     """
     report = VerificationReport(suite="jacobi", max_recorded=max_recorded)
     si = t.rs.sum_index
-    r, nr = t.rs.rank, len(si)
-    nn, stray, neg, act, w = arrays or _table_arrays(t)
+    r, nr, neg = t.rs.rank, len(si), t.rs.neg
+    nn, stray, act, w = arrays or _table_arrays(t)
     mine = np.ones(nr, dtype=bool) if first is None else np.bincount(first, minlength=nr) > 0
     rows = np.flatnonzero(mine)
     report.checked = t.dimension ** 2 * (t.dimension if first is None else len(rows))
@@ -295,7 +292,7 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
         group = np.where(mine[link_y] | mine[link_z], group, group + len(start))
         start = np.concatenate([start, few_start + len(members)])
         members = np.concatenate([members, few])
-    linked, term = _root_terms(t, nn, neg, act, w)
+    linked, term = _root_terms(t, nn, act, w)
     kept = [np.empty((0, 3), dtype=np.intp)] * 3
     for seg, at in _blocks(start, group):
         x = members[at]
@@ -474,12 +471,12 @@ def sl_n_oracle(table: BracketTable) -> VerificationReport:
     # Row -1 is the zero matrix: the expected bracket of a pair whose sum is no root.
     targets = np.concatenate([mats, np.zeros((1, n, n), dtype=np.int64)])
     w = table.opposite_brackets()
-    nn, _ = table.dense()
+    nn = table.dense()[:, :-1]
     report = VerificationReport(suite="sl_n", checked=nr * nr + rs.rank * nr)
     for a, alpha in enumerate(rs.roots):
         comm = mats[a] @ mats - mats @ mats[a]
         expected = nn[a, :, None, None] * targets[rs.sum_index[a]]
-        expected[rs.neg_index(a)] = np.tensordot(w[a], cartans, axes=1)
+        expected[rs.neg[a]] = np.tensordot(w[a], cartans, axes=1)
         for (b,) in _mismatches(expected, comm):
             report.record((alpha, rs.roots[b]), expected[b].tolist(), comm[b].tolist())
 

@@ -235,11 +235,10 @@ def check_automorphism_invariance(rs: RootSystem, auto: DiagramAutomorphism, tab
     """Verify N_{alpha',beta'} = N_{alpha,beta} for the induced permutation."""
     report = VerificationReport(suite="automorphism-invariance", checked=len(table.n))
     perm = np.array([tuple_index(rs)[permute_root(auto, alpha)] for alpha in rs.roots], dtype=np.intp)
-    nn, stored = table.dense()
     a, b = table.pairs.T
-    pa, pb = perm[a], perm[b]
-    for k in np.flatnonzero(~stored[pa, pb] | (nn[pa, pb] != table.n)).tolist():
-        got = int(nn[pa[k], pb[k]]) if stored[pa[k], pb[k]] else None
+    at = table.find(perm[a], perm[b])
+    for k in np.flatnonzero((at < 0) | (table.n[at] != table.n)).tolist():
+        got = int(table.n[at[k]]) if at[k] >= 0 else None
         report.record((rs.roots[a[k]], rs.roots[b[k]]), int(table.n[k]), got)
     return report
 
@@ -296,11 +295,10 @@ def check_negation_symmetry(t: BracketTable) -> VerificationReport:
     """
     report = VerificationReport(suite="negation-symmetry", checked=len(t.n))
     rs = t.rs
-    nn, stored = t.dense()
     a, b = t.pairs.T
-    na, nb = (t.pairs.T + rs.positive_count) % len(rs.roots)
-    for k in np.flatnonzero(~stored[na, nb] | (nn[na, nb] != -t.n)).tolist():
-        got = int(nn[na[k], nb[k]]) if stored[na[k], nb[k]] else None
+    at = t.find(rs.neg[a], rs.neg[b])
+    for k in np.flatnonzero((at < 0) | (t.n[at] != -t.n)).tolist():
+        got = int(t.n[at[k]]) if at[k] >= 0 else None
         report.record((rs.roots[a[k]], rs.roots[b[k]]), -int(t.n[k]), got)
     return report
 

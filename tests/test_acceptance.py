@@ -197,7 +197,7 @@ def test_criterion_7_symmetries():
             n = constants(t)
             for (a, b), value in n.items():
                 assert n[(b, a)] == -value
-                assert n[(rs.neg_index(a), rs.neg_index(b))] == -value
+                assert n[(rs.neg[a], rs.neg[b])] == -value
             assert check_negation_symmetry(t).passed
         plain, other = table(label), table(label, True)
         assert constants(other) == {k: -v for k, v in constants(plain).items()}

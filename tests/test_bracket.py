@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,11 +135,11 @@ def _scalar_inductive_reference(rs, eps, tie_break):
         if root_height(roots[m]) == 1:
             continue
         row_m = si[m].tolist()
-        l = pick(i for i in rs.cartan.nodes if row_m[rs.neg_index(simple_idx[i])] >= 0)
+        l = pick(i for i in rs.cartan.nodes if row_m[rs.neg[simple_idx[i]]] >= 0)
         sl = simple_idx[l]
-        v = row_m[rs.neg_index(sl)]
+        v = row_m[rs.neg[sl]]
         d = n[(sl, v)]
-        neg_m, neg_v, neg_sl = rs.neg_index(m), rs.neg_index(v), rs.neg_index(sl)
+        neg_m, neg_v, neg_sl = rs.neg[m], rs.neg[v], rs.neg[sl]
         row_v, row_sl = si[v].tolist(), si[sl].tolist()
         for b, total in enumerate(row_m):
             if total < 0:
@@ -160,7 +161,7 @@ def _scalar_inductive_reference(rs, eps, tie_break):
         hvec[m] = combo // d
     for (a, b), value in list(n.items()):
         if a < pos:
-            n[(rs.neg_index(a), rs.neg_index(b))] = -value
+            n[(rs.neg[a], rs.neg[b])] = -value
     return n, hvec
 
 
@@ -275,7 +276,9 @@ def _loaded(t):
 
 def test_every_summing_pair_is_stored():
     # Closed, folded, inductive and file-loaded tables each store every
-    # summing pair once, so len(t.n) counts the ordered summing pairs.
+    # summing pair once, so len(t.n) counts the ordered summing pairs.  Their
+    # dense view holds each constant at its pair, and a last column of zeros
+    # where a sum index of -1 lands.
     tables = [closed_table(system(label), cb.default_epsilon(system(label).cartan)) for label in SIMPLY_LACED_TYPES]
     tables += [folded(parent)[1] for parent, _ in FOLDS]
     tables += [table(label) for label in DESK_TYPES]
@@ -290,3 +293,24 @@ def test_every_summing_pair_is_stored():
         )
         assert len(t.n) == len(t.pairs) == expected, rs.cartan.label
         assert len(np.unique(t.pairs, axis=0)) == len(t.pairs), rs.cartan.label
+        nn = t.dense()
+        assert nn.shape == (len(rs.roots), len(rs.roots) + 1) and nn.dtype == np.int64, rs.cartan.label
+        assert not nn[:, -1].any() and np.array_equal(nn[t.pairs[:, 0], t.pairs[:, 1]], t.n), rs.cartan.label
+        assert np.count_nonzero(nn) == len(t.n), rs.cartan.label
+
+
+def test_build_inductive_memory_on_a24():
+    # The builder fills the positive rows only, and reads the negative
+    # constants at the stored pairs: its traced peak stays below one and a
+    # half nr x nr int64 arrays.
+    rs = system("A24")
+    eps = cb.default_epsilon(rs.cartan)
+    tracemalloc.start()
+    try:
+        t = cb.build_inductive(rs, eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nr = len(rs.roots)
+    assert np.array_equal(t.n, closed_table(rs, eps).n)
+    assert peak < 1.5 * 8 * nr * nr, f"build_inductive peak {peak / 2 ** 20:.1f} MB on A24"

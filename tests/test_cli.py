@@ -191,7 +191,7 @@ def test_show_every_pair(shown, capsys):
     capsys.readouterr()
     for a, alpha in enumerate(rs.roots):
         for b, beta in enumerate(rs.roots):
-            if b in (a, rs.neg_index(a)):
+            if b in (a, rs.neg[a]):
                 continue
             argv = ["show", "--in", str(path), f"--alpha={','.join(map(str, alpha))}",
                     f"--beta={','.join(map(str, beta))}"]

@@ -212,7 +212,8 @@ def test_folded_table_flags_swapped_restriction(root, error, message):
     # that preceded the array code did).
     fs, _ = folded("D4")
     x = fs.folded_rs.index_of(root)
-    swap = {x: fs.folded_rs.neg_index(x), fs.folded_rs.neg_index(x): x}
+    y = int(fs.folded_rs.neg[x])
+    swap = {x: y, y: x}
     bad = dataclasses.replace(fs, restriction=tuple(swap.get(k, k) for k in fs.restriction))
     with pytest.raises(error, match=f"^{message}$"):
         cb.folded_table(bad)

@@ -66,8 +66,8 @@ def test_ordering_and_negation_layout():
         assert heights == sorted(heights)
         for k in range(p):
             assert rs.roots[k + p] == negate(rs.roots[k])
-            assert rs.neg_index(k) == k + p
-            assert rs.neg_index(k + p) == k
+        assert rs.neg.tolist() == list(range(p, 2 * p)) + list(range(p))
+        assert not rs.neg.flags.writeable
         for r in rs.roots[:p]:
             assert root_sign(r) == 1
             assert all(c >= 0 for c in r)
@@ -263,7 +263,7 @@ def test_sum_index_matches_tuple_sums(label):
     expected = [[tuple_index(rs).get(add(alpha, beta), -1) for beta in rs.roots] for alpha in rs.roots]
     assert rs.sum_index.dtype == np.int32
     assert rs.sum_index.tolist() == expected
-    assert all(rs.sum_index[k, rs.neg_index(k)] == -1 for k in range(len(rs.roots)))
+    assert all(rs.sum_index[k, rs.neg[k]] == -1 for k in range(len(rs.roots)))
     assert not rs.sum_index.flags.writeable
 
 
@@ -314,7 +314,7 @@ def test_string_lengths_match_tuple_walk():
         backward = {}
         for a, alpha in enumerate(rs.roots):
             for b, beta in enumerate(rs.roots):
-                if b in (a, rs.neg_index(a)):
+                if b in (a, rs.neg[a]):
                     with pytest.raises(DegeneratePair):
                         rs.string_lengths(alpha, beta)
                     continue

@@ -59,7 +59,7 @@ def _dense_table_arrays(t: BracketTable, dtype=np.int64):
         nn[a, b] = value
     valid = rs.sum_index >= 0
     total = np.where(valid, rs.sum_index, nr)  # nr = sentinel "no root"
-    neg = np.array([rs.neg_index(k) for k in range(nr)], dtype=np.intp)
+    neg = rs.neg
     act = np.array(t.cartan_action, dtype=dtype)
     w = t.opposite_brackets().astype(dtype)
     return nn, total, valid, neg, act, w
@@ -236,14 +236,14 @@ def _antisymmetric_variants(t: BracketTable) -> list[BracketTable]:
                                                (b, a): factor * n[(b, a)]}))
     for k in (0, rs.positive_count - 1):
         opposite = t.opposite.copy()
-        opposite[[k, rs.neg_index(k)]] *= -1
+        opposite[[k, rs.neg[k]]] *= -1
         variants.append(with_constants(t, opposite=opposite))
     return variants
 
 
 def _jacobi_variants(t: BracketTable) -> list[BracketTable]:
     """The clean table, the graded sweep's corruptions, stray keys, and antisymmetric corruptions."""
-    neg0 = t.rs.neg_index(0)
+    neg0 = t.rs.neg[0]
     n = constants(t)
     variants = [t, with_flipped_opposite(t), _with_action_bumped(t),
                 with_constants(t, {**n, (0, 0): 1}),
@@ -318,7 +318,7 @@ def test_jacobi_needs_no_stray_key():
     # generator triples all vanish; only the precondition keeps the graded
     # sweep's verdict.
     t = table("A3")
-    neg0 = t.rs.neg_index(0)
+    neg0 = t.rs.neg[0]
     bad = with_constants(t, {**constants(t), (0, neg0): 1, (neg0, 0): -1})
     holds, evaluated = _generator_parts(bad)
     assert not holds and evaluated is not None
@@ -360,7 +360,7 @@ def _with_vector_negated(t: BracketTable, k: int) -> BracketTable:
     wherever one of a, b, a + b is k or -k and the others are not.
     """
     opposite = t.opposite.copy()
-    opposite[[k, t.rs.neg_index(k)]] *= -1
+    opposite[[k, t.rs.neg[k]]] *= -1
     return with_constants(with_flipped_vectors(t, {k}), opposite=opposite)
 
 
@@ -387,16 +387,18 @@ def test_jacobi_pair_and_involution_checks_each_detected():
     # as on the clean table.  The second keeps Jacobi, so its generator
     # triples all vanish; the others also make a generator triple non-zero.
     t = table("A3")
-    clean, _, neg, _, w_clean = _table_arrays(t)
+    clean, _, _, w_clean = _table_arrays(t)
+    neg = t.rs.neg
     n = constants(t)
     a, b = sorted(n)[0]
     one_sided = with_constants(t, {**n, (a, b): -n[(a, b)], (neg[a], neg[b]): -n[(neg[a], neg[b])]})
     flipped, bumped = _with_vector_negated(t, 0), _with_action_bumped(t)
     for bad, kept in ((one_sided, (False, True, True)), (flipped, (True, False, True)),
                       (bumped, (True, True, False))):
-        nn, stray, _, act, w = _table_arrays(bad)
+        nn, stray, act, w = _table_arrays(bad)
         assert not len(stray) and np.array_equal(w[neg], -w)
         assert np.array_equal(nn != 0, clean != 0) and np.array_equal(np.abs(w), np.abs(w_clean))
+        nn = nn[:, :-1]
         assert (np.array_equal(nn, -nn.T), np.array_equal(nn[np.ix_(neg, neg)], -nn),
                 np.array_equal(act[:, neg], -act)) == kept
         report = cb.jacobi_sweep(bad)
@@ -510,7 +512,7 @@ def test_jacobi_flags_constant_on_non_summing_pair():
     t = table("A2")
     rs = t.rs
     a = 0
-    for b in (a, rs.neg_index(a)):
+    for b in (a, rs.neg[a]):
         assert rs.sum_index[a, b] < 0
         bad = with_constants(t, {**constants(t), (a, b): 1})
         report = cb.jacobi_sweep(bad)
@@ -519,6 +521,9 @@ def test_jacobi_flags_constant_on_non_summing_pair():
 
 
 def test_jacobi_sweep_memory_on_a24():
+    # Beside the one nr x (nr + 1) dense view of the constants, the sweep's
+    # working set stays small: below three and a half nr x nr int64 arrays
+    # in all, well within the 64 MB bound.
     rs = system("A24")
     t = closed_table(rs, cb.default_epsilon(rs.cartan))
     tracemalloc.start()
@@ -529,6 +534,8 @@ def test_jacobi_sweep_memory_on_a24():
         tracemalloc.stop()
     assert report.passed and report.checked == t.dimension ** 3
     assert peak < 64 * 2 ** 20, f"jacobi_sweep peak {peak / 2 ** 20:.1f} MB on A24"
+    nr = len(rs.roots)
+    assert peak < 3.5 * 8 * nr * nr, f"jacobi_sweep peak {peak / 2 ** 20:.1f} MB on A24"
 
 
 def test_jacobi_fallback_memory_on_a24():
@@ -626,7 +633,7 @@ def _scalar_chevalley_reference(t: BracketTable) -> VerificationReport:
 def test_chevalley_audit_matches_scalar_reference(label):
     for flipped in (False, True):
         t = table(label, flipped)
-        neg0 = t.rs.neg_index(0)
+        neg0 = t.rs.neg[0]
         n = constants(t)
         variants = [t, with_flipped_opposite(t),
                     with_constants(t, {**n, (0, 0): 1}),
@@ -657,7 +664,7 @@ def test_chevalley_audit_flags_non_canonical_generator_rows(tmp_path, label):
     rs = t.rs
     simple = _generators(rs)[0]
     variants = [with_flipped_vectors(t, _theta(rs)),
-                with_flipped_vectors(t, {int(simple), rs.neg_index(int(simple))})]
+                with_flipped_vectors(t, {int(simple), rs.neg[int(simple)]})]
     docs = [document_from_table(v, "inductive") for v in variants]
     docs.append({**document_from_table(t, "inductive"), "epsilon": list(t.eps.flipped().values)})
     for k, doc in enumerate(docs):
@@ -700,7 +707,7 @@ def test_chevalley_audit_flags_constant_on_non_summing_pair():
     # record it, not raise from the string walk.
     rs = system("A2")
     t = closed_table(rs, cb.default_epsilon(rs.cartan))
-    for b in (0, rs.neg_index(0)):
+    for b in (0, rs.neg[0]):
         bad = with_constants(t, {**constants(t), (0, b): 1})
         report = cb.chevalley_audit(bad)
         assert not report.passed
@@ -883,13 +890,13 @@ def _scalar_sl_n_reference(table: BracketTable) -> VerificationReport:
     mats = [model.root_matrix(alpha) for alpha in rs.roots]
     cartans = [model.cartan_matrix(k) for k in range(1, n)]
     w = table.opposite_brackets()
-    nn, _ = table.dense()
+    nn = table.dense()
     report = VerificationReport(suite="sl_n")
     for a, alpha in enumerate(rs.roots):
         sums = rs.sum_index[a].tolist()
         for b, beta in enumerate(rs.roots):
             comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            if b == rs.neg_index(a):
+            if b == rs.neg[a]:
                 expected = sum(c * h for c, h in zip(w[a].tolist(), cartans))
             elif sums[b] >= 0:
                 expected = nn[a, b] * mats[sums[b]]
