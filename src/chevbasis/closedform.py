@@ -28,19 +28,33 @@ from .roots import RootSystem
 def pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The sign of N_{a,b} for index arrays a, b whose sums are roots, as int64 +-1.
 
-    The exponent n diag[eps = -1] A m is read mod 2 from one nr x nr
-    uint8 product of 0/1 matrices (uint8 sums wrap mod 256, which keeps
-    the parity); root signs are read off the index, negative roots coming
-    after positive_count.
+    The exponent n diag[eps = -1] A m is read mod 2 as the parity of
+    left[a] & right[b], each 0/1 row of rank bits packed once into a
+    uint64 and each pair's word folded by XOR; root signs are read off
+    the index, negative roots coming after positive_count.
     """
     odd = np.array(eps.values) == -1
-    left = ((rs.coeffs[:, odd] @ np.array(rs.cartan.entries)[odd]) % 2).astype(np.uint8)
-    right = (rs.coeffs % 2).astype(np.uint8)
-    parity = (left @ right.T)[a, b] & 1
+    left = _packed(rs.coeffs[:, odd] @ np.array(rs.cartan.entries)[odd])
+    right = _packed(rs.coeffs)
+    parity = left[a]
+    parity &= right[b]
+    for k in (32, 16, 8, 4, 2, 1):
+        parity ^= parity >> np.uint64(k)
+    parity = (parity & np.uint64(1)).astype(bool)
     s = rs.sum_index[a, b]
     pos = rs.positive_count
     bit = parity ^ (a >= pos) ^ (b >= pos) ^ (s >= pos)
     return 1 - 2 * bit.astype(np.int64)
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Each row's entries mod 2 as the bits of one uint64.
+
+    A row has one entry per node; MAX_ROOTS keeps every type at rank 63 or
+    below (A63 is the largest A type it admits), so the bits fit.
+    """
+    bits = (rows % 2).astype(np.uint64)
+    return (bits << np.arange(rows.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
 
 
 def closed_table(rs: RootSystem, eps: SignFunction) -> BracketTable:

@@ -8,13 +8,17 @@ order), ``constants`` ((a, b, sum, N) index quadruples sorted by (a, b)),
 ``json.dumps`` does not encode an array, so :func:`to_json_bytes` is the
 one encoder: it writes each array field by one gather from a text table
 of its values, and the bytes equal ``json.dumps`` with sorted keys and
-no whitespace on the same document held as lists.  A document read from
-a file holds lists; :func:`table_from_document` accepts both.
+no whitespace on the same document held as lists.  A file in that
+canonical form reads back as the arrays that wrote it, each array field
+parsed by one numpy call (:func:`from_json_bytes`); any other file is
+read by ``json.loads`` and holds lists.  :func:`table_from_document`
+accepts both.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from itertools import chain
 from typing import Any
 
@@ -222,10 +226,60 @@ def _text_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def from_json_bytes(data: bytes) -> dict[str, Any]:
+    """The document in a file's bytes.
+
+    Bytes in the canonical form of :func:`to_json_bytes` read back as the
+    document that wrote them, with read-only int64 arrays in the four
+    array fields; any other bytes go through ``json.loads`` and hold
+    lists.  Both give equal documents, so the bytes alone pick the path.
+    """
+    doc = _canonical_document(data)
+    if doc is not None:
+        return doc
     try:
         return json.loads(data.decode("ascii"))
     except RecursionError:
         raise ChevBasisError("JSON nesting is too deep") from None
+
+
+_ARRAY_FIELDS = (b"cartan_action", b"constants", b"opposite", b"roots")
+_MATRIX_BYTES = b"0123456789-,[]"
+
+
+def _canonical_document(data: bytes) -> dict[str, Any] | None:
+    """The document of canonical bytes, each array field parsed by one numpy call; None otherwise.
+
+    The fields are cut out in the sorted-key order that
+    :func:`to_json_bytes` writes, and the rest of the file goes through
+    ``json.loads``.  The document is returned only if it encodes back to
+    ``data``: the encoding is injective, so it then equals ``json.loads``
+    of ``data`` field by field.  Leading zeros, ``-0``, whitespace, tokens
+    beyond int64 (which ``fromstring`` saturates), ragged rows and any
+    other departure fail that test or raise here, and return None, so
+    malformed files keep the messages of the ``json.loads`` path.
+    """
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x warns on text it cannot read, where 2.x raises.
+            warnings.simplefilter("error")
+            rest, arrays, at = [], {}, 0
+            for name in _ARRAY_FIELDS:
+                start = data.index(b'"' + name + b'":[[', at) + len(name) + 3
+                end = data.index(b"]]", start) + 2
+                text = data[start + 2:end - 2]
+                if text.translate(None, _MATRIX_BYTES):
+                    return None
+                flat = np.fromstring(text.replace(b"],[", b","), dtype=np.int64, sep=",")
+                arrays[name.decode("ascii")] = _read_only(flat.reshape(text.count(b"],[") + 1, -1))
+                rest += [data[at:start], b"0"]
+                at = end
+            doc = json.loads(b"".join(rest + [data[at:]]).decode("ascii"))
+            doc.update(arrays)
+            return doc if to_json_bytes(doc) == data else None
+    # A field not found, unreadable text or JSON, a document that is not an
+    # object, or (numpy 1.x) a warning from fromstring.
+    except (ValueError, AttributeError, RecursionError, Warning):
+        return None
 
 
 def render_root(coeffs: Root) -> str:

@@ -2,7 +2,8 @@
 
 Each function states one property per root or per pair, the way the
 paper does: the closed sign formula (``closedform.pair_signs`` evaluates
-it on index arrays), the folded backward string length by orbit pair
+it on index arrays, and :func:`product_pair_signs` is its earlier dense
+form), the folded backward string length by orbit pair
 count and by orbit case analysis (``folding._q_routes``), root strings
 (``RootSystem.string_lengths`` and ``backward_lengths``), the induced
 root permutation and the restriction (``folding.fold``), the split,
@@ -301,6 +302,25 @@ def check_negation_symmetry(t: BracketTable) -> VerificationReport:
         got = int(t.n[at[k]]) if at[k] >= 0 else None
         report.record((rs.roots[a[k]], rs.roots[b[k]]), -int(t.n[k]), got)
     return report
+
+
+# -- the closed sign formula as one dense product ----------------------------
+
+
+def product_pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``closedform.pair_signs`` by the nr x nr uint8 product of the 0/1 exponent matrices.
+
+    uint8 sums wrap mod 256, which keeps the parity; root signs are read
+    off the index, negative roots coming after positive_count.
+    """
+    odd = np.array(eps.values) == -1
+    left = ((rs.coeffs[:, odd] @ np.array(rs.cartan.entries)[odd]) % 2).astype(np.uint8)
+    right = (rs.coeffs % 2).astype(np.uint8)
+    parity = (left @ right.T)[a, b] & 1
+    s = rs.sum_index[a, b]
+    pos = rs.positive_count
+    bit = parity ^ (a >= pos) ^ (b >= pos) ^ (s >= pos)
+    return 1 - 2 * bit.astype(np.int64)
 
 
 # -- the list writer ---------------------------------------------------------

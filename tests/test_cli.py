@@ -11,13 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chevbasis import cli, folding
 from chevbasis.cartan import MAX_ROOTS, root_count
 from chevbasis.cli import main
 from chevbasis.errors import InternalInconsistency
-from chevbasis.serialize import from_json_bytes, render_root
+from chevbasis.serialize import from_json_bytes, render_root, to_json_bytes
 from conftest import constants, system, table
 from reference import string_lengths
 
@@ -135,7 +136,7 @@ def test_fold_subcommand(tmp_path):
 def test_verify_flags_corrupted_file(tmp_path):
     out = tmp_path / "a2.json"
     assert run("gen", "--type", "A2", "--method", "inductive", "--out", str(out)) == 0
-    doc = from_json_bytes(out.read_bytes())
+    doc = json.loads(out.read_bytes())
     doc["constants"][0][3] = -doc["constants"][0][3]
     out.write_text(json.dumps(doc))
     assert run("verify", "--in", str(out)) == 1
@@ -328,7 +329,7 @@ def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
 
 
 def test_chevalley_checks_cartan_action(tmp_path, capsys):
-    doc = from_json_bytes((GOLDEN / "g2.json").read_bytes())
+    doc = json.loads((GOLDEN / "g2.json").read_bytes())
     doc["cartan_action"][0][2] += 1
     path = tmp_path / "g2-action.json"
     path.write_text(json.dumps(doc))
@@ -410,17 +411,30 @@ PINNED_VERIFY_REPORTS = {
 }
 
 
+def _corrupted_files(tmp_path, name, corruption):
+    """A corrupted golden file as ``json.dumps`` writes it, then in canonical form.
+
+    The canonical bytes must read back as arrays, so the pinned digests
+    hold on both read paths.
+    """
+    doc = json.loads((GOLDEN / f"{name}.json").read_bytes())
+    CORRUPTIONS[corruption](doc)
+    canonical = to_json_bytes(doc)
+    assert isinstance(from_json_bytes(canonical)["constants"], np.ndarray)
+    for write, data in (("dumps", json.dumps(doc).encode("ascii")), ("canonical", canonical)):
+        path = tmp_path / f"{name}-{corruption}-{write}.json"
+        path.write_bytes(data)
+        yield path
+
+
 @pytest.mark.parametrize("name,corruption", sorted(PINNED_VERIFY_REPORTS))
 def test_verify_reports_pinned(tmp_path, capsys, name, corruption):
-    doc = from_json_bytes((GOLDEN / f"{name}.json").read_bytes())
-    CORRUPTIONS[corruption](doc)
-    path = tmp_path / f"{name}-{corruption}.json"
-    path.write_text(json.dumps(doc))
     suites = "jacobi,differential" + (",slN" if name == "a2" else "")
-    capsys.readouterr()
-    assert run("verify", "--json", "--in", str(path), "--suite", suites) == 1
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_REPORTS[(name, corruption)]
+    for path in _corrupted_files(tmp_path, name, corruption):
+        capsys.readouterr()
+        assert run("verify", "--json", "--in", str(path), "--suite", suites) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_REPORTS[(name, corruption)], path.name
 
 
 # SHA-256 of `verify --json --suite chevalley` on the same corrupted files,
@@ -453,14 +467,11 @@ PINNED_CHEVALLEY_REPORTS = {
 
 @pytest.mark.parametrize("name,corruption", sorted(PINNED_CHEVALLEY_REPORTS))
 def test_chevalley_reports_pinned(tmp_path, capsys, name, corruption):
-    doc = from_json_bytes((GOLDEN / f"{name}.json").read_bytes())
-    CORRUPTIONS[corruption](doc)
-    path = tmp_path / f"{name}-{corruption}.json"
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run("verify", "--json", "--in", str(path), "--suite", "chevalley") == 1
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHEVALLEY_REPORTS[(name, corruption)]
+    for path in _corrupted_files(tmp_path, name, corruption):
+        capsys.readouterr()
+        assert run("verify", "--json", "--in", str(path), "--suite", "chevalley") == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHEVALLEY_REPORTS[(name, corruption)], path.name
 
 
 def test_cached_parser_keeps_no_state_between_commands(tmp_path, capsys, monkeypatch):

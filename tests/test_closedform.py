@@ -20,6 +20,7 @@ from reference import (
     constant_sign_reduced,
     contains,
     negate,
+    product_pair_signs,
     simple_root,
 )
 
@@ -142,3 +143,13 @@ def test_pair_signs_match_scalar_formula(label):
     for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
         expected = [constant_sign(rs, eps, rs.roots[x], rs.roots[y]) for x, y in zip(a, b)]
         assert pair_signs(rs, eps, a, b).tolist() == expected
+
+
+@pytest.mark.parametrize("label", ("A33", "A63"))
+def test_packed_parity_matches_the_dense_product(label):
+    # Rank 33 is the first at which a uint32 packing would wrap, and A63,
+    # the largest A type under MAX_ROOTS, fills 63 bits of the uint64 word.
+    rs = cb.generate_roots(cb.build_cartan("A", int(label[1:])))
+    a, b = np.nonzero(rs.sum_index >= 0)
+    for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
+        assert np.array_equal(pair_signs(rs, eps, a, b), product_pair_signs(rs, eps, a, b))

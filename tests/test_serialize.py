@@ -11,6 +11,7 @@ import re
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,7 +269,7 @@ BAD_CONSTANTS = {
 
 @pytest.mark.parametrize("mutation", sorted(BAD_CONSTANTS))
 def test_malformed_constant_entries_rejected(mutation, tmp_path):
-    doc = from_json_bytes(GOLDEN_G2.read_bytes())
+    doc = json.loads(GOLDEN_G2.read_bytes())
     assert doc["constants"][0] == [0, 1, 2, 1]
     doc["constants"] = BAD_CONSTANTS[mutation](doc["constants"])
     with pytest.raises(ChevBasisError):
@@ -314,7 +315,7 @@ BAD_FIELDS = {
 
 @pytest.mark.parametrize("mutation", sorted(BAD_FIELDS))
 def test_malformed_fields_rejected(mutation, tmp_path, capsys):
-    doc = from_json_bytes(GOLDEN_G2.read_bytes())
+    doc = json.loads(GOLDEN_G2.read_bytes())
     assert doc["epsilon"] == [-1, 1] and doc["positive_count"] == 6
     assert doc["opposite"][0][1] == 1 and doc["cartan_action"][0][2] == 1
     assert doc["cartan_matrix"][0][0] == 2 and doc["roots"][0] == [0, 1]
@@ -370,7 +371,7 @@ def test_entries_beyond_the_bound_are_refused(tmp_path):
     # the Jacobi sweep wrap to 0 in int64 and passed; entries are now bounded
     # so that no sum a verifier forms can overflow.
     a1 = document_from_table(table("A1"), "inductive")
-    g2 = from_json_bytes(GOLDEN_G2.read_bytes())
+    g2 = json.loads(GOLDEN_G2.read_bytes())
     g2["constants"][0][3] = ENTRY_BOUND + 1
     bad = {"action": {**a1, "cartan_action": [[-2**63, -2**63]]},
            "opposite": {**a1, "opposite": [[ENTRY_BOUND + 1], [-1]]},
@@ -388,7 +389,9 @@ def test_entries_beyond_the_bound_are_refused(tmp_path):
 # Mutation corpus: one scalar of a golden file replaced, or one top-level
 # field dropped, per example.  Default verify must end in 0, 1 or 2 without
 # an exception escaping main, and an int replaced by a value of another
-# JSON type must be refused with exit 2 and one line on stderr.
+# JSON type must be refused with exit 2 and one line on stderr.  Each
+# mutant is written by ``json.dumps`` and in canonical form, which reaches
+# the array reader, and both files must give the same outcome.
 GOLDEN = Path(__file__).parent / "golden"
 MUTATED_FILES = {name: json.loads((GOLDEN / name).read_text()) for name in ("a2.json", "g2.json")}
 
@@ -410,13 +413,16 @@ REPLACEMENTS = st.integers(-4, 4) | st.integers(-2**70, 2**70) | NON_INTS
 
 
 def _verify_document(doc) -> tuple[int, str]:
+    outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutant.json"
-        path.write_text(json.dumps(doc))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["verify", "--in", str(path)])
-    return code, err.getvalue()
+        for data in (json.dumps(doc).encode("ascii"), to_json_bytes(doc)):
+            path.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                outcomes.append((main(["verify", "--in", str(path)]), err.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
@@ -447,7 +453,7 @@ def test_reader_keeps_file_order(tmp_path, capsys):
     # Constants need not come sorted: a reversed list loads to the same
     # constants, each (a, b) followed by (b, a) in file order, and the
     # audit lists violations in that order.
-    doc = from_json_bytes(GOLDEN_G2.read_bytes())
+    doc = json.loads(GOLDEN_G2.read_bytes())
     reversed_doc = {**doc, "constants": doc["constants"][::-1]}
     loaded = table_from_document(reversed_doc)
     assert constants(loaded) == constants(table_from_document(doc))
@@ -465,3 +471,97 @@ def test_reader_keeps_file_order(tmp_path, capsys):
     (report,) = json.loads(capsys.readouterr().out)
     roots = doc["roots"]
     assert [v["site"] for v in report["violations"]] == [[roots[7], roots[10]], [roots[0], roots[1]], [roots[1], roots[0]]]
+
+
+# The array reader: canonical bytes parse to arrays equal to json.loads;
+# any other bytes fall back to json.loads with its exceptions and messages.
+ARRAY_FIELDS = {"cartan_action", "constants", "opposite", "roots"}
+CANONICAL_SOURCES = [f"golden-{name}" for name in ("a2", "d4", "g2")] + [
+    f"{label}-{eps}" for label in ("E8", "D4", "B3", "G2", "F4", "A1") for eps in ("default", "flipped")]
+
+
+def _canonical_bytes(source: str) -> bytes:
+    kind, name = source.split("-")
+    if kind == "golden":
+        return (GOLDEN / f"{name}.json").read_bytes()
+    return to_json_bytes(document_from_table(table(kind, name == "flipped"), "inductive"))
+
+
+def _as_lists(doc):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+
+
+@pytest.mark.parametrize("source", CANONICAL_SOURCES)
+def test_canonical_bytes_read_as_arrays(source):
+    data = _canonical_bytes(source)
+    fast, slow = from_json_bytes(data), json.loads(data)
+    arrays = {k for k, v in fast.items() if isinstance(v, np.ndarray)}
+    # A1 has no constants, and "[]" gives no column count: it may fall back.
+    assert arrays == (set() if source.startswith("A1-") else ARRAY_FIELDS)
+    for key in arrays:
+        assert fast[key].dtype == np.int64 and not fast[key].flags.writeable
+    assert _as_lists(fast) == slow
+    a, b = table_from_document(fast), table_from_document(slow)
+    for field in ("pairs", "n", "cartan_action", "opposite"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def _spliced(old: bytes, new: bytes):
+    def variant(data: bytes) -> bytes:
+        assert data.count(old) == 1
+        return data.replace(old, new)
+    return variant
+
+
+# Hand-made departures from the canonical g2.json; the array reader must
+# decline each one.
+DECLINED = {
+    "leading-zero": _spliced(b'"constants":[[0,1,2,1]', b'"constants":[[00,1,2,1]'),
+    "minus-zero": _spliced(b'"opposite":[[0,1]', b'"opposite":[[-0,1]'),
+    "bare-minus": _spliced(b'"opposite":[[0,1]', b'"opposite":[[-,1]'),
+    "minus-inside-token": _spliced(b'"opposite":[[0,1]', b'"opposite":[[0-1,1]'),
+    "empty-token": _spliced(b'"opposite":[[0,1]', b'"opposite":[[0,,1]'),
+    "space-in-array": _spliced(b'"constants":[[0,1,2,1]', b'"constants":[[0, 1,2,1]'),
+    "space-between-fields": _spliced(b',"rank":2', b', "rank":2'),
+    "reordered-keys": lambda data: b'{"type":"G2",' + data[1:].replace(b',"type":"G2"', b""),
+    "duplicate-scalar-key": _spliced(b'"rank":2', b'"rank":3,"rank":2'),
+    "duplicate-array-key": _spliced(b'"roots":', b'"roots":[[0,1]],"roots":'),
+    "above-int64": _spliced(b'[[0,1,2,1]', b'[[0,1,2,99999999999999999999]'),
+    "below-int64": _spliced(b'[[0,1,2,1]', b'[[0,1,2,-9223372036854775809]'),
+    "ragged-rows": _spliced(b'"opposite":[[0,1],', b'"opposite":[[0,1,5],'),
+    "ragged-rows-same-count": _spliced(b'"opposite":[[0,1],[1,0],', b'"opposite":[[0,1,1],[0],'),
+    "float": _spliced(b'[[0,1,2,1]', b'[[0,1,2,1.0]'),
+    "bool": _spliced(b'[[0,1,2,1]', b'[[0,1,2,true]'),
+    "field-name-in-provenance": _spliced(b'"parent":"D4"}', b'"parent":"D4","roots":[[0,1]]}'),
+    "document-in-a-list": lambda data: b"[" + data[:-1] + b"]\n",
+    "trailing-space": lambda data: data + b" ",
+    "trailing-brace": lambda data: data + b"}",
+    "no-final-lf": lambda data: data[:-1],
+    "non-ascii-string": _spliced(b'"parent":"D4"', b'"parent":"D\xc3\xa94"'),
+    "non-ascii-in-array": _spliced(b'[[0,1,2,1]', b'[[0,1,2,\xd9]'),
+}
+
+
+def _read(reader, data):
+    try:
+        return _as_lists(reader(data))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("variant", sorted(DECLINED))
+def test_non_canonical_bytes_take_the_json_path(variant, tmp_path, capsys, monkeypatch):
+    data = DECLINED[variant](GOLDEN_G2.read_bytes())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert serialize._canonical_document(data) is None
+    assert not caught
+    assert _read(from_json_bytes, data) == _read(lambda d: json.loads(d.decode("ascii")), data)
+    path = tmp_path / "variant.json"
+    path.write_bytes(data)
+    outcomes = []
+    for array_reader in (serialize._canonical_document, lambda data: None):
+        monkeypatch.setattr(serialize, "_canonical_document", array_reader)
+        capsys.readouterr()
+        outcomes.append((main(["verify", "--in", str(path)]), capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
