@@ -20,6 +20,10 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
+
+# The package is imported from this checkout's src/, so no install is needed.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import chevbasis as cb
 from chevbasis.folding import independent_table

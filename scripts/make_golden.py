@@ -9,9 +9,13 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+# The package is imported from this checkout's src/, so no install is needed.
+sys.path.insert(0, str(ROOT / "src"))
+
 from chevbasis.cli import main
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run() -> int:

@@ -61,37 +61,29 @@ def folded_type(cm: CartanMatrix, order: int) -> tuple[str, int]:
     raise FoldingPreconditionViolated(f"no folded type for {cm.label} with order {order}")
 
 
-@dataclass
+@dataclass(eq=False)
 class FoldedSystem:
     """A simply-laced root system together with its folded image.
 
-    ``restriction[k]`` is the folded root index of parent root k; parents
-    restrict equally exactly when they share a root orbit.  All data is
-    derived once in :func:`fold` and never mutated.
+    Three read-only intp arrays, computed once in :func:`fold`, hold the
+    orbit structure: ``perm[k]`` is the image of parent root k under the
+    induced root permutation, ``restriction[k]`` the folded root that
+    parent root k restricts to, and row x of ``orbits`` (folded roots x
+    automorphism order) the parent orbit restricting to folded root x, in
+    cycle order from its smallest index and padded with -1.  Parents
+    restrict equally exactly when they share an orbit.  Instances are
+    never mutated and compare by identity.
     """
 
     parent: RootSystem
     eps: SignFunction
     auto: DiagramAutomorphism
     reps: tuple[int, ...]
-    folded_cartan: CartanMatrix
     folded_eps: SignFunction
     folded_rs: RootSystem
-    root_orbits: tuple[tuple[int, ...], ...] = field(repr=False)
-    orbit_id: tuple[int, ...] = field(repr=False)
-    restriction: tuple[int, ...] = field(repr=False)
-
-    def parents_of(self, folded_index: int) -> tuple[int, ...]:
-        """The parent root orbit restricting to the given folded root."""
-        return self._parents[folded_index]
-
-    def __post_init__(self) -> None:
-        parents: list[tuple[int, ...] | None] = [None] * len(self.folded_rs.roots)
-        for orbit in self.root_orbits:
-            parents[self.restriction[orbit[0]]] = orbit
-        if any(p is None for p in parents):
-            raise InternalInconsistency("folded roots and parent orbits do not biject")
-        self._parents: tuple[tuple[int, ...], ...] = tuple(parents)  # type: ignore[arg-type]
+    perm: np.ndarray = field(repr=False)
+    restriction: np.ndarray = field(repr=False)
+    orbits: np.ndarray = field(repr=False)
 
 
 def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> FoldedSystem:
@@ -134,10 +126,10 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
     while len(powers) <= auto.order:
         powers.append(perm[powers[-1]])
     powers = np.stack(powers)  # powers[t, k] = perm^t(k); the last row is the identity
-    leaders = np.flatnonzero(powers.min(axis=0) == powers[0])
-    orbit_id = np.searchsorted(leaders, powers.min(axis=0))
+    low = powers.min(axis=0)
     lengths = (powers[1:] == powers[0]).argmax(axis=0) + 1
-    root_orbits = tuple(tuple(c[:k]) for c, k in zip(powers[:, leaders].T.tolist(), lengths[leaders].tolist()))
+    # cycles[t, k] = perm^t(k) for t below the length of k's orbit, -1 from there on
+    cycles = np.where(np.arange(auto.order)[:, None] < lengths, powers[:-1], -1)
     # The restrictions, by one lookup of the node-orbit sums in the folded system.
     coords = rs.coeffs @ np.array([[i in auto.orbit_of(j) for j in reps] for i in cm.nodes], dtype=np.int64)
     restriction = folded_rs.find(coords)
@@ -145,17 +137,20 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
         raise InternalInconsistency(
             f"restriction {tuple(coords[k].tolist())} of {rs.roots[k]} is not a root of {reference.label}"
         )
-    # Restrictions must separate orbits and exhaust the folded system.
+    # Restrictions must separate orbits and exhaust the folded system; then
+    # owner[x] is the smallest member of the orbit restricting to x.
     owner = np.full(len(folded_rs.coeffs), -1)
-    owner[restriction] = orbit_id
-    if (owner[restriction] != orbit_id).any():
+    owner[restriction] = low
+    if (owner[restriction] != low).any():
         raise InternalInconsistency("two distinct orbits share a restriction")
     if (owner < 0).any():
         raise InternalInconsistency("restrictions do not cover the folded root system")
+    orbits = cycles.T[owner]
+    for a in (perm, restriction, orbits):
+        a.flags.writeable = False
 
-    return FoldedSystem(parent=rs, eps=eps, auto=auto, reps=reps, folded_cartan=reference,
-                        folded_eps=folded_eps, folded_rs=folded_rs, root_orbits=root_orbits,
-                        orbit_id=tuple(orbit_id.tolist()), restriction=tuple(restriction.tolist()))
+    return FoldedSystem(parent=rs, eps=eps, auto=auto, reps=reps, folded_eps=folded_eps, folded_rs=folded_rs,
+                        perm=perm, restriction=restriction, orbits=orbits)
 
 
 def _q_routes(fs: FoldedSystem) -> tuple[np.ndarray, ...]:
@@ -165,19 +160,13 @@ def _q_routes(fs: FoldedSystem) -> tuple[np.ndarray, ...]:
     with a root sum, in row-major order; ka the first parent of x and kb
     the first member of y's parent orbit with ka + kb a root (valid where
     ``found``); and q, a 3 x P array of the folded backward string length
-    by string walk, orbit pair count and orbit case analysis.  The tests
+    by string walk, orbit pair count and orbit case analysis.  The orbits
+    are the rows xs and ys of ``fs.orbits``, and the case analysis moves
+    ka and kb by ``fs.perm``, all in whole-array gathers.  The tests
     hold each route to its statement on coefficient tuples, pair by pair,
     in ``tests/reference.py``.
     """
-    rs, rs_f = fs.parent, fs.folded_rs
-    # orbits[x] is the parent orbit of folded root x in cycle order,
-    # padded with -1; perm is the induced root permutation.
-    orbits = np.full((len(rs_f.roots), max(map(len, fs.root_orbits))), -1, dtype=np.intp)
-    perm = np.empty(len(rs.roots), dtype=np.intp)
-    for x in range(len(rs_f.roots)):
-        cycle = fs.parents_of(x)
-        orbits[x, :len(cycle)] = cycle
-        perm[list(cycle)] = cycle[1:] + cycle[:1]
+    rs, rs_f, orbits, perm = fs.parent, fs.folded_rs, fs.orbits, fs.perm
     xs, ys = np.nonzero(rs_f.sum_index >= 0)
     oa, ob = orbits[xs], orbits[ys]
     ka = oa[:, 0]
@@ -222,7 +211,7 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
     n = pair_signs(rs, fs.eps, ka, kb) * (q[0] + 1)
 
     totals = np.zeros((len(rs_f.roots), rs.rank), dtype=np.int64)
-    np.add.at(totals, list(fs.restriction), rs.coroots)
+    np.add.at(totals, fs.restriction, rs.coroots)
     columns = [np.array(fs.auto.orbit_of(i)) - 1 for i in fs.reps]
     coords = totals[:, [c[0] for c in columns]]
     expected = rs_f.coroots

@@ -183,6 +183,11 @@ def restrict_root(fs: FoldedSystem, alpha: Root) -> Root:
     return fs.folded_rs.roots[fs.restriction[tuple_index(fs.parent)[alpha]]]
 
 
+def root_orbits(fs: FoldedSystem) -> list[tuple[int, ...]]:
+    """The parent root orbits: the rows of ``fs.orbits`` without padding, sorted by their smallest index."""
+    return sorted(tuple(k for k in row if k >= 0) for row in fs.orbits.tolist())
+
+
 def root_orbit(auto: DiagramAutomorphism, alpha: Root) -> list[Root]:
     """The orbit of a root under the induced coefficient permutation."""
     orbit = [alpha]

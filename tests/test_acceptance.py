@@ -32,6 +32,7 @@ from reference import (
     q_tilde_by_case,
     q_tilde_by_count,
     restrict_root,
+    root_orbits,
     simple_root,
     sub,
     summing_orbit_pairs,
@@ -108,7 +109,7 @@ def test_criterion_4_folding_reproduction():
     """Folded tables equal direct inductive tables; q by count = q by case."""
     for parent, target in FOLDS:
         fs, tf = folded(parent)
-        assert fs.folded_cartan.label == target
+        assert fs.folded_rs.cartan.label == target
         direct = cb.build_inductive(fs.folded_rs, fs.folded_eps)
         assert differential(tf, direct).passed, (parent, target)
         # flipped epsilon side
@@ -139,7 +140,7 @@ def test_criterion_5_pinned_point_values():
         ((1, 1, 2, 1),): (2, 3),
     }
     rs = fs.parent
-    positive_orbits = [o for o in fs.root_orbits if all(k < rs.positive_count for k in o)]
+    positive_orbits = [o for o in root_orbits(fs) if all(k < rs.positive_count for k in o)]
     assert len(positive_orbits) == 6
     for members, image in rows.items():
         indices = {rs.index_of(m) for m in members}

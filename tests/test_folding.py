@@ -33,6 +33,7 @@ from reference import (
     q_tilde_by_count,
     restrict_root,
     root_height,
+    root_orbits,
     string_lengths,
     summing_orbit_pairs,
 )
@@ -40,29 +41,29 @@ from reference import (
 
 def test_d4_fold_is_g2():
     fs, _ = folded("D4")
-    assert fs.folded_cartan.entries == ((2, -1), (-3, 2))
-    assert fs.folded_cartan.label == "G2"
+    assert fs.folded_rs.cartan.entries == ((2, -1), (-3, 2))
+    assert fs.folded_rs.cartan.label == "G2"
     assert fs.reps == (3, 1)
     assert fs.folded_eps.values == (-1, 1)
 
 
 def test_a3_fold_is_c2():
     fs, _ = folded("A3")
-    assert fs.folded_cartan.label == "C2"
+    assert fs.folded_rs.cartan.label == "C2"
     assert fs.reps == (2, 1)
-    assert fs.folded_cartan.entries == ((2, -1), (-2, 2))
+    assert fs.folded_rs.cartan.entries == ((2, -1), (-2, 2))
 
 
 def test_e6_fold_is_f4():
     fs, _ = folded("E6")
-    assert fs.folded_cartan.label == "F4"
+    assert fs.folded_rs.cartan.label == "F4"
     assert fs.reps == (2, 4, 3, 1)
     assert fs.folded_eps.values == (-1, 1, -1, 1)
 
 
 def test_d5_fold_is_b4():
     fs, _ = folded("D5")
-    assert fs.folded_cartan.label == "B4"
+    assert fs.folded_rs.cartan.label == "B4"
     assert fs.reps == (1, 3, 4, 5)
 
 
@@ -80,7 +81,7 @@ def test_d4_orbit_table():
     ]
     for members, image in expected:
         indices = {rs.index_of(m) for m in members}
-        matching = [o for o in fs.root_orbits if set(o) == indices]
+        matching = [o for o in root_orbits(fs) if set(o) == indices]
         assert len(matching) == 1, members
         for m in members:
             assert restrict_root(fs, m) == image
@@ -89,11 +90,12 @@ def test_d4_orbit_table():
 def test_restriction_constant_on_orbits_and_injective_across():
     for parent, _ in FOLDS:
         fs, _ = folded(parent)
-        for orbit in fs.root_orbits:
+        orbits = root_orbits(fs)
+        for orbit in orbits:
             images = {fs.restriction[k] for k in orbit}
             assert len(images) == 1
-        assert len({fs.restriction[o[0]] for o in fs.root_orbits}) == len(fs.root_orbits)
-        assert len(fs.root_orbits) == len(fs.folded_rs.roots)
+        assert len({fs.restriction[o[0]] for o in orbits}) == len(orbits)
+        assert len(orbits) == len(fs.folded_rs.roots)
 
 
 def test_orbit_heights_and_sizes():
@@ -101,7 +103,7 @@ def test_orbit_heights_and_sizes():
         fs, _ = folded(parent)
         rs = fs.parent
         d = fs.auto.order
-        for orbit in fs.root_orbits:
+        for orbit in root_orbits(fs):
             assert len(orbit) in (1, d)
             heights = {root_height(rs.roots[k]) for k in orbit}
             assert len(heights) == 1
@@ -125,7 +127,7 @@ def test_moving_roots_never_sum_with_their_images():
 def test_folded_tables_match_direct_inductive():
     for parent, target in FOLDS:
         fs, tf = folded(parent)
-        assert fs.folded_cartan.label == target
+        assert fs.folded_rs.cartan.label == target
         ti = cb.build_inductive(fs.folded_rs, fs.folded_eps)
         assert differential(tf, ti).passed
 
@@ -160,19 +162,24 @@ def test_q_methods_agree_on_all_parent_pairs():
                 assert q_tilde_by_count(fs, alpha, beta) == q_tilde_by_case(fs, alpha, beta)
 
 
-@pytest.mark.parametrize("flipped", [False, True])
-@pytest.mark.parametrize("case", [parent for parent, _ in FOLDS]
-                         + ["B2", "B3", "B4", "C2", "C3", "C4", "F4", "G2"])
-def test_q_routes_match_scalar_references(case, flipped):
-    # FOLDS parents fold by their standard automorphism, target labels by
-    # fold_source.  Every folded pair's representatives and its three q
-    # values must be those of the scalar references.
+FOLD_CASES = [parent for parent, _ in FOLDS] + ["B2", "B3", "B4", "C2", "C3", "C4", "F4", "G2"]
+
+
+def _fold_case(case: str) -> tuple[cb.RootSystem, cb.DiagramAutomorphism]:
+    """(parent, automorphism): a FOLDS parent with its standard one, a target label by fold_source."""
     if case in dict(FOLDS):
         rs = system(case)
-        auto = cb.standard_automorphism(rs.cartan)
-    else:
-        cm, auto = cb.fold_source(*cb.parse_type_label(case))
-        rs = system(cm.label)
+        return rs, cb.standard_automorphism(rs.cartan)
+    cm, auto = cb.fold_source(*cb.parse_type_label(case))
+    return system(cm.label), auto
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_q_routes_match_scalar_references(case, flipped):
+    # Every folded pair's representatives and its three q values must be
+    # those of the scalar references.
+    rs, auto = _fold_case(case)
     eps = cb.default_epsilon(rs.cartan)
     fs = cb.fold(rs, eps.flipped() if flipped else eps, auto)
     rs_f = fs.folded_rs
@@ -180,8 +187,8 @@ def test_q_routes_match_scalar_references(case, flipped):
     assert found.all()
     assert np.array_equal(np.stack([xs, ys], axis=1), np.argwhere(rs_f.sum_index >= 0))
     for i, (x, y, a, b) in enumerate(zip(xs.tolist(), ys.tolist(), ka.tolist(), kb.tolist())):
-        assert a == fs.parents_of(x)[0]
-        assert b == next(k for k in fs.parents_of(y) if rs.sum_index[a, k] >= 0)
+        assert a == fs.orbits[x][0]
+        assert b == next(k for k in fs.orbits[y] if k >= 0 and rs.sum_index[a, k] >= 0)
         alpha, beta = rs.roots[a], rs.roots[b]
         assert q[:, i].tolist() == [
             string_lengths(rs_f, rs_f.roots[x], rs_f.roots[y])[1],
@@ -213,8 +220,9 @@ def test_folded_table_flags_swapped_restriction(root, error, message):
     fs, _ = folded("D4")
     x = fs.folded_rs.index_of(root)
     y = int(fs.folded_rs.neg[x])
-    swap = {x: y, y: x}
-    bad = dataclasses.replace(fs, restriction=tuple(swap.get(k, k) for k in fs.restriction))
+    swap = np.arange(len(fs.folded_rs.roots))
+    swap[[x, y]] = y, x
+    bad = dataclasses.replace(fs, orbits=fs.orbits[swap], restriction=swap[fs.restriction])
     with pytest.raises(error, match=f"^{message}$"):
         cb.folded_table(bad)
 
@@ -255,7 +263,9 @@ def test_large_folded_tables_are_byte_stable(label, epsilon):
 # SHA-256 of repr((root_orbits, orbit_id, restriction)) from fold, pinned
 # from the tuple orbit walk that the array lookups replaced: FOLDS parents
 # by their standard automorphism, target labels by fold_source, both with
-# the default epsilon.
+# the default epsilon.  The three tuples, the orbits sorted by their
+# smallest index, the orbit number of each parent root and its folded
+# root, are rebuilt from the arrays fold keeps.
 FOLD_DIGESTS = {
     "A3": "dc88cf4511f56a7022977b6188f27fc5fbb4b7cc722aba9266005cd0c83fbf4d",
     "A5": "e1a79b549583f890d672e2490d6038236e9c2fb740262a201901f3abc5cdcf56",
@@ -282,8 +292,35 @@ def test_fold_orbits_and_restriction_are_pinned(label):
     else:
         cm, auto = cb.fold_source(*cb.parse_type_label(label))
         fs = cb.fold(system(cm.label), cb.default_epsilon(cm), auto)
-    data = repr((fs.root_orbits, fs.orbit_id, fs.restriction)).encode()
+    orbits = tuple(root_orbits(fs))
+    orbit_id = np.searchsorted([o[0] for o in orbits], fs.orbits[fs.restriction, 0])
+    data = repr((orbits, tuple(orbit_id.tolist()), tuple(fs.restriction.tolist()))).encode()
     assert hashlib.sha256(data).hexdigest() == FOLD_DIGESTS[label]
+
+
+@pytest.mark.parametrize("case", FOLD_CASES + ["identity"])
+def test_fold_arrays_are_one_orbit_structure(case):
+    # "identity" is D4 under the identity automorphism.
+    if case == "identity":
+        rs = system("D4")
+        auto = identity_automorphism(rs.cartan)
+    else:
+        rs, auto = _fold_case(case)
+    fs = cb.fold(rs, cb.default_epsilon(rs.cartan), auto)
+    nr, nf = len(rs.roots), len(fs.folded_rs.roots)
+    for a, shape in ((fs.perm, (nr,)), (fs.restriction, (nr,)), (fs.orbits, (nf, auto.order))):
+        assert a.dtype == np.intp and a.shape == shape and not a.flags.writeable
+    members = fs.orbits[fs.orbits >= 0]
+    assert np.array_equal(np.sort(members), np.arange(nr))
+    for x, row in enumerate(fs.orbits.tolist()):
+        cycle = [k for k in row if k >= 0]
+        assert row == cycle + [-1] * (auto.order - len(cycle))
+        assert cycle[0] == min(cycle)
+        for t, k in enumerate(cycle):
+            assert fs.restriction[k] == x
+            assert fs.perm[k] == cycle[(t + 1) % len(cycle)]
+    other = cb.fold(rs, cb.default_epsilon(rs.cartan), auto)
+    assert fs == fs and fs != other
 
 
 def test_q_case_values():
@@ -422,7 +459,7 @@ def test_identity_fold_round_trips():
     rs = system("A3")
     eps = cb.default_epsilon(rs.cartan)
     fs = cb.fold(rs, eps, identity_automorphism(rs.cartan))
-    assert fs.folded_cartan.entries == rs.cartan.entries
+    assert fs.folded_rs.cartan.entries == rs.cartan.entries
     tf = cb.folded_table(fs)
     assert differential(tf, table("A3")).passed
 
