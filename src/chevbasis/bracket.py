@@ -17,10 +17,11 @@ integers.  A table holds its constants as two arrays in table order,
 constants): row-major for the builders, file order for the reader.
 
 The engine is the Jacobi identity applied to [[e_l, e_nu], e_beta] for a
-split mu = alpha_l + nu of each positive root by height: it expresses
-the row N_{mu,.} through rows whose first argument is lower, dividing by
-the known non-zero N_{alpha_l,nu}.  Rows with negative first argument
-follow from N_{-a,-b} = -N_{a,b}.
+split mu = alpha_l + nu of each positive root by height, l the lowest
+node with mu - alpha_l a root: it expresses the row N_{mu,.} through
+rows whose first argument is lower, dividing by the known non-zero
+N_{alpha_l,nu}.  The table does not depend on which l is split off.
+Rows with negative first argument follow from N_{-a,-b} = -N_{a,b}.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .cartan import SignFunction
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidEpsilon
-from .roots import Root, RootSystem
+from .roots import RootSystem
 
 
 @dataclass(eq=False)
@@ -86,11 +87,6 @@ class BracketTable:
         k[up] = keys.searchsorted(key[up])
         return np.where(keys[k] == key, order[k], -1)
 
-    def constant(self, alpha: Root, beta: Root) -> int:
-        """N_{alpha,beta}; zero when the pair is not stored (alpha + beta is not a root)."""
-        k = int(self.find([self.rs.index_of(alpha)], [self.rs.index_of(beta)])[0])
-        return int(self.n[k]) if k >= 0 else 0
-
     def dense(self) -> np.ndarray:
         """N_{a,b} as one nr x (nr + 1) int64 array: 0 where not stored, and a last column of 0s for a sum index of -1."""
         nr = len(self.rs.roots)
@@ -103,17 +99,14 @@ class BracketTable:
         return np.where(self.rs.coeffs.sum(axis=1, keepdims=True) % 2, -self.opposite, self.opposite)
 
 
-def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -> BracketTable:
+def build_inductive(rs: RootSystem, eps: SignFunction) -> BracketTable:
     """Construct the full canonical bracket table by height recursion.
 
-    ``tie_break`` picks which simple root is split off a positive root at
-    each height step ("min" or "max" node id); the finished table is
-    independent of this choice, which the test suite exercises.
+    Each positive root of height above 1 splits off its lowest simple
+    root that leaves a root.
     """
     if not eps.is_coloring_of(rs.cartan):
         raise InvalidEpsilon("epsilon must alternate along diagram edges")
-    if tie_break not in ("min", "max"):
-        raise ValueError("tie_break must be 'min' or 'max'")
 
     roots = rs.roots
     pos = rs.positive_count
@@ -135,8 +128,7 @@ def build_inductive(rs: RootSystem, eps: SignFunction, tie_break: str = "min") -
 
     # Roots come by height, so every row read below is already filled.
     for m in np.flatnonzero(rs.coeffs[:pos].sum(axis=1) > 1).tolist():
-        options = np.flatnonzero(down[m])
-        l = int(options[0] if tie_break == "min" else options[-1])
+        l = int(down[m].argmax())
         sl = int(simple[l])
         v = int(si[m, neg[sl]])
         d = nn[sl, v]

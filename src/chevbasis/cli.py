@@ -15,11 +15,13 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bracket import BracketTable, build_inductive
 from .cartan import build_cartan, default_epsilon, parse_type_label, standard_automorphism
 from .closedform import closed_table
-from .errors import ChevBasisError, IllegalType, InternalInconsistency, NotSimplyLaced
-from .folding import fold_onto, folded_type, independent_table
+from .errors import ChevBasisError, DegeneratePair, IllegalType, InternalInconsistency, NotARoot, NotSimplyLaced
+from .folding import fold_onto, fold_source, folded_type, independent_table
 from .report import VerificationReport
 from .roots import generate_roots
 from .serialize import (
@@ -27,7 +29,7 @@ from .serialize import (
     document_from_table,
     from_json_bytes,
     parse_coeffs,
-    render_root,
+    root_names,
     table_from_document,
     to_json_bytes,
 )
@@ -96,6 +98,9 @@ def _cmd_verify(args) -> int:
     cm = table.rs.cartan
     if suites is None:
         suites = ["jacobi", "chevalley", "differential"] + (["slN"] if cm.type_label == "A" and cm.rank <= 7 else [])
+    if "differential" in suites and doc["provenance"]["method"] == "inductive" and not cm.simply_laced:
+        # The fold route must be buildable before any suite runs.
+        fold_source(cm.type_label, cm.rank)
     reports: list[VerificationReport] = []
     for suite in suites:
         if suite == "jacobi":
@@ -126,13 +131,20 @@ def _cmd_show(args) -> int:
     rs = table.rs
     alpha = parse_coeffs(args.alpha, rs.rank)
     beta = parse_coeffs(args.beta, rs.rank)
-    p, q = rs.string_lengths(alpha, beta)
-    print(f"N[{render_root(alpha)}, {render_root(beta)}] = {table.constant(alpha, beta)}")
-    chain = []
-    for k in range(-q, p + 1):
-        member = tuple(b + k * a for a, b in zip(alpha, beta))
-        chain.append(render_root(member))
-    print(f"string (p={p}, q={q}): " + " , ".join(chain))
+    # No root has a coefficient beyond 6, so clipping keeps every non-root
+    # one, and keeps coefficients beyond int64 out of the integer lookup.
+    a, b = rs.find(np.array([alpha, beta], dtype=object).clip(-7, 7).astype(np.int64)).tolist()
+    for vector, k in ((alpha, a), (beta, b)):
+        if k < 0:
+            raise NotARoot(f"{vector} is not a root")
+    if b in (a, rs.neg[a]):
+        raise DegeneratePair("string through beta = +/- alpha is undefined")
+    p, q = rs.backward_lengths([rs.neg[a], a], [b, b]).tolist()
+    k = table.find([a], [b])[0]
+    chain = rs.find(rs.coeffs[b] + np.arange(-q, p + 1)[:, None] * rs.coeffs[a])
+    names = [row.tobytes().lstrip(b"\0").decode("ascii") for row in root_names(rs.coeffs[np.r_[a, b, chain]])]
+    print(f"N[{names[0]}, {names[1]}] = {table.n[k] if k >= 0 else 0}")
+    print(f"string (p={p}, q={q}): " + " , ".join(names[2:]))
     return 0
 
 

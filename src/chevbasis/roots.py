@@ -5,9 +5,9 @@ roots, built one height at a time: beta + alpha_i is a root exactly when
 q - <alpha_i, beta> > 0, with q the backward string length.  A
 coefficient vector is found among the roots in one way only, by its
 linear uint64 key with the hit confirmed on the coefficients
-(``RootSystem._search``); ``sum_index``, ``find`` and ``index_of`` all
-go through it.  Every layer asks "is alpha + beta a root, and which
-one?" through ``sum_index``, and root strings are walks over it.
+(``RootSystem._search``); ``sum_index`` and ``find`` both go through
+it.  Every layer asks "is alpha + beta a root, and which one?" through
+``sum_index``, and root strings are walks over it.
 ``sum_index`` looks up only the pairs whose sum has a root's norm
 (alpha, alpha) / 2 under the invariant form; for simply-laced types
 those are exactly the summing pairs.  Everything here is exact: the one
@@ -24,20 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .cartan import CartanMatrix
-from .errors import DegeneratePair, InternalInconsistency, NotARoot
+from .errors import InternalInconsistency
 
 Root = tuple[int, ...]
-
-
-def root_sign(alpha: Root) -> int:
-    """+1 for positive roots, -1 for negative ones.
-
-    Valid because every root has all coefficients of one sign.
-    """
-    for x in alpha:
-        if x != 0:
-            return 1 if x > 0 else -1
-    raise NotARoot("zero vector has no sign")
 
 
 @dataclass(eq=False)
@@ -127,32 +116,19 @@ class RootSystem:
         """The root index of each coefficient row of ``vectors`` (shape (..., rank)), or -1."""
         return self._search(_key(vectors), lambda hits: vectors[hits])
 
-    def index_of(self, alpha: Root) -> int:
-        v = np.array(alpha)
-        if v.shape != (self.rank,) or v.dtype.kind not in "iu" or (k := int(self.find(v[None])[0])) < 0:
-            raise NotARoot(f"{alpha} is not a root")
-        return k
-
     @property
     def rank(self) -> int:
         return self.cartan.rank
 
     # -- strings ------------------------------------------------------
 
-    def string_lengths(self, alpha: Root, beta: Root) -> tuple[int, int]:
-        """(p, q) with p = max{i >= 0 : beta + i alpha root}, q backwards, by walking ``sum_index``."""
-        a, b = self.index_of(alpha), self.index_of(beta)
-        neg_a = self.neg[a]
-        if b == a or b == neg_a:
-            raise DegeneratePair("string through beta = +/- alpha is undefined")
-        return tuple(self.backward_lengths([neg_a, a], [b, b]).tolist())
-
     def backward_lengths(self, a: int | np.ndarray, b: np.ndarray) -> np.ndarray:
         """Steps b -> b - a that stay roots, for root indices or index arrays of one shape.
 
-        ``string_lengths`` of the roots at a, b is (backward_lengths(-a, b),
-        backward_lengths(a, b)).  Pairs are not checked for degeneracy;
-        callers pass pairs with b != +-a.
+        The alpha-string through beta, for roots at a, b, has lengths
+        p = max{i >= 0 : beta + i alpha root} = backward_lengths(neg[a], b)
+        and q = backward_lengths(a, b).  Pairs are not checked for
+        degeneracy; callers pass pairs with b != +-a.
         """
         neg_a = self.neg[a]
         b = np.asarray(b)

@@ -27,7 +27,7 @@ import numpy as np
 from .bracket import BracketTable
 from .cartan import SignFunction, build_cartan, parse_type_label, root_count
 from .errors import ChevBasisError, InvalidEpsilon, NotARoot
-from .roots import Root, _first, generate_roots, root_sign
+from .roots import Root, _first, generate_roots
 
 SCHEMA_VERSION = 1
 METHODS = ("inductive", "closed", "folded")
@@ -282,12 +282,6 @@ def _canonical_document(data: bytes) -> dict[str, Any] | None:
         return None
 
 
-def render_root(coeffs: Root) -> str:
-    """Compact coefficient string, e.g. (1,1,1,0) -> "1110", negatives prefixed."""
-    body = "".join(str(abs(c)) for c in coeffs)
-    return "-" + body if root_sign(coeffs) < 0 else body
-
-
 def parse_coeffs(text: str, rank: int) -> Root:
     """Parse a comma-separated coefficient vector."""
     try:
@@ -299,20 +293,30 @@ def parse_coeffs(text: str, rank: int) -> Root:
     return coeffs
 
 
-def csv_export(doc: dict[str, Any]) -> bytes:
-    """Flat `alpha,beta,sum,N` rows with compact root rendering (see :func:`render_root`).
+def root_names(coeffs: np.ndarray) -> np.ndarray:
+    """Compact names of root rows, e.g. (1,1,1,0) -> "1110" and (0,-1,-1,0) -> "-0110", as uint8 rows.
 
-    Each root name is rendered once, as a sign slot and one digit per
-    coefficient (root coefficients are at most 6), and each row gathers
-    its three names and its N text.
+    Each row is a sign slot, "-" for a negative root and NUL otherwise,
+    then one digit per coefficient (root coefficients are at most 6);
+    dropping the NULs gives the name.
+    """
+    names = np.zeros((len(coeffs), 1 + coeffs.shape[1]), dtype=np.uint8)
+    names[(coeffs < 0).any(axis=1), 0] = ord("-")
+    names[:, 1:] = ord("0") + np.abs(coeffs)
+    return names
+
+
+def csv_export(doc: dict[str, Any]) -> bytes:
+    """Flat `alpha,beta,sum,N` rows with compact root names (see :func:`root_names`).
+
+    Each root name is rendered once, and each row gathers its three names
+    and its N text.
     """
     roots, constants = doc["roots"], doc["constants"]
     header = b"alpha,beta,sum,N\n"
     if not len(constants):
         return header
-    names = np.zeros((len(roots), 1 + roots.shape[1]), dtype=np.uint8)
-    names[(roots < 0).any(axis=1), 0] = ord("-")
-    names[:, 1:] = ord("0") + np.abs(roots)
+    names = root_names(roots)
     text, index = _text_table(constants[:, 3])
     comma = np.full((len(constants), 1), ord(","), dtype=np.uint8)
     a, b, s, _ = constants.T

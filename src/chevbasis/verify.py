@@ -23,7 +23,7 @@ from .bracket import BracketTable
 from .cartan import SignFunction
 from .errors import IllegalType, IncompatibleTables
 from .report import VerificationReport
-from .roots import Root
+from .roots import RootSystem
 
 
 # (Linked pair, member) positions expanded per step of the root-triple
@@ -405,49 +405,28 @@ def differential(t1: BracketTable, t2: BracketTable) -> VerificationReport:
     return report
 
 
-class MatrixModel:
-    """Trace-zero matrices realising type A_{n-1} concretely.
+def _sl_n_matrices(rs: RootSystem, eps: SignFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-zero integer matrices realising type A_{n-1}: one per root, then one per h_k.
 
-    The root delta_i - delta_j is the matrix unit E_ij up to the model
-    sign -(-1)^{ht} eps(i), with eps continued to index n by alternation.
-    All brackets are literal integer matrix commutators.
+    A root +-(alpha_lo + ... + alpha_hi) is delta_i - delta_j with
+    (i, j) = (lo, hi + 1), or (hi + 1, lo) for a negative root; its
+    matrix is the unit E_ij times the model sign -(-1)^{j - i} eps(i),
+    with eps continued to index n by alternation.  The matrix of h_k is
+    E_kk - E_{k+1,k+1}.  Indices are 0-based below, where ``hi`` already
+    stands for hi + 1.
     """
-
-    def __init__(self, n: int, eps: SignFunction):
-        if n < 2:
-            raise ValueError("need n >= 2")
-        if len(eps.values) != n - 1:
-            raise ValueError("eps must be a sign function of A_{n-1}")
-        self.n = n
-        self.eps_ext = eps.values + (-eps.values[-1],)
-
-    def root_pair(self, alpha: Root) -> tuple[int, int]:
-        """(i, j) with alpha = delta_i - delta_j, for a root of A_{n-1}.
-
-        Such a root is +-(alpha_lo + ... + alpha_hi): its non-zero entries
-        are all 1 or all -1, on a contiguous run of nodes.
-        """
-        support = [k for k, c in enumerate(alpha, start=1) if c != 0]
-        signs = {alpha[k - 1] for k in support}
-        if signs not in ({1}, {-1}) or support[-1] - support[0] + 1 != len(support):
-            raise ValueError(f"{alpha} is not a type A root")
-        lo, hi = support[0], support[-1]
-        if signs == {1}:
-            return lo, hi + 1
-        return hi + 1, lo
-
-    def root_matrix(self, alpha: Root) -> np.ndarray:
-        i, j = self.root_pair(alpha)
-        m = np.zeros((self.n, self.n), dtype=np.int64)
-        ht = j - i  # equals ht(alpha), negative for negative roots
-        m[i - 1, j - 1] = -(-1) ** (ht % 2) * self.eps_ext[i - 1]
-        return m
-
-    def cartan_matrix(self, k: int) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=np.int64)
-        m[k - 1, k - 1] = 1
-        m[k, k] = -1
-        return m
+    n, nr = rs.rank + 1, len(rs.coeffs)
+    support = rs.coeffs != 0
+    lo, hi = support.argmax(axis=1), n - 1 - support[:, ::-1].argmax(axis=1)
+    negative = np.arange(nr) >= rs.positive_count
+    i, j = np.where(negative, hi, lo), np.where(negative, lo, hi)
+    eps_ext = np.array(eps.values + (-eps.values[-1],))
+    mats = np.zeros((nr, n, n), dtype=np.int64)
+    mats[np.arange(nr), i, j] = np.where((j - i) % 2, 1, -1) * eps_ext[i]
+    k = np.arange(n - 1)
+    cartans = np.zeros((n - 1, n, n), dtype=np.int64)
+    cartans[k, k, k], cartans[k, k + 1, k + 1] = 1, -1
+    return mats, cartans
 
 
 def sl_n_oracle(table: BracketTable) -> VerificationReport:
@@ -465,9 +444,7 @@ def sl_n_oracle(table: BracketTable) -> VerificationReport:
         raise IllegalType(f"the matrix oracle needs a table of type A1..A7, not {rs.cartan.label}")
     n = rs.rank + 1
     nr = len(rs.roots)
-    model = MatrixModel(n, table.eps)
-    mats = np.stack([model.root_matrix(alpha) for alpha in rs.roots])
-    cartans = np.stack([model.cartan_matrix(k) for k in range(1, n)])
+    mats, cartans = _sl_n_matrices(rs, table.eps)
     # Row -1 is the zero matrix: the expected bracket of a pair whose sum is no root.
     targets = np.concatenate([mats, np.zeros((1, n, n), dtype=np.int64)])
     w = table.opposite_brackets()

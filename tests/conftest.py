@@ -14,6 +14,7 @@ import numpy as np
 
 import chevbasis as cb
 from chevbasis.bracket import BracketTable
+from chevbasis.errors import DegeneratePair, NotARoot
 from chevbasis.serialize import ENTRY_BOUND
 
 DESK_TYPES = (
@@ -62,7 +63,29 @@ def tuple_index(rs: cb.RootSystem) -> dict[tuple[int, ...], int]:
 
 def coroot(rs: cb.RootSystem, alpha: tuple[int, ...]) -> tuple[int, ...]:
     """The co-root coordinates of a root, read from ``rs.coroots``."""
-    return tuple(rs.coroots[rs.index_of(alpha)].tolist())
+    return tuple(rs.coroots[tuple_index(rs)[alpha]].tolist())
+
+
+def found_string_lengths(rs: cb.RootSystem, alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, int]:
+    """(p, q) of the alpha-string through beta, read the way ``show`` reads it.
+
+    Both roots are looked up by one ``rs.find``, and p and q are
+    ``backward_lengths`` at (-alpha, beta) and (alpha, beta).
+    """
+    a, b = rs.find(np.array([alpha, beta])).tolist()
+    if a < 0 or b < 0:
+        raise NotARoot("both arguments must be roots")
+    if b in (a, rs.neg[a]):
+        raise DegeneratePair("string through beta = +/- alpha is undefined")
+    p, q = rs.backward_lengths([rs.neg[a], a], [b, b]).tolist()
+    return p, q
+
+
+def constant(t: BracketTable, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """N_{alpha,beta} read by ``t.find`` at the roots' indices in :func:`tuple_index`; 0 where not stored."""
+    index = tuple_index(t.rs)
+    k = int(t.find([index[alpha]], [index[beta]])[0])
+    return int(t.n[k]) if k >= 0 else 0
 
 
 def constants(t: BracketTable) -> dict[tuple[int, int], int]:

@@ -3,16 +3,17 @@
 Each function states one property per root or per pair, the way the
 paper does: the closed sign formula (``closedform.pair_signs`` evaluates
 it on index arrays, and :func:`product_pair_signs` is its earlier dense
-form), the folded backward string length by orbit pair
-count and by orbit case analysis (``folding._q_routes``), root strings
-(``RootSystem.string_lengths`` and ``backward_lengths``), the induced
-root permutation and the restriction (``folding.fold``), the split,
-negation, flip and invariance statements about whole tables, and the
-list writer that ``serialize`` renders from arrays (a document of nested
-Python lists, encoded by ``json.dumps`` and one CSV line per row).  Roots are
-looked up in :func:`conftest.tuple_index`, a dict built from
-``rs.roots``, and never through the key lookups or ``sum_index`` that
-are under test.
+form), the folded backward string length by orbit pair count and by
+orbit case analysis (``folding._q_routes``), root strings
+(``RootSystem.backward_lengths``), root signs and names
+(``serialize.root_names``), the induced root permutation and the
+restriction (``folding.fold``), the split, negation, flip and invariance
+statements about whole tables, the trace-zero matrix model of type A
+(``verify._sl_n_matrices``), and the list writer that ``serialize``
+renders from arrays (a document of nested Python lists, encoded by
+``json.dumps`` and one CSV line per row).  Roots are looked up in
+:func:`conftest.tuple_index`, a dict built from ``rs.roots``, and never
+through the key lookups or ``sum_index`` that are under test.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from chevbasis.cartan import CartanMatrix, DiagramAutomorphism, SignFunction
 from chevbasis.errors import DegeneratePair, NotARoot, NotSimplyLaced
 from chevbasis.folding import FoldedSystem
 from chevbasis.report import VerificationReport
-from chevbasis.roots import Root, RootSystem, root_sign
+from chevbasis.roots import Root, RootSystem
 from conftest import tuple_index
 
 # -- tuple arithmetic and membership ---------------------------------------
@@ -47,6 +48,23 @@ def add(alpha: Root, beta: Root) -> Root:
 
 def sub(alpha: Root, beta: Root) -> Root:
     return tuple(x - y for x, y in zip(alpha, beta))
+
+
+def root_sign(alpha: Root) -> int:
+    """+1 for positive roots, -1 for negative ones.
+
+    Valid because every root has all coefficients of one sign.
+    """
+    for x in alpha:
+        if x != 0:
+            return 1 if x > 0 else -1
+    raise NotARoot("zero vector has no sign")
+
+
+def render_root(coeffs: Root) -> str:
+    """Compact coefficient string, e.g. (1,1,1,0) -> "1110", negatives prefixed."""
+    body = "".join(str(abs(c)) for c in coeffs)
+    return "-" + body if root_sign(coeffs) < 0 else body
 
 
 def contains(rs: RootSystem, alpha: Root) -> bool:
@@ -361,3 +379,51 @@ def list_csv(doc: dict[str, Any]) -> bytes:
     names = [("-" if min(r) < 0 else "") + "".join(str(abs(c)) for c in r) for r in doc["roots"]]
     lines = ["alpha,beta,sum,N"] + [f"{names[a]},{names[b]},{names[s]},{n}" for a, b, s, n in doc["constants"]]
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# -- the matrix model of type A --------------------------------------------
+
+
+class MatrixModel:
+    """Trace-zero matrices realising type A_{n-1} concretely.
+
+    The root delta_i - delta_j is the matrix unit E_ij up to the model
+    sign -(-1)^{ht} eps(i), with eps continued to index n by alternation.
+    All brackets are literal integer matrix commutators.
+    """
+
+    def __init__(self, n: int, eps: SignFunction):
+        if n < 2:
+            raise ValueError("need n >= 2")
+        if len(eps.values) != n - 1:
+            raise ValueError("eps must be a sign function of A_{n-1}")
+        self.n = n
+        self.eps_ext = eps.values + (-eps.values[-1],)
+
+    def root_pair(self, alpha: Root) -> tuple[int, int]:
+        """(i, j) with alpha = delta_i - delta_j, for a root of A_{n-1}.
+
+        Such a root is +-(alpha_lo + ... + alpha_hi): its non-zero entries
+        are all 1 or all -1, on a contiguous run of nodes.
+        """
+        support = [k for k, c in enumerate(alpha, start=1) if c != 0]
+        signs = {alpha[k - 1] for k in support}
+        if signs not in ({1}, {-1}) or support[-1] - support[0] + 1 != len(support):
+            raise ValueError(f"{alpha} is not a type A root")
+        lo, hi = support[0], support[-1]
+        if signs == {1}:
+            return lo, hi + 1
+        return hi + 1, lo
+
+    def root_matrix(self, alpha: Root) -> np.ndarray:
+        i, j = self.root_pair(alpha)
+        m = np.zeros((self.n, self.n), dtype=np.int64)
+        ht = j - i  # equals ht(alpha), negative for negative roots
+        m[i - 1, j - 1] = -(-1) ** (ht % 2) * self.eps_ext[i - 1]
+        return m
+
+    def cartan_matrix(self, k: int) -> np.ndarray:
+        m = np.zeros((self.n, self.n), dtype=np.int64)
+        m[k - 1, k - 1] = 1
+        m[k, k] = -1
+        return m

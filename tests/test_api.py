@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import chevbasis as cb
@@ -13,9 +14,10 @@ REFERENCE_NAMES = (
     "_require_summing_pair", "constant_sign", "constant_sign_reduced", "closed_constant", "check_split_identity",
     "permute_root", "root_orbit", "restrict_root", "summing_orbit_pairs", "q_tilde_by_count", "q_tilde_by_case",
     "check_automorphism_invariance", "check_orbit_sign_constancy", "flip_epsilon_table", "check_negation_symmetry",
-    "identity_automorphism", "root_height", "add", "sub", "negate",
+    "identity_automorphism", "root_height", "add", "sub", "negate", "root_sign", "render_root", "MatrixModel",
 )
-REMOVED_METHODS = ("contains", "_index", "simple_root", "symmetrizer", "string_lengths_at", "neg_index")
+REMOVED_METHODS = ("contains", "_index", "simple_root", "symmetrizer", "string_lengths_at", "neg_index", "index_of",
+                   "string_lengths")
 
 
 def test_public_names_are_pinned():
@@ -35,3 +37,5 @@ def test_test_references_stay_out_of_the_package():
     for module in modules:
         assert not [name for name in REFERENCE_NAMES if hasattr(module, name)], module.__name__
     assert not [name for name in REMOVED_METHODS if hasattr(cb.RootSystem, name)]
+    assert not hasattr(cb.BracketTable, "constant")
+    assert list(inspect.signature(cb.build_inductive).parameters) == ["rs", "eps"]

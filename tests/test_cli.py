@@ -18,9 +18,9 @@ from chevbasis import cli, folding
 from chevbasis.cartan import MAX_ROOTS, root_count
 from chevbasis.cli import main
 from chevbasis.errors import InternalInconsistency
-from chevbasis.serialize import from_json_bytes, render_root, to_json_bytes
+from chevbasis.serialize import from_json_bytes, to_json_bytes
 from conftest import constants, system, table
-from reference import string_lengths
+from reference import render_root, string_lengths
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -175,6 +175,22 @@ def test_verify_checks_suite_names_before_running_any(tmp_path, capsys, monkeypa
     assert captured.err == "error: unknown suite 'bogus'\n"
 
 
+def test_verify_refuses_an_unbuildable_fold_route_before_running_any(tmp_path, capsys, monkeypatch):
+    # C33 folds from A65, above the root limit: default verify of an
+    # inductive C33 file stops before any suite runs.
+    out = tmp_path / "c33.json"
+    assert run("gen", "--type", "C33", "--method", "inductive", "--out", str(out)) == 0
+    calls = []
+    for name in ("jacobi_sweep", "chevalley_audit", "differential"):
+        monkeypatch.setattr(cli, name, lambda *tables, name=name: calls.append(name))
+    capsys.readouterr()
+    assert run("verify", "--in", str(out)) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err == "error: C33 folds from A65, which has 4290 roots, above the limit of 4096\n"
+
+
 @pytest.fixture(scope="module", params=["G2", "B3"])
 def shown(request, tmp_path_factory):
     """A default ``gen`` file of the type and its label."""
@@ -269,6 +285,24 @@ def test_show(tmp_path, capsys):
     assert "N[01, 11] =" in printed
     assert "string" in printed
     assert run("show", "--in", str(out), "--alpha", "5,5", "--beta", "1,1") == 2
+
+
+def test_show_prints_a_string_of_length_three(capsys):
+    assert run("show", "--in", str(GOLDEN / "g2.json"), "--alpha", "0,1", "--beta", "1,0") == 0
+    assert capsys.readouterr().out == "N[01, 10] = 1\nstring (p=3, q=0): 10 , 11 , 12 , 13\n"
+
+
+@pytest.mark.parametrize("alpha, beta, refused", [
+    ("1000000000000000000000,0", "1,1", "(1000000000000000000000, 0)"),
+    ("1,0", "1000000000000000000000,0", "(1000000000000000000000, 0)"),
+    ("1,0", "9223372036854775808,0", "(9223372036854775808, 0)"),
+])
+def test_show_refuses_coefficients_beyond_int64(capsys, alpha, beta, refused):
+    # alpha is checked first; a root alpha does not hide a huge beta.
+    assert run("show", "--in", str(GOLDEN / "g2.json"), f"--alpha={alpha}", f"--beta={beta}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused} is not a root\n"
 
 
 def test_show_negative_root(capsys):

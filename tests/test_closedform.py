@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import chevbasis as cb
 from chevbasis.closedform import closed_table, pair_signs
 from chevbasis.errors import NotARoot, NotSimplyLaced
-from chevbasis.verify import MatrixModel
 from conftest import SIMPLY_LACED_TYPES, constants, system, table
 from reference import (
+    MatrixModel,
     add,
     check_split_identity,
     closed_constant,

@@ -19,7 +19,7 @@ from chevbasis.errors import (
 from chevbasis.folding import _q_routes, fold_onto
 from chevbasis.serialize import document_from_table, to_json_bytes
 from chevbasis.verify import differential
-from conftest import FOLDS, folded, system, table, with_flipped_constant
+from conftest import FOLDS, constant, folded, system, table, tuple_index, with_flipped_constant
 from reference import (
     add,
     check_automorphism_invariance,
@@ -80,7 +80,7 @@ def test_d4_orbit_table():
         ({(1, 1, 2, 1)}, (2, 3)),                                # 3 a1 + 2 a3
     ]
     for members, image in expected:
-        indices = {rs.index_of(m) for m in members}
+        indices = {tuple_index(rs)[m] for m in members}
         matching = [o for o in root_orbits(fs) if set(o) == indices]
         assert len(matching) == 1, members
         for m in members:
@@ -218,7 +218,7 @@ def test_folded_table_flags_swapped_restriction(root, error, message):
     # failing pair in row-major order names the error (as the scalar loop
     # that preceded the array code did).
     fs, _ = folded("D4")
-    x = fs.folded_rs.index_of(root)
+    x = tuple_index(fs.folded_rs)[root]
     y = int(fs.folded_rs.neg[x])
     swap = np.arange(len(fs.folded_rs.roots))
     swap[[x, y]] = y, x
@@ -343,7 +343,7 @@ def test_triple_orbit_constant_has_magnitude_three():
     fs, tf = folded("D4")
     a = restrict_root(fs, (1, 1, 1, 0))
     b = restrict_root(fs, (0, 0, 0, 1))
-    assert abs(tf.constant(a, b)) == 3
+    assert abs(constant(tf, a, b)) == 3
 
 
 def test_orbit_pair_set_of_pinned_example():
@@ -469,5 +469,5 @@ def test_folded_coroot_example():
     # folded Cartan generators: the parent co-root of 1121 is (1,1,2,1)
     # and the node orbits are {3}, {1,2,4}.
     fs, tf = folded("D4")
-    k = fs.folded_rs.index_of((2, 3))
+    k = tuple_index(fs.folded_rs)[(2, 3)]
     assert tf.opposite[k].tolist() == [2, 1]

@@ -30,7 +30,7 @@ from chevbasis.serialize import (
     document_from_table,
     from_json_bytes,
     parse_coeffs,
-    render_root,
+    root_names,
     table_from_document,
     to_json_bytes,
 )
@@ -222,9 +222,8 @@ def test_in_memory_arrays_are_checked_like_lists(field, fault):
 
 
 def test_render_root():
-    assert render_root((1, 1, 1, 0)) == "1110"
-    assert render_root((0, -1, -1, 0)) == "-0110"
-    assert render_root((1, 1, 2, 1)) == "1121"
+    names = root_names(np.array([(1, 1, 1, 0), (0, -1, -1, 0), (1, 1, 2, 1)]))
+    assert [row.tobytes().replace(b"\0", b"") for row in names] == [b"1110", b"-0110", b"1121"]
 
 
 def test_parse_coeffs():

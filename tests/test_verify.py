@@ -18,10 +18,10 @@ from chevbasis.errors import IllegalType, IncompatibleTables
 from chevbasis.report import VerificationReport
 from chevbasis.serialize import document_from_table, from_json_bytes, table_from_document, to_json_bytes
 from chevbasis.verify import (
-    MatrixModel,
     _generation_holds,
     _generators,
     _graded_sweep,
+    _sl_n_matrices,
     _table_arrays,
     differential,
     sl_n_oracle,
@@ -39,7 +39,7 @@ from conftest import (
     with_flipped_opposite,
     with_flipped_vectors,
 )
-from reference import add, flip_epsilon_table, simple_root
+from reference import MatrixModel, add, flip_epsilon_table, simple_root
 
 GOLDEN_G2 = Path(__file__).parent / "golden" / "g2.json"
 
@@ -870,6 +870,16 @@ def test_matrix_model_rejects_non_roots(alpha):
     model = MatrixModel(4, cb.default_epsilon(system("A3").cartan))
     with pytest.raises(ValueError):
         model.root_pair(alpha)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sl_n_matrices_match_the_model(n):
+    rs = system(f"A{n - 1}")
+    for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
+        model = MatrixModel(n, eps)
+        mats, cartans = _sl_n_matrices(rs, eps)
+        assert np.array_equal(mats, np.stack([model.root_matrix(alpha) for alpha in rs.roots]))
+        assert np.array_equal(cartans, np.stack([model.cartan_matrix(k) for k in range(1, n)]))
 
 
 def test_sl_n_oracle_all_sizes():
