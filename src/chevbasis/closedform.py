@@ -22,7 +22,7 @@ import numpy as np
 from .bracket import BracketTable
 from .cartan import SignFunction
 from .errors import NotSimplyLaced
-from .roots import RootSystem
+from .roots import RootSystem, packed_parity
 
 
 def pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -34,8 +34,8 @@ def pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) 
     the index, negative roots coming after positive_count.
     """
     odd = np.array(eps.values) == -1
-    left = _packed(rs.coeffs[:, odd] @ np.array(rs.cartan.entries)[odd])
-    right = _packed(rs.coeffs)
+    left = packed_parity(rs.coeffs[:, odd] @ np.array(rs.cartan.entries)[odd])
+    right = packed_parity(rs.coeffs)
     parity = left[a]
     parity &= right[b]
     for k in (32, 16, 8, 4, 2, 1):
@@ -45,16 +45,6 @@ def pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) 
     pos = rs.positive_count
     bit = parity ^ (a >= pos) ^ (b >= pos) ^ (s >= pos)
     return 1 - 2 * bit.astype(np.int64)
-
-
-def _packed(rows: np.ndarray) -> np.ndarray:
-    """Each row's entries mod 2 as the bits of one uint64.
-
-    A row has one entry per node; MAX_ROOTS keeps every type at rank 63 or
-    below (A63 is the largest A type it admits), so the bits fit.
-    """
-    bits = (rows % 2).astype(np.uint64)
-    return (bits << np.arange(rows.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
 
 
 def closed_table(rs: RootSystem, eps: SignFunction) -> BracketTable:

@@ -8,10 +8,14 @@ linear uint64 key with the hit confirmed on the coefficients
 (``RootSystem._search``); ``sum_index`` and ``find`` both go through
 it.  Every layer asks "is alpha + beta a root, and which one?" through
 ``sum_index``, and root strings are walks over it.
-``sum_index`` looks up only the pairs whose sum has a root's norm
-(alpha, alpha) / 2 under the invariant form; for simply-laced types
-those are exactly the summing pairs.  Everything here is exact: the one
-floating-point product, which gives those norms, holds small integers.
+``sum_index`` is searched only in the positive rows, and only at the
+pairs whose sum has a root's norm (alpha, alpha) / 2 under the invariant
+form and, where that norm is 2 (B, C, F4), an integral co-root; for
+every type those are exactly the summing pairs.  Each root index in it
+is either a key hit in a positive row, confirmed on the coefficients, or
+the ``neg`` image of one: -alpha + -beta = -(alpha + beta).  Everything here is
+exact: the one floating-point product, which gives those norms, holds
+small integers.
 """
 
 from __future__ import annotations
@@ -44,9 +48,12 @@ class RootSystem:
     ``norms`` (nr) holds (alpha, alpha) / 2 under the invariant form
     (alpha_i, alpha_j) = s_i a_ij with s the minimal symmetrizer, so
     ``norms[simple[i - 1]]`` is s_i.  ``sum_index[a, b]`` (nr x nr int32,
-    derived on construction) is the index of roots[a] + roots[b], or -1;
-    it is looked up only where the norm of the sum, norms[a] + norms[b] +
-    (alpha, beta), is one of the at most two root norms.
+    derived on construction) is the index of roots[a] + roots[b], or -1.
+    A positive row a is looked up only where the norm of the sum,
+    norms[a] + norms[b] + (alpha, beta), is one of the at most two root
+    norms, and a sum of norm 2 also has s_i alpha_i = s_i beta_i mod 2 at
+    every node; each key hit is confirmed on the coefficients.  Row neg[a]
+    is row a's ``neg`` image, read at the negated columns.
     Instances and their arrays are never mutated after construction and
     are safe to share between threads; they compare by identity.
     """
@@ -76,20 +83,34 @@ class RootSystem:
         # left @ right gives these norms: its entries and sums are integers far
         # below 2^24, so float32 holds them exactly.  Blocks of 2^14 entries keep
         # the working set small.
-        nr, norms = len(keys), self.norms
-        self.neg = (np.arange(nr) + self.positive_count) % nr
+        nr, norms, p = len(keys), self.norms, self.positive_count
+        self.neg = (np.arange(nr) + p) % nr
         self.neg.flags.writeable = False
         left = np.concatenate([self.coeffs, norms[:, None], np.ones((nr, 1))], axis=1, dtype=np.float32)
         right = np.concatenate([self.cartan_action * norms[self.simple, None], np.ones((1, nr)), norms[None]],
                                dtype=np.float32)
         short, long = int(norms.min()), int(norms.max())
+        # A root gamma of norm 2 has the integral co-root s_i gamma_i / 2, so on
+        # B, C and F4 a sum of the long norm must have s_i alpha_i = s_i beta_i
+        # mod 2 at every node: equal parity words.  This drops the orthogonal
+        # short pairs of C_n, such as e1 + e2 and e3 + e4, before the search.
+        parity = packed_parity(self.coeffs * norms[self.simple]) if long == 2 else None
+        # Only the positive rows are searched; -alpha + beta = -(alpha + (-beta))
+        # fills row neg[a] from row a, through neg extended by -1 -> -1.
+        negmap = np.append(self.neg, -1).astype(np.int32)
         self.sum_index = np.full((nr, nr), -1, dtype=np.int32)
         step = max(1, 2**14 // nr)
-        for lo in range(0, nr, step):
-            norm = left[lo:lo + step] @ right
-            a, b = np.nonzero((norm == short) | (norm == long))
+        for lo in range(0, p, step):
+            hi = min(lo + step, p)
+            norm = left[lo:hi] @ right
+            admit = norm == long
+            if parity is not None:
+                admit &= parity[lo:hi, None] == parity
+            a, b = np.nonzero(admit | (norm == short))
             a += lo
             self.sum_index[a, b] = self._search(keys[a] + keys[b], lambda hits: self._small[a[hits]] + self._small[b[hits]])
+            self.sum_index[p + lo:p + hi, :p] = negmap[self.sum_index[lo:hi, p:]]
+            self.sum_index[p + lo:p + hi, p:] = negmap[self.sum_index[lo:hi, :p]]
         self.sum_index.flags.writeable = False
 
     @cached_property
@@ -229,12 +250,24 @@ def generate_roots(cm: CartanMatrix) -> RootSystem:
                       cartan_action=action, coroots=coroots, norms=norms)
 
 
+def packed_parity(rows: np.ndarray) -> np.ndarray:
+    """Each row's entries mod 2 as the bits of one uint64.
+
+    A row has one entry per node; MAX_ROOTS keeps every type at rank 63 or
+    below (A63 is the largest A type it admits), so the bits fit.
+    """
+    bits = (rows % 2).astype(np.uint64)
+    return (bits << np.arange(rows.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
 def _key(vectors: np.ndarray) -> np.ndarray:
     """Linear uint64 keys sum_i v_i 25^(i - 1) mod 2^64, so key(a + b) = key(a) + key(b).
 
     Exact on roots and sums of two roots (entries in [-12, 12]) while
     25^rank < 2^63, that is up to rank 13; past that they wrap, so root
-    keys are checked distinct and every hit, of ``find`` or of a pair that
-    the norm test admits to ``sum_index``, is confirmed on the coefficients.
+    keys are checked distinct and every hit, of ``find`` or of a positive
+    row's pair that the norm and parity tests admit to ``sum_index``, is
+    confirmed on the coefficients; the negative rows are derived from
+    those confirmed entries, not looked up.
     """
     return vectors.astype(np.uint64) @ np.uint64(25) ** np.arange(vectors.shape[-1], dtype=np.uint64)

@@ -334,23 +334,26 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     """
     report = VerificationReport(suite="chevalley")
     rs = t.rs
-    summing = rs.sum_index >= 0
     a, b = t.pairs.T
+    summing = rs.sum_index[a, b] >= 0
     got = t.n
     expected = rs.backward_lengths(a, b) + 1
     gens = _generators(rs)
     row_sign = np.zeros(len(rs.roots), dtype=np.int64)
     row_sign[gens] = np.concatenate([t.eps.values, np.negative(t.eps.values)])
-    on_row = (row_sign[a] != 0) & summing[a, b]
-    report.checked = (len(got) + int(np.count_nonzero(summing)) + len(rs.roots)
+    on_row = (row_sign[a] != 0) & summing
+    # The summing pairs as row-major keys a * nr + b, which come out sorted.
+    nr = len(rs.roots)
+    sums = np.flatnonzero(rs.sum_index >= 0)
+    report.checked = (len(got) + len(sums) + nr
                       + int(np.count_nonzero(on_row)) + rs.cartan_action.size)
-    bad = ~summing[a, b] | (np.abs(got) != expected)
+    bad = ~summing | (np.abs(got) != expected)
     for k in np.flatnonzero(bad).tolist():
-        q1 = int(expected[k]) if summing[a[k], b[k]] else None
+        q1 = int(expected[k]) if summing[k] else None
         report.record((rs.roots[a[k]], rs.roots[b[k]]), q1, int(got[k]))
-    present = np.zeros_like(summing)
-    present[a, b] = True
-    ma, mb = np.nonzero(summing & ~present)
+    present = np.zeros(len(sums), dtype=bool)
+    present[sums.searchsorted(a[summing] * nr + b[summing])] = True
+    ma, mb = np.divmod(sums[~present], nr)
     for x, y, q1 in zip(ma.tolist(), mb.tolist(), (rs.backward_lengths(ma, mb) + 1).tolist()):
         report.record((rs.roots[x], rs.roots[y]), q1, None)
     for k in np.flatnonzero((t.opposite != rs.coroots).any(axis=1)).tolist():

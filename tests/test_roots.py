@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import chevbasis as cb
 from chevbasis.cartan import root_count
 from chevbasis.errors import DegeneratePair, InternalInconsistency, NotARoot
-from chevbasis.roots import Root, _coroots
+from chevbasis.roots import Root, _coroots, packed_parity
 from chevbasis.serialize import parse_coeffs
 from conftest import DESK_TYPES, SIMPLY_LACED_TYPES, coroot, found_string_lengths, system, tuple_index
 from reference import add, contains, negate, root_height, root_sign, simple_root, string_lengths, sub
@@ -257,8 +257,9 @@ def test_reflection_closure_property(label, data):
     assert contains(rs, tuple(b - m * a for a, b in zip(alpha, beta)))
 
 
-# B14 and C14 are past rank 13, where the lookup keys wrap, and have two root lengths.
-@pytest.mark.parametrize("label", DESK_TYPES + ("D16", "A24", "B14", "C14"))
+# B14, C14 and C20 are past rank 13, where the lookup keys wrap, and have two
+# root lengths; C20 is large enough that many row blocks are searched.
+@pytest.mark.parametrize("label", DESK_TYPES + ("D16", "A24", "B14", "C14", "C20"))
 def test_sum_index_matches_tuple_sums(label):
     rs = system(label)
     expected = [[tuple_index(rs).get(add(alpha, beta), -1) for beta in rs.roots] for alpha in rs.roots]
@@ -268,23 +269,35 @@ def test_sum_index_matches_tuple_sums(label):
     assert not rs.sum_index.flags.writeable
 
 
-def _length_test(rs) -> tuple[np.ndarray, np.ndarray]:
-    """(admitted, norms): pairs whose sum has a root's norm under the integer form s_i a_ij."""
+@pytest.mark.parametrize("label", DESK_TYPES + ("D16", "A24", "B14", "C14"))
+def test_sum_index_is_negation_symmetric(label):
+    # -alpha + -beta = -(alpha + beta), with -1 (no sum) kept.
+    rs = system(label)
+    negmap = np.append(rs.neg, -1)
+    assert np.array_equal(rs.sum_index[rs.neg][:, rs.neg], negmap[rs.sum_index])
+
+
+def _sum_norms(rs) -> np.ndarray:
+    """(alpha + beta, alpha + beta) / 2 for every pair, under the integer form s_i a_ij."""
     s = rs.norms[rs.simple]
     entries = np.array(rs.cartan.entries)
     assert (s[:, None] * entries == (s[:, None] * entries).T).all()
     gram = rs.coeffs @ (s[:, None] * entries) @ rs.coeffs.T
     norms = np.diag(gram) // 2
-    lengths = np.unique(norms)
-    assert len(lengths) <= 2
-    return np.isin(norms[:, None] + norms + gram, lengths), norms
+    assert rs.norms.tolist() == norms.tolist()
+    return norms[:, None] + norms + gram
+
+
+def _length_test(rs) -> np.ndarray:
+    """The pairs whose sum has a root's norm."""
+    return np.isin(_sum_norms(rs), np.unique(rs.norms))
 
 
 @pytest.mark.parametrize("label", DESK_TYPES + ("B14", "C14", "D16", "A24"))
 def test_length_test_admits_every_summing_pair(label):
     rs = system(label)
-    admitted, norms = _length_test(rs)
-    assert rs.norms.tolist() == norms.tolist()
+    admitted = _length_test(rs)
+    assert len(np.unique(rs.norms)) <= 2
     summing = rs.sum_index >= 0
     assert not (summing & ~admitted).any()
     family, rank = cb.parse_type_label(label)
@@ -293,8 +306,21 @@ def test_length_test_admits_every_summing_pair(label):
         # e1 + e2 and e3 + e4 have a sum of the long norm.
         assert (admitted == summing).all()
     if label == "C14":
-        # The search rejects admitted pairs here, so its reject path runs.
+        # The length test alone admits pairs that do not sum here.
         assert (int(admitted.sum()), int(summing.sum())) == (115_752, 19_656)
+
+
+@pytest.mark.parametrize("label", ("C4", "C5", "C8", "C14", "B14", "F4"))
+def test_length_and_parity_tests_admit_exactly_the_summing_pairs(label):
+    # A sum gamma of norm 2 has the integral co-root s_i gamma_i / 2, so
+    # s_i alpha_i and s_i beta_i have equal parity at every node.
+    rs = system(label)
+    sn = rs.coeffs * rs.norms[rs.simple]
+    even = ((sn[:, None] + sn[None]) % 2 == 0).all(-1)
+    words = packed_parity(sn)
+    assert np.array_equal(words[:, None] == words, even)
+    admitted = _length_test(rs) & (even | (_sum_norms(rs) != 2))
+    assert np.array_equal(admitted, rs.sum_index >= 0)
 
 
 def test_generate_roots_memory_on_a40():
