@@ -14,11 +14,10 @@ from .cartan import (
     build_cartan,
     default_epsilon,
     parse_type_label,
-    standard_automorphism,
 )
 from .closedform import closed_table
 from .errors import ChevBasisError
-from .folding import FoldedSystem, fold, fold_source, folded_table
+from .folding import FoldedSystem, fold, fold_source, folded_table, standard_automorphism
 from .report import VerificationReport
 from .roots import Root, RootSystem, generate_roots
 from .verify import chevalley_audit, differential, jacobi_sweep, sl_n_oracle

@@ -1,13 +1,13 @@
-"""Cartan matrices of finite type, sign functions, and diagram automorphisms.
+"""Cartan matrices of finite type, sign functions, and the diagram automorphism type.
 
 Node numbering follows the convention in which the E-series is the chain
 1-3-4-5-... with the branch node 2 attached to node 4, the D-series is the
 fork 1,2 attached to 3 followed by the chain 3-4-...-n, and the double or
 triple edge of B/C/F/G sits between the low-numbered nodes.  These choices
-are pinned by the folding cross-checks in :mod:`chevbasis.folding`:
-folding D_{n+1} yields exactly ``build_cartan("B", n)``, folding A_{2n-1}
-yields ``build_cartan("C", n)``, triality on D4 yields G2 and the E6
-symmetry yields F4.
+are pinned by the folding cross-checks in :mod:`chevbasis.folding`, whose
+``fold_source`` states the four folds: D_{n+1} yields exactly
+``build_cartan("B", n)``, A_{2n-1} yields ``build_cartan("C", n)``,
+triality on D4 yields G2 and the E6 symmetry yields F4.
 """
 
 from __future__ import annotations
@@ -268,16 +268,24 @@ def default_epsilon(cm: CartanMatrix) -> SignFunction:
 
 @dataclass(frozen=True)
 class DiagramAutomorphism:
-    """A diagram symmetry i -> i' with unconnected orbits.
+    """A diagram symmetry i -> i' with unconnected orbits, given by its node orbits.
 
-    ``perm`` maps 1-based node ids; ``orbits`` lists the node orbits in the
-    order that fixes the numbering of the folded diagram (first element of
-    each orbit is its representative).
+    Each orbit is written in cycle order (i, i', i'', ...) and the orbits
+    are listed in folded node order, so the first element of each orbit
+    is the representative of that folded node.  ``perm`` (1-based images)
+    and ``order`` are derived from the orbits.
     """
 
-    perm: tuple[int, ...]
     orbits: tuple[tuple[int, ...], ...]
-    order: int
+
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
+        image = {i: j for orbit in self.orbits for i, j in zip(orbit, orbit[1:] + orbit[:1])}
+        return tuple(image[i] for i in range(1, len(image) + 1))
+
+    @property
+    def order(self) -> int:
+        return math.lcm(*map(len, self.orbits))
 
     def apply(self, i: int) -> int:
         return self.perm[i - 1]
@@ -286,28 +294,17 @@ class DiagramAutomorphism:
     def reps(self) -> tuple[int, ...]:
         return tuple(orbit[0] for orbit in self.orbits)
 
-    def orbit_of(self, i: int) -> tuple[int, ...]:
-        for orbit in self.orbits:
-            if i in orbit:
-                return orbit
-        raise ValueError(f"node {i} not covered by orbits")
-
     def validate(self, cm: CartanMatrix) -> None:
-        """Check the two folding conditions against a Cartan matrix.
+        """Check the orbits and the two folding conditions against a Cartan matrix.
 
+        The orbits must partition the nodes and the order be 1, 2 or 3; then
         (a) a_ij = a_i'j' for all i, j and (b) a_ii' = 0 whenever i' != i.
         Raises NoFoldableSymmetry on any failure.
         """
-        n = cm.rank
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise NoFoldableSymmetry("perm is not a bijection of the nodes")
-        d = 1
-        for i in cm.nodes:
-            j, k = i, 1
-            while (j := self.apply(j)) != i:
-                k += 1
-            d = math.lcm(d, k)
-        if d != self.order or d not in (1, 2, 3):
+        covered = sorted(i for orbit in self.orbits for i in orbit)
+        if covered != list(cm.nodes):
+            raise NoFoldableSymmetry("orbits must partition the node set")
+        if (d := self.order) not in (1, 2, 3):
             raise NoFoldableSymmetry(f"order must be the permutation order in {{1,2,3}}, got {d}")
         for i in cm.nodes:
             for j in cm.nodes:
@@ -316,57 +313,3 @@ class DiagramAutomorphism:
         for i in cm.nodes:
             if self.apply(i) != i and cm.a(i, self.apply(i)) != 0:
                 raise NoFoldableSymmetry("condition (b) fails: orbit nodes are connected")
-        covered = sorted(i for orbit in self.orbits for i in orbit)
-        if covered != list(range(1, n + 1)):
-            raise NoFoldableSymmetry("orbits must partition the node set")
-        for orbit in self.orbits:
-            cycle = {orbit[0]}
-            j = orbit[0]
-            while (j := self.apply(j)) != orbit[0]:
-                cycle.add(j)
-            if cycle != set(orbit):
-                raise NoFoldableSymmetry("orbit list does not match the permutation")
-
-
-def standard_automorphism(cm: CartanMatrix) -> DiagramAutomorphism:
-    """The distinguished non-trivial symmetry used for folding.
-
-    A_{2n-1} (n >= 2): i <-> 2n-i, orbits {n}, {n-1, n+1}, ..., {1, 2n-1}.
-    D_r (r >= 5):      1 <-> 2, orbits {1,2}, {3}, ..., {r}.
-    D_4:               triality 1 -> 2 -> 4 -> 1, orbits {3}, {1,2,4}.
-    E_6:               orbits {2}, {4}, {3,5}, {1,6}.
-
-    The orbit order determines the folded node numbering.  The even chains
-    A_{2n} do have a reflection, but its middle orbit is a connected pair,
-    so condition (b) fails and no automorphism is returned for them.
-    """
-    family, n = cm.type_label, cm.rank
-    if family == "A" and n >= 3 and n % 2 == 1:
-        m = (n + 1) // 2
-        perm = tuple(n + 1 - i for i in range(1, n + 1))
-        orbits = ((m,),) + tuple((m - k, m + k) for k in range(1, m))
-        auto = DiagramAutomorphism(perm, orbits, 2)
-    elif family == "D" and n == 4:
-        perm = (2, 4, 3, 1)
-        auto = DiagramAutomorphism(perm, ((3,), (1, 2, 4)), 3)
-    elif family == "D" and n >= 5:
-        auto = swap_fork_automorphism(cm)
-    elif family == "E" and n == 6:
-        perm = (6, 2, 5, 4, 3, 1)
-        auto = DiagramAutomorphism(perm, ((2,), (4,), (3, 5), (1, 6)), 2)
-    else:
-        raise NoFoldableSymmetry(f"type {cm.label} has no foldable symmetry")
-    auto.validate(cm)
-    return auto
-
-
-def swap_fork_automorphism(cm: CartanMatrix) -> DiagramAutomorphism:
-    """The order-2 symmetry of D_r (r >= 3) exchanging the fork nodes 1, 2."""
-    if cm.type_label != "D":
-        raise NoFoldableSymmetry("fork swap only exists for type D")
-    n = cm.rank
-    perm = (2, 1) + tuple(range(3, n + 1))
-    orbits = ((1, 2),) + tuple((i,) for i in range(3, n + 1))
-    auto = DiagramAutomorphism(perm, orbits, 2)
-    auto.validate(cm)
-    return auto

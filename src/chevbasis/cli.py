@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .bracket import BracketTable, build_inductive
-from .cartan import build_cartan, default_epsilon, parse_type_label, standard_automorphism
+from .cartan import build_cartan, default_epsilon, parse_type_label
 from .closedform import closed_table
 from .errors import ChevBasisError, DegeneratePair, IllegalType, InternalInconsistency, NotARoot, NotSimplyLaced
-from .folding import fold_onto, fold_source, folded_type, independent_table
+from .folding import fold_onto, fold_source, folded_type, independent_table, standard_automorphism
 from .report import VerificationReport
 from .roots import generate_roots
 from .serialize import (

@@ -26,8 +26,6 @@ from .cartan import (
     build_cartan,
     default_epsilon,
     root_count,
-    standard_automorphism,
-    swap_fork_automorphism,
 )
 from .closedform import closed_table, pair_signs
 from .errors import (
@@ -54,7 +52,7 @@ def folded_type(cm: CartanMatrix, order: int) -> tuple[str, int]:
         return _FOLDED_TYPE[key]
     if order == 1:
         return cm.type_label, cm.rank
-    if cm.type_label == "A" and order == 2 and cm.rank % 2 == 1:
+    if cm.type_label == "A" and order == 2 and cm.rank >= 3 and cm.rank % 2 == 1:
         return "C", (cm.rank + 1) // 2
     if cm.type_label == "D" and order == 2:
         return "B", cm.rank - 1
@@ -78,7 +76,6 @@ class FoldedSystem:
     parent: RootSystem
     eps: SignFunction
     auto: DiagramAutomorphism
-    reps: tuple[int, ...]
     folded_eps: SignFunction
     folded_rs: RootSystem
     perm: np.ndarray = field(repr=False)
@@ -105,7 +102,7 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
             raise FoldingPreconditionViolated("epsilon must be constant on node orbits")
 
     reps = auto.reps
-    sizes = [len(auto.orbit_of(i)) for i in reps]
+    sizes = [len(orbit) for orbit in auto.orbits]
     ent = tuple(tuple(cm.a(i, j) * (si if si > sj == 1 else 1) for j, sj in zip(reps, sizes))
                 for i, si in zip(reps, sizes))
     family, rank = folded_type(cm, auto.order)
@@ -131,7 +128,7 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
     # cycles[t, k] = perm^t(k) for t below the length of k's orbit, -1 from there on
     cycles = np.where(np.arange(auto.order)[:, None] < lengths, powers[:-1], -1)
     # The restrictions, by one lookup of the node-orbit sums in the folded system.
-    coords = rs.coeffs @ np.array([[i in auto.orbit_of(j) for j in reps] for i in cm.nodes], dtype=np.int64)
+    coords = rs.coeffs @ np.array([[i in orbit for orbit in auto.orbits] for i in cm.nodes], dtype=np.int64)
     restriction = folded_rs.find(coords)
     if (k := _first(restriction < 0)) is not None:
         raise InternalInconsistency(
@@ -149,7 +146,7 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
     for a in (perm, restriction, orbits):
         a.flags.writeable = False
 
-    return FoldedSystem(parent=rs, eps=eps, auto=auto, reps=reps, folded_eps=folded_eps, folded_rs=folded_rs,
+    return FoldedSystem(parent=rs, eps=eps, auto=auto, folded_eps=folded_eps, folded_rs=folded_rs,
                         perm=perm, restriction=restriction, orbits=orbits)
 
 
@@ -212,7 +209,7 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
 
     totals = np.zeros((len(rs_f.roots), rs.rank), dtype=np.int64)
     np.add.at(totals, fs.restriction, rs.coroots)
-    columns = [np.array(fs.auto.orbit_of(i)) - 1 for i in fs.reps]
+    columns = [np.array(orbit) - 1 for orbit in fs.auto.orbits]
     coords = totals[:, [c[0] for c in columns]]
     expected = rs_f.coroots
     uneven = np.any([(totals[:, c] != totals[:, c[:1]]).any(axis=1) for c in columns], axis=0)
@@ -239,26 +236,44 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
 def fold_source(family: str, rank: int) -> tuple[CartanMatrix, DiagramAutomorphism]:
     """The simply-laced parent and automorphism that fold onto a given type.
 
-    B_n comes from D_{n+1} by the fork swap, C_n from A_{2n-1}, G2 from
-    triality on D4 and F4 from the E6 symmetry.  A parent with more than
-    ``MAX_ROOTS`` roots is refused, naming the type it would fold onto.
+    The one table of the four folds, each as its parent and node orbits:
+    B_n from D_{n+1} by the fork swap, C_n from A_{2n-1} by i <-> 2n-i, G2
+    from triality on D4 and F4 from the E6 symmetry.  A parent with more
+    than ``MAX_ROOTS`` roots is refused, naming the type it would fold onto.
     """
     family = family.upper()
     if family == "B" and rank >= 2:
-        parent = ("D", rank + 1)
+        parent, orbits = ("D", rank + 1), ((1, 2),) + tuple((i,) for i in range(3, rank + 2))
     elif family == "C" and rank >= 2:
-        parent = ("A", 2 * rank - 1)
+        parent, orbits = ("A", 2 * rank - 1), ((rank,),) + tuple((rank - k, rank + k) for k in range(1, rank))
     elif (family, rank) == ("G", 2):
-        parent = ("D", 4)
+        parent, orbits = ("D", 4), ((3,), (1, 2, 4))
     elif (family, rank) == ("F", 4):
-        parent = ("E", 6)
+        parent, orbits = ("E", 6), ((2,), (4,), (3, 5), (1, 6))
     else:
         raise IllegalType(f"{family}{rank} is not a folded type")
     if (nr := root_count(*parent)) > MAX_ROOTS:
         raise IllegalType(f"{family}{rank} folds from {parent[0]}{parent[1]}, which has {nr} roots, "
                           f"above the limit of {MAX_ROOTS}")
     cm = build_cartan(*parent)
-    return cm, swap_fork_automorphism(cm) if family == "B" else standard_automorphism(cm)
+    auto = DiagramAutomorphism(orbits)
+    auto.validate(cm)
+    return cm, auto
+
+
+def standard_automorphism(cm: CartanMatrix) -> DiagramAutomorphism:
+    """The fold of largest order in :func:`fold_source` whose parent is ``cm``.
+
+    Triality on D4, the fork swap on D_{>=3}, i <-> 2n-i on A_{2n-1} and
+    the E6 symmetry; any other type raises NoFoldableSymmetry.
+    """
+    for order in (3, 2):
+        try:
+            target = folded_type(cm, order)
+        except FoldingPreconditionViolated:
+            continue
+        return fold_source(*target)[1]
+    raise NoFoldableSymmetry(f"type {cm.label} has no foldable symmetry")
 
 
 def fold_onto(cm: CartanMatrix, eps: SignFunction) -> tuple[BracketTable, dict]:

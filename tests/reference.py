@@ -181,11 +181,7 @@ def check_split_identity(rs: RootSystem, eps: SignFunction) -> VerificationRepor
 
 
 def identity_automorphism(cm: CartanMatrix) -> DiagramAutomorphism:
-    return DiagramAutomorphism(
-        perm=tuple(cm.nodes),
-        orbits=tuple((i,) for i in cm.nodes),
-        order=1,
-    )
+    return DiagramAutomorphism(tuple((i,) for i in cm.nodes))
 
 
 def permute_root(auto: DiagramAutomorphism, alpha: Root) -> Root:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -39,3 +40,11 @@ def test_test_references_stay_out_of_the_package():
     assert not [name for name in REMOVED_METHODS if hasattr(cb.RootSystem, name)]
     assert not hasattr(cb.BracketTable, "constant")
     assert list(inspect.signature(cb.build_inductive).parameters) == ["rs", "eps"]
+
+
+def test_diagram_symmetries_are_stated_by_their_orbits_alone():
+    assert tuple(f.name for f in dataclasses.fields(cb.DiagramAutomorphism)) == ("orbits",)
+    assert not hasattr(cb.DiagramAutomorphism, "orbit_of")
+    assert "reps" not in {f.name for f in dataclasses.fields(cb.FoldedSystem)}
+    modules = [cb] + [importlib.import_module(f"chevbasis.{m.name}") for m in pkgutil.iter_modules(cb.__path__)]
+    assert not [m.__name__ for m in modules if hasattr(m, "swap_fork_automorphism")]

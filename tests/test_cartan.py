@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chevbasis as cb
-from chevbasis.cartan import swap_fork_automorphism
 from chevbasis.errors import IllegalType, InvalidEpsilon, NoFoldableSymmetry
 from conftest import DESK_TYPES
 from reference import identity_automorphism
@@ -139,10 +138,11 @@ def test_standard_automorphism_d5():
 
 
 def test_even_chain_has_no_foldable_symmetry():
-    with pytest.raises(NoFoldableSymmetry):
-        cb.standard_automorphism(cb.build_cartan("A", 4))
-    with pytest.raises(NoFoldableSymmetry):
-        cb.standard_automorphism(cb.build_cartan("B", 3))
+    # A1 and the even chains have no fold; neither has B3, which is no
+    # parent, nor E7.
+    for label in ("A1", "A2", "A4", "B3", "E7"):
+        with pytest.raises(NoFoldableSymmetry, match=f"^type {label} has no foldable symmetry$"):
+            cb.standard_automorphism(cb.build_cartan(*cb.parse_type_label(label)))
 
 
 def test_automorphism_conditions_validate():
@@ -159,18 +159,44 @@ def test_automorphism_conditions_validate():
 
 def test_validate_rejects_connected_orbit():
     cm = cb.build_cartan("A", 4)
-    reflection = cb.DiagramAutomorphism(
-        perm=(4, 3, 2, 1), orbits=((2, 3), (1, 4)), order=2
-    )
+    reflection = cb.DiagramAutomorphism(((2, 3), (1, 4)))
     with pytest.raises(NoFoldableSymmetry):
         reflection.validate(cm)
+
+
+def test_validate_rejects_overlapping_orbits_and_orders_above_three():
+    with pytest.raises(NoFoldableSymmetry, match="^orbits must partition the node set$"):
+        cb.DiagramAutomorphism(((1,), (1, 2))).validate(cb.build_cartan("A", 2))
+    with pytest.raises(NoFoldableSymmetry, match=r"^order must be the permutation order in \{1,2,3\}, got 6$"):
+        cb.DiagramAutomorphism(((1, 3, 5), (2, 4))).validate(cb.build_cartan("A", 5))
 
 
 def test_identity_and_fork_swap():
     cm = cb.build_cartan("D", 3)
     identity_automorphism(cm).validate(cm)
-    swap = swap_fork_automorphism(cm)
+    swap = cb.standard_automorphism(cm)
     assert swap.orbits == ((1, 2), (3,))
+
+
+# (orbits, perm) of each parent's standard automorphism, pinned from the
+# per-type perm and orbit literals that the fold table replaced.
+STANDARD_AUTOMORPHISMS = {
+    "A3": (((2,), (1, 3)), (3, 2, 1)),
+    "A5": (((3,), (2, 4), (1, 5)), (5, 4, 3, 2, 1)),
+    "A7": (((4,), (3, 5), (2, 6), (1, 7)), (7, 6, 5, 4, 3, 2, 1)),
+    "D4": (((3,), (1, 2, 4)), (2, 4, 3, 1)),
+    "D5": (((1, 2), (3,), (4,), (5,)), (2, 1, 3, 4, 5)),
+    "D6": (((1, 2), (3,), (4,), (5,), (6,)), (2, 1, 3, 4, 5, 6)),
+    "D7": (((1, 2), (3,), (4,), (5,), (6,), (7,)), (2, 1, 3, 4, 5, 6, 7)),
+    "E6": (((2,), (4,), (3, 5), (1, 6)), (6, 2, 5, 4, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(STANDARD_AUTOMORPHISMS))
+def test_standard_automorphism_orbits_and_perm_are_pinned(label):
+    auto = cb.standard_automorphism(cb.build_cartan(*cb.parse_type_label(label)))
+    assert (auto.orbits, auto.perm) == STANDARD_AUTOMORPHISMS[label]
+    assert auto.order == (3 if label == "D4" else 2)
 
 
 @given(st.sampled_from(DESK_TYPES), st.data())

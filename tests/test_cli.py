@@ -339,7 +339,7 @@ def test_byte_determinism(tmp_path):
 
 @pytest.mark.parametrize("epsilon", ["default", "flipped"])
 @pytest.mark.parametrize("parent,target", [
-    ("A3", "C2"), ("A5", "C3"), ("A7", "C4"), ("D4", "G2"), ("D5", "B4"), ("D7", "B6"), ("E6", "F4"),
+    ("A3", "C2"), ("A5", "C3"), ("A7", "C4"), ("D3", "B2"), ("D4", "G2"), ("D5", "B4"), ("D7", "B6"), ("E6", "F4"),
 ])
 def test_fold_equals_gen_fold(tmp_path, parent, target, epsilon):
     paths = {name: (tmp_path / f"{name}.json", tmp_path / f"{name}.csv") for name in ("fold", "gen")}

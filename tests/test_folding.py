@@ -43,28 +43,28 @@ def test_d4_fold_is_g2():
     fs, _ = folded("D4")
     assert fs.folded_rs.cartan.entries == ((2, -1), (-3, 2))
     assert fs.folded_rs.cartan.label == "G2"
-    assert fs.reps == (3, 1)
+    assert fs.auto.reps == (3, 1)
     assert fs.folded_eps.values == (-1, 1)
 
 
 def test_a3_fold_is_c2():
     fs, _ = folded("A3")
     assert fs.folded_rs.cartan.label == "C2"
-    assert fs.reps == (2, 1)
+    assert fs.auto.reps == (2, 1)
     assert fs.folded_rs.cartan.entries == ((2, -1), (-2, 2))
 
 
 def test_e6_fold_is_f4():
     fs, _ = folded("E6")
     assert fs.folded_rs.cartan.label == "F4"
-    assert fs.reps == (2, 4, 3, 1)
+    assert fs.auto.reps == (2, 4, 3, 1)
     assert fs.folded_eps.values == (-1, 1, -1, 1)
 
 
 def test_d5_fold_is_b4():
     fs, _ = folded("D5")
     assert fs.folded_rs.cartan.label == "B4"
-    assert fs.reps == (1, 3, 4, 5)
+    assert fs.auto.reps == (1, 3, 4, 5)
 
 
 def test_d4_orbit_table():
@@ -198,10 +198,11 @@ def test_q_routes_match_scalar_references(case, flipped):
 
 
 def test_folded_table_flags_q_disagreement():
-    # Order 2 on triality changes only the case analysis, which must then
-    # disagree with the string walk and the orbit count.
+    # An order-2 automorphism on the triality system changes only the case
+    # analysis, which must then disagree with the string walk and the orbit
+    # count.
     fs, _ = folded("D4")
-    bad = dataclasses.replace(fs, auto=dataclasses.replace(fs.auto, order=2))
+    bad = dataclasses.replace(fs, auto=cb.fold_source("B", 3)[1])
     with pytest.raises(InternalInconsistency,
                        match=r"^q disagreement at \(0, 1\),\(1, 1\): string 1, count 1, case 0$"):
         cb.folded_table(bad)
@@ -228,14 +229,15 @@ def test_folded_table_flags_swapped_restriction(root, error, message):
 
 
 def test_folded_table_flags_coroot_faults():
-    # Swapped representatives read the orbit co-root sums in the wrong
-    # folded coordinates.  A node orbit (3, 4) next to (1, 2, 4) keeps the
-    # representatives' columns, so only the sums differing across it fail.
+    # Node orbits listed in swapped order read the orbit co-root sums in
+    # the wrong folded coordinates.  A node orbit (3, 4, 2) next to
+    # (1, 2, 4) keeps the representatives' columns and the order 3, so only
+    # the sums differing across it fail.
     fs, _ = folded("D4")
     with pytest.raises(InternalInconsistency,
                        match=r"^folded co-root mismatch at \(0, 1\): \(1, 0\) vs \(0, 1\)$"):
-        cb.folded_table(dataclasses.replace(fs, reps=(1, 3)))
-    uneven = dataclasses.replace(fs.auto, orbits=((3, 4), (1, 2, 4)))
+        cb.folded_table(dataclasses.replace(fs, auto=cb.DiagramAutomorphism(((1, 2, 4), (3,)))))
+    uneven = cb.DiagramAutomorphism(((3, 4, 2), (1, 2, 4)))
     with pytest.raises(InternalInconsistency,
                        match=r"^orbit co-root sum not constant on node orbit at \(0, 1\)$"):
         cb.folded_table(dataclasses.replace(fs, auto=uneven))
@@ -389,13 +391,13 @@ def test_orbit_sign_constancy_negative_control():
 def test_fold_preconditions():
     b2 = system("B2")
     with pytest.raises(FoldingPreconditionViolated):
-        cb.fold(b2, cb.default_epsilon(b2.cartan), cb.DiagramAutomorphism((1, 2), ((1,), (2,)), 1))
+        cb.fold(b2, cb.default_epsilon(b2.cartan), cb.DiagramAutomorphism(((1,), (2,))))
     a5 = system("A5")
     auto = cb.standard_automorphism(a5.cartan)
     with pytest.raises(FoldingPreconditionViolated):
         cb.fold(a5, cb.SignFunction((1, -1, 1, 1, -1)), auto)
     a4 = system("A4")
-    reflection = cb.DiagramAutomorphism((5, 4, 3, 2, 1), ((3,), (2, 4), (1, 5)), 2)
+    reflection = cb.DiagramAutomorphism(((3,), (2, 4), (1, 5)))
     with pytest.raises(FoldingPreconditionViolated):
         cb.fold(a4, cb.default_epsilon(a4.cartan), reflection)
 
@@ -453,6 +455,20 @@ def test_fold_source_targets():
     for bad in (("A", 3), ("D", 4), ("E", 6), ("G", 3)):
         with pytest.raises(IllegalType):
             cb.fold_source(*bad)
+
+
+@pytest.mark.parametrize("target", ["B2", "B3", "B4", "B5", "B6", "C2", "C3", "C4", "C5", "C6", "F4", "G2"])
+def test_fold_source_inverts_folded_type(target):
+    family, rank = cb.parse_type_label(target)
+    cm, auto = cb.fold_source(family, rank)
+    assert folding.folded_type(cm, auto.order) == (family, rank)
+
+
+def test_folded_type_needs_a_chain_of_rank_three():
+    for label in ("A1", "A2", "A4"):
+        with pytest.raises(FoldingPreconditionViolated, match=f"^no folded type for {label} with order 2$"):
+            folding.folded_type(cb.build_cartan(*cb.parse_type_label(label)), 2)
+    assert folding.folded_type(cb.build_cartan("A", 3), 2) == ("C", 2)
 
 
 def test_identity_fold_round_trips():
