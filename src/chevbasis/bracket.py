@@ -31,8 +31,23 @@ from dataclasses import dataclass, field
 from .cartan import SignFunction
 import numpy as np
 
-from .errors import InternalInconsistency, InvalidEpsilon
+from .errors import ChevBasisError, InternalInconsistency, InvalidEpsilon
 from .roots import RootSystem
+
+# Largest |entry| of a constant, Cartan action or Cartan vector: the reader
+# refuses files past it, and the verifiers refuse in-memory tables past it
+# before they narrow.  Constants, actions and Cartan vectors are then held
+# in int32, and every product of two entries is taken in int64.  The
+# largest sum, a Jacobi sum of three terms N N' - sum_i w_i act_i, is at
+# most 3 (r + 1) B^2, which stays below 2^63 for every rank r below 2.8
+# million.
+ENTRY_BOUND = 2**20
+
+
+def check_entry_bound(name: str, values: np.ndarray) -> None:
+    """Raise a one-line ChevBasisError if an entry of ``values`` is beyond +-ENTRY_BOUND."""
+    if values.size and (values.max() > ENTRY_BOUND or values.min() < -ENTRY_BOUND):
+        raise ChevBasisError(f"{name} has an entry whose absolute value is above {ENTRY_BOUND}")
 
 
 @dataclass(eq=False)
@@ -51,8 +66,10 @@ class BracketTable:
     coordinates c with [e_alpha, e_{-alpha}] = (-1)^{ht(alpha)} sum_i
     c_i h_i.  The builders share the root system's read-only
     ``cartan_action`` and ``coroots``; a table read from a file holds
-    read-only copies of its own.  Tables compare by identity; compare
-    the arrays to compare contents.
+    read-only copies of its own.  The verifiers hold the constants,
+    actions and co-roots in int32 (:meth:`dense`), so they refuse a table
+    with an entry beyond +-ENTRY_BOUND.  Tables compare by identity;
+    compare the arrays to compare contents.
     """
 
     rs: RootSystem
@@ -88,9 +105,15 @@ class BracketTable:
         return np.where(keys[k] == key, order[k], -1)
 
     def dense(self) -> np.ndarray:
-        """N_{a,b} as one nr x (nr + 1) int64 array: 0 where not stored, and a last column of 0s for a sum index of -1."""
+        """N_{a,b} as one nr x (nr + 1) int32 array: 0 where not stored, and a last column of 0s for a sum index of -1.
+
+        int32 holds every constant within ENTRY_BOUND, half the bytes of
+        int64; a table with a constant beyond it is refused, never wrapped.
+        Products of two entries must be taken in int64.
+        """
+        check_entry_bound("constants", self.n)
         nr = len(self.rs.roots)
-        nn = np.zeros((nr, nr + 1), dtype=np.int64)
+        nn = np.zeros((nr, nr + 1), dtype=np.int32)
         nn[self.pairs[:, 0], self.pairs[:, 1]] = self.n
         return nn
 

@@ -56,11 +56,12 @@ def root_count(family: str, rank: int) -> int:
     return _EXCEPTIONAL_ROOTS[family, rank]
 
 
-# Every layer holds nr x nr arrays: sum_index (int32), and while verifying the
-# one int64 nr x (nr + 1) dense view of the constants, about 8 nr^2 bytes.
-# Capping one int64 nr x nr array at 2^27 bytes (128 MiB) caps nr at 2^12 =
-# 4096: A63 (4032 roots) and D45 (3960) are built, A64 (4160) is refused.
-MAX_ROOTS = math.isqrt(2**27 // 8)
+# The cap on the root count nr.  It keeps every root index below 2^15, so the
+# nr x nr sum_index is int16 (32 MiB at the cap, beside the verifiers' int32
+# nr x (nr + 1) dense view of the constants, 64 MiB), and it keeps every rank
+# at 63 or below, so packed_parity fits one uint64 per root.  A63 (4032
+# roots), B45 and C45 (4050) and D45 (3960) are built; A64 (4160) is refused.
+MAX_ROOTS = 2**12
 
 
 @dataclass(frozen=True)

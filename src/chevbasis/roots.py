@@ -7,7 +7,8 @@ coefficient vector is found among the roots in one way only, by its
 linear uint64 key with the hit confirmed on the coefficients
 (``RootSystem._search``); ``sum_index`` and ``find`` both go through
 it.  Every layer asks "is alpha + beta a root, and which one?" through
-``sum_index``, and root strings are walks over it.
+``sum_index``, one nr x nr int16 array, and root strings are walks over
+it.
 ``sum_index`` is searched only in the positive rows, and only at the
 pairs whose sum has a root's norm (alpha, alpha) / 2 under the invariant
 form and, where that norm is 2 (B, C, F4), an integral co-root; for
@@ -47,8 +48,9 @@ class RootSystem:
     <alpha, beta> = beta(h_alpha) is ``coroots[a] @ cartan_action[:, b]``.
     ``norms`` (nr) holds (alpha, alpha) / 2 under the invariant form
     (alpha_i, alpha_j) = s_i a_ij with s the minimal symmetrizer, so
-    ``norms[simple[i - 1]]`` is s_i.  ``sum_index[a, b]`` (nr x nr int32,
-    derived on construction) is the index of roots[a] + roots[b], or -1.
+    ``norms[simple[i - 1]]`` is s_i.  ``sum_index[a, b]`` (nr x nr int16,
+    derived on construction) is the index of roots[a] + roots[b], or -1;
+    int16 holds every index because nr <= MAX_ROOTS < 2^15.
     A positive row a is looked up only where the norm of the sum,
     norms[a] + norms[b] + (alpha, beta), is one of the at most two root
     norms, and a sum of norm 2 also has s_i alpha_i = s_i beta_i mod 2 at
@@ -97,8 +99,8 @@ class RootSystem:
         parity = packed_parity(self.coeffs * norms[self.simple]) if long == 2 else None
         # Only the positive rows are searched; -alpha + beta = -(alpha + (-beta))
         # fills row neg[a] from row a, through neg extended by -1 -> -1.
-        negmap = np.append(self.neg, -1).astype(np.int32)
-        self.sum_index = np.full((nr, nr), -1, dtype=np.int32)
+        negmap = np.append(self.neg, -1).astype(np.int16)
+        self.sum_index = np.full((nr, nr), -1, dtype=np.int16)
         step = max(1, 2**14 // nr)
         for lo in range(0, p, step):
             hi = min(lo + step, p)

@@ -24,18 +24,13 @@ from typing import Any
 
 import numpy as np
 
-from .bracket import BracketTable
+from .bracket import ENTRY_BOUND, BracketTable, check_entry_bound
 from .cartan import SignFunction, build_cartan, parse_type_label, root_count
 from .errors import ChevBasisError, InvalidEpsilon, NotARoot
 from .roots import Root, _first, generate_roots
 
 SCHEMA_VERSION = 1
 METHODS = ("inductive", "closed", "folded")
-# Largest |entry| the reader accepts in constants, cartan_action and
-# opposite.  The verifiers sum in int64.  Their largest sum, a Jacobi sum
-# of three terms N N' - sum_i w_i act_i, is at most 3 (r + 1) B^2, which
-# stays below 2^63 for every rank r below 2.8 million.
-ENTRY_BOUND = 2**20
 
 
 def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -146,8 +141,7 @@ def _int_rows(value: Any, rows: int, cols: int, name: str) -> np.ndarray:
             raise ChevBasisError(f"{name} must be {rows} lists of {cols} integers")
         if value.dtype.kind not in "iu":
             raise ChevBasisError(f"{name} has an entry that is not an integer")
-        if value.size and (value.max() > ENTRY_BOUND or value.min() < -ENTRY_BOUND):
-            raise ChevBasisError(f"{name} has an entry whose absolute value is above {ENTRY_BOUND}")
+        check_entry_bound(name, value)
         return _read_only(value.astype(np.int64))
     if not (isinstance(value, list) and len(value) == rows
             and set(map(type, value)) <= {list} and set(map(len, value)) <= {cols}):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bracket import BracketTable
+from .bracket import BracketTable, check_entry_bound
 from .cartan import SignFunction
 from .errors import IllegalType, IncompatibleTables
 from .report import VerificationReport
@@ -37,7 +37,13 @@ def _table_arrays(t: BracketTable):
     """Dense integer views of a table: constants (:meth:`BracketTable.dense`), stray keys, actions, Cartan vectors.
 
     A stray key is a stored pair (a, b) whose roots do not sum to a root.
+    A table with a constant, Cartan action or Cartan vector entry beyond
+    +-ENTRY_BOUND is refused with a ChevBasisError before any int32 view
+    is built, so no narrowing can wrap it.  The actions and Cartan vectors
+    are returned as the table holds them, int64.
     """
+    check_entry_bound("cartan_action", t.cartan_action)
+    check_entry_bound("opposite", t.opposite)
     stray = t.pairs[t.rs.sum_index[t.pairs[:, 0], t.pairs[:, 1]] < 0]
     return t.dense(), stray, t.cartan_action, t.opposite_brackets()
 
@@ -46,17 +52,20 @@ def _root_terms(t: BracketTable, nn, act, w):
     """``linked(u, v)`` and ``term(x, y, z)`` on index arrays, for root triples with a root sum.
 
     Both read flat views with ``take``: ``sum_index`` at ``y * nr + z``, and
-    the nr x (nr + 1) ``nn`` at ``y * (nr + 1) + z`` and ``x * (nr + 1) +
-    sum``, where a sum index of -1 lands on the zero column.  The Cartan
-    term of a band triple (z = -y) is gathered there alone, as the int64 sum
-    over i of ``w[y, i] * act[i, x]``: each product is at most 2^40 for
-    entries within ``ENTRY_BOUND``, so no Jacobi sum can wrap.
+    the nr x (nr + 1) int32 ``nn`` at ``y * (nr + 1) + z`` and ``x * (nr +
+    1) + sum``, where a sum index of -1 lands on the zero column.  The
+    Cartan term of a band triple (z = -y) is gathered there alone, from
+    int32 copies of ``w`` and ``act.T``, as the int64 sum over i of ``w[y,
+    i] * act[i, x]``.  Entries are narrow, products wide: every product of
+    two entries is taken in int64, and is at most 2^40 for entries within
+    ``ENTRY_BOUND``, so no Jacobi sum can wrap.
     """
     neg = t.rs.neg
     nr = len(neg)
     si = t.rs.sum_index.ravel()
     flat = nn.ravel()
-    act_t = np.ascontiguousarray(act.T)
+    w = w.astype(np.int32)
+    act_t = np.ascontiguousarray(act.T, dtype=np.int32)
 
     def linked(u, v):
         return (si.take(u * nr + v) >= 0) | (v == neg.take(u))
@@ -64,9 +73,9 @@ def _root_terms(t: BracketTable, nn, act, w):
     def term(x, y, z):
         """Coefficient of [e_x, [e_y, e_z]] on e_{x+y+z}."""
         yz = y * nr + z
-        out = flat.take(yz + y) * flat.take(x * (nr + 1) + si.take(yz))
+        out = np.multiply(flat.take(yz + y), flat.take(x * (nr + 1) + si.take(yz)), dtype=np.int64)
         band = np.flatnonzero(z == neg.take(y))
-        out[band] -= np.einsum("ki,ki->k", w.take(y[band], axis=0), act_t.take(x[band], axis=0))
+        out[band] -= np.einsum("ki,ki->k", w.take(y[band], axis=0), act_t.take(x[band], axis=0), dtype=np.int64)
         return out
 
     return linked, term

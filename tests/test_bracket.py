@@ -298,7 +298,7 @@ def test_every_summing_pair_is_stored():
         assert len(t.n) == len(t.pairs) == expected, rs.cartan.label
         assert len(np.unique(t.pairs, axis=0)) == len(t.pairs), rs.cartan.label
         nn = t.dense()
-        assert nn.shape == (len(rs.roots), len(rs.roots) + 1) and nn.dtype == np.int64, rs.cartan.label
+        assert nn.shape == (len(rs.roots), len(rs.roots) + 1) and nn.dtype == np.int32, rs.cartan.label
         assert not nn[:, -1].any() and np.array_equal(nn[t.pairs[:, 0], t.pairs[:, 1]], t.n), rs.cartan.label
         assert np.count_nonzero(nn) == len(t.n), rs.cartan.label
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chevbasis as cb
-from chevbasis.cartan import root_count
+from chevbasis.cartan import MAX_ROOTS, root_count
 from chevbasis.errors import DegeneratePair, InternalInconsistency, NotARoot
 from chevbasis.roots import Root, _coroots, packed_parity
 from chevbasis.serialize import parse_coeffs
@@ -263,10 +263,15 @@ def test_reflection_closure_property(label, data):
 def test_sum_index_matches_tuple_sums(label):
     rs = system(label)
     expected = [[tuple_index(rs).get(add(alpha, beta), -1) for beta in rs.roots] for alpha in rs.roots]
-    assert rs.sum_index.dtype == np.int32
+    assert rs.sum_index.dtype == np.int16
     assert rs.sum_index.tolist() == expected
     assert all(rs.sum_index[k, rs.neg[k]] == -1 for k in range(len(rs.roots)))
     assert not rs.sum_index.flags.writeable
+
+
+def test_root_count_cap_keeps_sum_index_in_int16():
+    # Every root index, and -1 for no sum, fits the int16 sum_index.
+    assert MAX_ROOTS < np.iinfo(np.int16).max
 
 
 @pytest.mark.parametrize("label", DESK_TYPES + ("D16", "A24", "B14", "C14"))

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import chevbasis as cb
-from chevbasis.bracket import BracketTable
+from chevbasis.bracket import ENTRY_BOUND, BracketTable
+from chevbasis.cartan import root_count
 from chevbasis.cli import main
 from chevbasis.closedform import closed_table
-from chevbasis.errors import IllegalType, IncompatibleTables
+from chevbasis.errors import ChevBasisError, IllegalType, IncompatibleTables
 from chevbasis.report import VerificationReport
 from chevbasis.serialize import document_from_table, from_json_bytes, table_from_document, to_json_bytes
 from chevbasis.verify import (
@@ -551,6 +552,47 @@ def test_jacobi_fallback_memory_on_a24():
         tracemalloc.stop()
     assert not report.passed and report.implied_by_generation == 0
     assert peak <= 20 * 2 ** 20, f"fallback jacobi_sweep peak {peak / 2 ** 20:.1f} MB on A24"
+
+
+def test_default_verify_memory_on_a40(tmp_path, capsys):
+    # Default verify of a default A40 file, parse included: sum_index is
+    # int16 and the dense constants int32, so the traced peak stays below two
+    # nr x nr int64 arrays (43 MB); an int32 sum_index with an int64 dense
+    # view peaks at 52.5 MB.
+    path = tmp_path / "a40.json"
+    assert main(["gen", "--type", "A40", "--out", str(path)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--in", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().out
+    nr = root_count("A", 40)
+    assert peak < 2 * 8 * nr * nr, f"verify peak {peak / 2 ** 20:.1f} MB on A40"
+
+
+def test_entries_beyond_the_bound_are_refused_not_wrapped():
+    # N + 2^32 reads as N in int32, so a table past ENTRY_BOUND must be
+    # refused before any int32 view is built; the reader refuses such files.
+    t = table("A2")
+    n = constants(t)
+    key = next(k for k in n if k[0] not in _generators(t.rs))
+    wrapped = {**n, key: n[key] + 2 ** 32}
+    assert np.array(list(wrapped.values())).astype(np.int32).tolist() == list(n.values())
+    big = with_constants(t, wrapped)
+    message = f"^constants has an entry whose absolute value is above {ENTRY_BOUND}$"
+    for check in (cb.jacobi_sweep, sl_n_oracle, BracketTable.dense):
+        with pytest.raises(ChevBasisError, match=message):
+            check(big)
+    # The audit reads the constants in int64 and reports the exact value.
+    audit = cb.chevalley_audit(big)
+    assert audit.violation_count == 1 and audit.violations[0][2] == n[key] + 2 ** 32
+    for name in ("cartan_action", "opposite"):
+        values = getattr(t, name).copy()
+        values[0, 0] = -ENTRY_BOUND - 1
+        with pytest.raises(ChevBasisError, match=f"^{name} has an entry whose absolute value is above"):
+            cb.jacobi_sweep(with_constants(t, **{name: values}))
 
 
 def test_jacobi_counts_every_ordered_triple():
