@@ -64,7 +64,7 @@ class BracketTable:
     int64 array with ``cartan_action[i - 1, r]`` = alpha_r(h_i), and
     ``opposite`` an nr x rank int64 array whose row r holds the co-root
     coordinates c with [e_alpha, e_{-alpha}] = (-1)^{ht(alpha)} sum_i
-    c_i h_i.  The builders share the root system's read-only
+    c_i h_i.  The builders share the root system's read-only ``pairs``,
     ``cartan_action`` and ``coroots``; a table read from a file holds
     read-only copies of its own.  The verifiers hold the constants,
     actions and co-roots in int32 (:meth:`dense`), so they refuse a table
@@ -176,11 +176,10 @@ def build_inductive(rs: RootSystem, eps: SignFunction) -> BracketTable:
         hvec[m] = combo // d
 
     # N_{-a,-b} = -N_{a,b}: a negative row is read at the negated pair.
-    pairs = np.argwhere(si >= 0)
-    a, b = pairs.T
+    a, b = rs.pairs.T
     n = nn[a % pos, np.where(a < pos, b, neg[b])]
     n[a >= pos] *= -1
-    t = BracketTable(rs=rs, eps=eps, pairs=pairs, n=n,
+    t = BracketTable(rs=rs, eps=eps, pairs=rs.pairs, n=n,
                      cartan_action=rs.cartan_action, opposite=rs.coroots)
     # The recursion must reproduce (-1)^ht h_alpha with h_alpha the co-root.
     expected = t.opposite_brackets()[:pos]

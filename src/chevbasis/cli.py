@@ -94,11 +94,12 @@ def _cmd_verify(args) -> int:
         if suite not in SUITES:
             raise IllegalType(f"unknown suite {suite!r}")
     doc = from_json_bytes(Path(args.infile).read_bytes())
-    table = table_from_document(doc)
+    table, method = table_from_document(doc), doc["provenance"]["method"]
+    del doc  # released before any suite runs
     cm = table.rs.cartan
     if suites is None:
         suites = ["jacobi", "chevalley", "differential"] + (["slN"] if cm.type_label == "A" and cm.rank <= 7 else [])
-    if "differential" in suites and doc["provenance"]["method"] == "inductive" and not cm.simply_laced:
+    if "differential" in suites and method == "inductive" and not cm.simply_laced:
         # The fold route must be buildable before any suite runs.
         fold_source(cm.type_label, cm.rank)
     reports: list[VerificationReport] = []
@@ -108,7 +109,7 @@ def _cmd_verify(args) -> int:
         elif suite == "chevalley":
             reports.append(chevalley_audit(table))
         elif suite == "differential":
-            if doc["provenance"]["method"] in ("closed", "folded"):
+            if method in ("closed", "folded"):
                 other = build_inductive(table.rs, table.eps)
             else:
                 other, _ = independent_table(table.rs, table.eps)

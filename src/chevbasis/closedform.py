@@ -58,8 +58,7 @@ def closed_table(rs: RootSystem, eps: SignFunction) -> BracketTable:
     """
     if not rs.cartan.simply_laced:
         raise NotSimplyLaced("closed tables exist only for symmetric Cartan matrices")
-    pairs = np.argwhere(rs.sum_index >= 0)
     # q = 0 for every simply-laced pair, so N is the sign alone.
-    n = pair_signs(rs, eps, pairs[:, 0], pairs[:, 1])
-    return BracketTable(rs=rs, eps=eps, pairs=pairs, n=n, cartan_action=rs.cartan_action, opposite=rs.coroots)
+    n = pair_signs(rs, eps, *rs.pairs.T)
+    return BracketTable(rs=rs, eps=eps, pairs=rs.pairs, n=n, cartan_action=rs.cartan_action, opposite=rs.coroots)
 

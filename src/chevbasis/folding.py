@@ -164,7 +164,7 @@ def _q_routes(fs: FoldedSystem) -> tuple[np.ndarray, ...]:
     in ``tests/reference.py``.
     """
     rs, rs_f, orbits, perm = fs.parent, fs.folded_rs, fs.orbits, fs.perm
-    xs, ys = np.nonzero(rs_f.sum_index >= 0)
+    xs, ys = rs_f.pairs.T
     oa, ob = orbits[xs], orbits[ys]
     ka = oa[:, 0]
     hit = (ob >= 0) & (rs.sum_index[ka[:, None], ob] >= 0)
@@ -226,7 +226,7 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
     return BracketTable(
         rs=rs_f,
         eps=fs.folded_eps,
-        pairs=np.column_stack([xs, ys]),
+        pairs=rs_f.pairs,
         n=n,
         cartan_action=rs_f.cartan_action,
         opposite=rs_f.coroots,

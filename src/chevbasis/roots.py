@@ -8,7 +8,7 @@ linear uint64 key with the hit confirmed on the coefficients
 (``RootSystem._search``); ``sum_index`` and ``find`` both go through
 it.  Every layer asks "is alpha + beta a root, and which one?" through
 ``sum_index``, one nr x nr int16 array, and root strings are walks over
-it.
+it; the pairs with a root or zero sum are listed once in ``linked``.
 ``sum_index`` is searched only in the positive rows, and only at the
 pairs whose sum has a root's norm (alpha, alpha) / 2 under the invariant
 form and, where that norm is 2 (B, C, F4), an integral co-root; for
@@ -56,6 +56,8 @@ class RootSystem:
     norms, and a sum of norm 2 also has s_i alpha_i = s_i beta_i mod 2 at
     every node; each key hit is confirmed on the coefficients.  Row neg[a]
     is row a's ``neg`` image, read at the negated columns.
+    ``linked`` ((K + nr) x 2 intp, built on first use) lists the K summing
+    pairs in row-major order, then each (a, neg[a]); ``pairs`` is linked[:K].
     Instances and their arrays are never mutated after construction and
     are safe to share between threads; they compare by identity.
     """
@@ -118,6 +120,15 @@ class RootSystem:
     @cached_property
     def roots(self) -> tuple[Root, ...]:
         return tuple(map(tuple, self.coeffs.tolist()))
+
+    @cached_property
+    def linked(self) -> np.ndarray:
+        a, b = np.nonzero(self.sum_index >= 0)
+        return _read_only(np.concatenate([a, np.arange(len(self.neg)), b, self.neg]).reshape(2, -1).T)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        return self.linked[:len(self.linked) - len(self.neg)]
 
     # -- lookups ------------------------------------------------------
 
@@ -215,6 +226,12 @@ def _first(bad: np.ndarray) -> int | None:
     return int(bad.argmax()) if bad.any() else None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def generate_roots(cm: CartanMatrix) -> RootSystem:
     """Generate the whole root system by height induction on arrays.
 
@@ -258,6 +275,8 @@ def packed_parity(rows: np.ndarray) -> np.ndarray:
     A row has one entry per node; MAX_ROOTS keeps every type at rank 63 or
     below (A63 is the largest A type it admits), so the bits fit.
     """
+    if rows.shape[1] > 64:
+        raise InternalInconsistency(f"cannot pack {rows.shape[1]} parity bits into one uint64")
     bits = (rows % 2).astype(np.uint64)
     return (bits << np.arange(rows.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
 

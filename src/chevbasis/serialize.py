@@ -27,7 +27,7 @@ import numpy as np
 from .bracket import ENTRY_BOUND, BracketTable, check_entry_bound
 from .cartan import SignFunction, build_cartan, parse_type_label, root_count
 from .errors import ChevBasisError, InvalidEpsilon, NotARoot
-from .roots import Root, _first, generate_roots
+from .roots import Root, _first, _read_only, generate_roots
 
 SCHEMA_VERSION = 1
 METHODS = ("inductive", "closed", "folded")
@@ -152,12 +152,6 @@ def _int_rows(value: Any, rows: int, cols: int, name: str) -> np.ndarray:
     if flat and max(max(flat), -min(flat)) > ENTRY_BOUND:
         raise ChevBasisError(f"{name} has an entry whose absolute value is above {ENTRY_BOUND}")
     return _read_only(np.array(flat, dtype=np.int64).reshape(rows, cols))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
 
 
 def to_json_bytes(doc: dict[str, Any]) -> bytes:

@@ -219,8 +219,7 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
     :func:`_table_arrays` it built.
     """
     report = VerificationReport(suite="jacobi", max_recorded=max_recorded)
-    si = t.rs.sum_index
-    r, nr, neg = t.rs.rank, len(si), t.rs.neg
+    r, nr, neg = t.rs.rank, len(t.rs.neg), t.rs.neg
     nn, stray, act, w = arrays or _table_arrays(t)
     mine = np.ones(nr, dtype=bool) if first is None else np.bincount(first, minlength=nr) > 0
     rows = np.flatnonzero(mine)
@@ -234,13 +233,11 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
 
     note("grading", stray)
 
-    # The linked pairs (y, z) and the group of each, its sum: the summing
-    # pairs (bs, cs), then the band (y, -y) in group nr.
-    bs, cs = np.nonzero(si >= 0)
-    link_y = np.concatenate([bs, np.arange(nr)])
-    link_z = np.concatenate([cs, neg])
-    group = np.concatenate([si[bs, cs], np.full(nr, nr)])
-    bs, cs = link_y[:len(bs)], link_z[:len(cs)]
+    # The root system's linked pairs (y, z) and the group of each, its sum:
+    # the summing pairs (bs, cs), then the band (y, -y) in group nr.
+    link_y, link_z = t.rs.linked.T
+    bs, cs = t.rs.pairs.T
+    group = np.concatenate([t.rs.sum_index[bs, cs], np.full(nr, nr)])
 
     # One Cartan element.  On a summing pair (b, c) the identity reduces to
     # additivity of the action along b+c; on the band c = -b the two
@@ -353,7 +350,7 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
     on_row = (row_sign[a] != 0) & summing
     # The summing pairs as row-major keys a * nr + b, which come out sorted.
     nr = len(rs.roots)
-    sums = np.flatnonzero(rs.sum_index >= 0)
+    sums = rs.pairs[:, 0] * nr + rs.pairs[:, 1]
     report.checked = (len(got) + len(sums) + nr
                       + int(np.count_nonzero(on_row)) + rs.cartan_action.size)
     bad = ~summing | (np.abs(got) != expected)
@@ -362,7 +359,7 @@ def chevalley_audit(t: BracketTable) -> VerificationReport:
         report.record((rs.roots[a[k]], rs.roots[b[k]]), q1, int(got[k]))
     present = np.zeros(len(sums), dtype=bool)
     present[sums.searchsorted(a[summing] * nr + b[summing])] = True
-    ma, mb = np.divmod(sums[~present], nr)
+    ma, mb = rs.pairs[~present].T
     for x, y, q1 in zip(ma.tolist(), mb.tolist(), (rs.backward_lengths(ma, mb) + 1).tolist()):
         report.record((rs.roots[x], rs.roots[y]), q1, None)
     for k in np.flatnonzero((t.opposite != rs.coroots).any(axis=1)).tolist():

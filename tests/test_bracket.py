@@ -303,6 +303,24 @@ def test_every_summing_pair_is_stored():
         assert np.count_nonzero(nn) == len(t.n), rs.cartan.label
 
 
+@pytest.mark.parametrize("label", DESK_TYPES[1:])
+def test_builders_store_the_root_systems_pairs_without_a_copy(label):
+    # A1, first in the list, has no summing pair to share.
+    rs = system(label)
+    eps = cb.default_epsilon(rs.cartan)
+    tables = [cb.build_inductive(rs, eps)]
+    if rs.cartan.simply_laced:
+        tables.append(closed_table(rs, eps))
+    for t in tables:
+        assert np.shares_memory(t.pairs, rs.linked) and np.array_equal(t.pairs, rs.pairs)
+
+
+def test_folded_tables_store_the_folded_systems_pairs_without_a_copy():
+    for parent, _ in FOLDS:
+        fs, t = folded(parent)
+        assert np.shares_memory(t.pairs, fs.folded_rs.linked) and np.array_equal(t.pairs, fs.folded_rs.pairs)
+
+
 def test_build_inductive_memory_on_a24():
     # The builder fills the positive rows only, and reads the negative
     # constants at the stored pairs: its traced peak stays below one and a

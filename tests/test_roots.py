@@ -328,6 +328,41 @@ def test_length_and_parity_tests_admit_exactly_the_summing_pairs(label):
     assert np.array_equal(admitted, rs.sum_index >= 0)
 
 
+# C8 and C14 take the parity test of the root-sum search, and A63 is the
+# largest type under MAX_ROOTS.
+@pytest.mark.parametrize("label", DESK_TYPES + ("C8", "C14", "A63"))
+def test_linked_lists_the_summing_pairs_then_the_band(label):
+    rs = system(label) if label != "A63" else cb.generate_roots(cb.build_cartan("A", 63))
+    summing = np.argwhere(rs.sum_index >= 0)
+    band = np.column_stack([np.arange(len(rs.roots)), rs.neg])
+    assert rs.linked.dtype == np.intp and not rs.linked.flags.writeable
+    assert np.array_equal(rs.linked, np.concatenate([summing, band]))
+    assert rs.linked is rs.linked
+    # A view of linked; A1 has no summing pair, so it shares no element.
+    assert rs.pairs.base is rs.linked.base and (label == "A1") != np.shares_memory(rs.pairs, rs.linked)
+    assert np.array_equal(rs.pairs, rs.linked[:len(summing)]) and not rs.pairs.flags.writeable
+
+
+def test_linked_is_built_on_first_use_and_never_for_a_fold_parent():
+    rs = cb.generate_roots(cb.build_cartan("A", 5))
+    assert "linked" not in vars(rs)
+    fs = cb.fold(rs, cb.default_epsilon(rs.cartan), cb.standard_automorphism(rs.cartan))
+    cb.folded_table(fs)
+    assert "linked" not in vars(rs) and "linked" in vars(fs.folded_rs)
+    assert len(rs.pairs) == len(rs.linked) - len(rs.roots) and "linked" in vars(rs)
+
+
+def test_packed_parity_refuses_rows_past_64_entries():
+    row = np.zeros((1, 64), dtype=np.int64)
+    row[0, 63] = 3
+    assert packed_parity(row).tolist() == [1 << 63]
+    for width, odd in ((65, 64), (66, 64), (66, 65)):
+        row = np.zeros((1, width), dtype=np.int64)
+        row[0, odd] = 1
+        with pytest.raises(InternalInconsistency, match=f"^cannot pack {width} parity bits into one uint64$"):
+            packed_parity(row)
+
+
 def test_generate_roots_memory_on_a40():
     cm = cb.build_cartan("A", 40)
     tracemalloc.start()
