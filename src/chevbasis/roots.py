@@ -9,13 +9,12 @@ linear uint64 key with the hit confirmed on the coefficients
 it.  Every layer asks "is alpha + beta a root, and which one?" through
 ``sum_index``, one nr x nr int16 array, and root strings are walks over
 it; the pairs with a root or zero sum are listed once in ``linked``.
-``sum_index`` is searched only in the positive rows, and only at the
-pairs whose sum has a root's norm (alpha, alpha) / 2 under the invariant
-form and, where that norm is 2 (B, C, F4), an integral co-root; for
-every type those are exactly the summing pairs.  Each root index in it
-is either a key hit in a positive row, confirmed on the coefficients, or
-the ``neg`` image of one: -alpha + -beta = -(alpha + beta).  Everything here is
-exact: the one floating-point product, which gives those norms, holds
+``sum_index`` is searched only at the pairs of positive roots b < c whose
+sum has a root's norm and, on B, C and F4, an integral co-root: exactly
+the summing pairs.  Each root index in it is a key hit of such a pair,
+confirmed on the coefficients, or one of its eleven images under
+permuting and negating the zero-sum triple (b, c, -(b + c)).  Everything
+here is exact: the one floating-point product, for the norms, holds
 small integers.
 """
 
@@ -32,6 +31,10 @@ from .cartan import CartanMatrix
 from .errors import InternalInconsistency
 
 Root = tuple[int, ...]
+# Over rows b, c, s = b + c, -b, -c, -s: each ordered pair (x, y) from one of the
+# zero-sum triples (b, c, -s) and (-b, -c, s), and the row of x + y.
+_TRIPLE_X, _TRIPLE_Y, _TRIPLE_SUM = np.array([(0, 1, 2), (1, 0, 2), (0, 5, 4), (5, 0, 4), (1, 5, 3), (5, 1, 3),
+                                              (3, 4, 5), (4, 3, 5), (3, 2, 1), (2, 3, 1), (4, 2, 0), (2, 4, 0)]).T
 
 
 @dataclass(eq=False)
@@ -51,11 +54,10 @@ class RootSystem:
     ``norms[simple[i - 1]]`` is s_i.  ``sum_index[a, b]`` (nr x nr int16,
     derived on construction) is the index of roots[a] + roots[b], or -1;
     int16 holds every index because nr <= MAX_ROOTS < 2^15.
-    A positive row a is looked up only where the norm of the sum,
-    norms[a] + norms[b] + (alpha, beta), is one of the at most two root
-    norms, and a sum of norm 2 also has s_i alpha_i = s_i beta_i mod 2 at
-    every node; each key hit is confirmed on the coefficients.  Row neg[a]
-    is row a's ``neg`` image, read at the negated columns.
+    Only positive pairs b < c are looked up, where the sum's norm norms[b]
+    + norms[c] + (beta, gamma) is a root norm and, if it is 2, s_i beta_i =
+    s_i gamma_i mod 2 at every node; each key hit s, confirmed on the
+    coefficients, fills the twelve entries of (b, c, -s) and (-b, -c, s).
     ``linked`` ((K + nr) x 2 intp, built on first use) lists the K summing
     pairs in row-major order, then each (a, neg[a]); ``pairs`` is linked[:K].
     Instances and their arrays are never mutated after construction and
@@ -90,31 +92,30 @@ class RootSystem:
         nr, norms, p = len(keys), self.norms, self.positive_count
         self.neg = (np.arange(nr) + p) % nr
         self.neg.flags.writeable = False
-        left = np.concatenate([self.coeffs, norms[:, None], np.ones((nr, 1))], axis=1, dtype=np.float32)
-        right = np.concatenate([self.cartan_action * norms[self.simple, None], np.ones((1, nr)), norms[None]],
-                               dtype=np.float32)
+        left = np.concatenate([self.coeffs[:p], norms[:p, None], np.ones((p, 1))], axis=1, dtype=np.float32)
+        right = np.concatenate([self.cartan_action[:, :p] * norms[self.simple, None], [np.ones(p), norms[:p]]], dtype=np.float32)
         short, long = int(norms.min()), int(norms.max())
         # A root gamma of norm 2 has the integral co-root s_i gamma_i / 2, so on
         # B, C and F4 a sum of the long norm must have s_i alpha_i = s_i beta_i
         # mod 2 at every node: equal parity words.  This drops the orthogonal
         # short pairs of C_n, such as e1 + e2 and e3 + e4, before the search.
-        parity = packed_parity(self.coeffs * norms[self.simple]) if long == 2 else None
-        # Only the positive rows are searched; -alpha + beta = -(alpha + (-beta))
-        # fills row neg[a] from row a, through neg extended by -1 -> -1.
-        negmap = np.append(self.neg, -1).astype(np.int16)
+        parity = packed_parity(self.coeffs[:p] * norms[self.simple]) if long == 2 else None
+        # A zero-sum triple of roots has two members of one sign, so searching the
+        # positive pairs b < c finds each triple once; its twelve entries go together.
         self.sum_index = np.full((nr, nr), -1, dtype=np.int16)
-        step = max(1, 2**14 // nr)
+        flat = self.sum_index.reshape(-1)
+        step = max(1, 2**14 // p)
         for lo in range(0, p, step):
-            hi = min(lo + step, p)
-            norm = left[lo:hi] @ right
+            norm = left[lo:lo + step] @ right[:, lo:]
             admit = norm == long
             if parity is not None:
-                admit &= parity[lo:hi, None] == parity
-            a, b = np.nonzero(admit | (norm == short))
-            a += lo
-            self.sum_index[a, b] = self._search(keys[a] + keys[b], lambda hits: self._small[a[hits]] + self._small[b[hits]])
-            self.sum_index[p + lo:p + hi, :p] = negmap[self.sum_index[lo:hi, p:]]
-            self.sum_index[p + lo:p + hi, p:] = negmap[self.sum_index[lo:hi, :p]]
+                admit &= parity[lo:lo + step, None] == parity[lo:]
+            b, c = divmod(np.flatnonzero(admit | (norm == short)), p - lo)
+            b, c = b[b < c] + lo, c[b < c] + lo
+            s = self._search(keys[b] + keys[c], lambda hits: self._small.take(b[hits], 0) + self._small.take(c[hits], 0))
+            bcs = np.array([b, c, s]).compress(s >= 0, axis=1)
+            u = np.concatenate([bcs, bcs + p])
+            flat[u[_TRIPLE_X] * nr + u[_TRIPLE_Y]] = u[_TRIPLE_SUM].astype(np.int16)
         self.sum_index.flags.writeable = False
 
     @cached_property
@@ -141,7 +142,7 @@ class RootSystem:
         pos = np.minimum(self._sorted.searchsorted(keys), len(self._sorted) - 1)
         hits = (self._sorted[pos] == keys).nonzero()
         found = self._order[pos[hits]]
-        ok = (self._small[found] == vectors(hits)).all(-1)
+        ok = (self._small.take(found, 0) == vectors(hits)).all(-1)
         out = np.full(keys.shape, -1, dtype=np.intp)
         out[tuple(h[ok] for h in hits)] = found[ok]
         return out
@@ -287,8 +288,7 @@ def _key(vectors: np.ndarray) -> np.ndarray:
     Exact on roots and sums of two roots (entries in [-12, 12]) while
     25^rank < 2^63, that is up to rank 13; past that they wrap, so root
     keys are checked distinct and every hit, of ``find`` or of a positive
-    row's pair that the norm and parity tests admit to ``sum_index``, is
-    confirmed on the coefficients; the negative rows are derived from
-    those confirmed entries, not looked up.
+    pair b < c admitted to ``sum_index``, is confirmed on the coefficients;
+    the eleven other entries of its triple are written, not looked up.
     """
     return vectors.astype(np.uint64) @ np.uint64(25) ** np.arange(vectors.shape[-1], dtype=np.uint64)

@@ -282,6 +282,48 @@ def test_sum_index_is_negation_symmetric(label):
     assert np.array_equal(rs.sum_index[rs.neg][:, rs.neg], negmap[rs.sum_index])
 
 
+def _confirmed_sums(label, monkeypatch) -> tuple[cb.RootSystem, list[int]]:
+    """A freshly generated root system and the root index of every key hit its search confirmed."""
+    cm = cb.build_cartan(*cb.parse_type_label(label))
+    search, found = cb.RootSystem._search, []
+
+    def recording(self, keys, vectors):
+        out = search(self, keys, vectors)
+        found.extend(out[out >= 0].tolist())
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cb.RootSystem, "_search", recording)
+        rs = cb.generate_roots(cm)
+    return rs, found
+
+
+@pytest.mark.parametrize("label", DESK_TYPES + ("D16", "A24", "B14", "C14"))
+def test_sum_index_is_filled_by_zero_sum_triples(label, monkeypatch):
+    # A zero-sum triple of roots fills 12 entries: its six ordered pairs and
+    # those of its negation.
+    rs, found = _confirmed_sums(label, monkeypatch)
+    si, neg = rs.sum_index, rs.neg
+    a, b = np.nonzero(si >= 0)
+    s = si[a, b]
+    assert len(a) % 12 == 0
+    assert np.array_equal(si[b, a], s)
+    assert np.array_equal(si[s, neg[b]], a)
+    assert np.array_equal(si[neg[a], neg[b]], neg[s])
+    # The confirmed hits are the sums of the positive pairs x < y that have a
+    # root sum, one hit per pair.
+    p, index = rs.positive_count, tuple_index(rs)
+    sums = (index.get(add(rs.roots[x], rs.roots[y]), -1) for x in range(p) for y in range(x + 1, p))
+    assert sorted(found) == sorted(k for k in sums if k >= 0)
+
+
+@pytest.mark.parametrize("label", ("E8", "A24", "C14"))
+def test_generate_roots_confirms_one_search_per_triple(label, monkeypatch):
+    # Six-fold searching (every summing pair of the positive rows) would confirm K / 2.
+    rs, found = _confirmed_sums(label, monkeypatch)
+    assert len(found) * 12 == int((rs.sum_index >= 0).sum())
+
+
 def _sum_norms(rs) -> np.ndarray:
     """(alpha + beta, alpha + beta) / 2 for every pair, under the integer form s_i a_ij."""
     s = rs.norms[rs.simple]
