@@ -9,19 +9,20 @@ flip), normalised so that
     [f_i, e_alpha] = (p + 1) e_{alpha - alpha_i},
 
 with p, q the string lengths through alpha.  This module computes every
-structure constant N_{alpha,beta} of that basis and, by the same
-recursion, the expansion of each [e_alpha, e_{-alpha}] over the h_i,
-checked against the root system's co-roots, entirely in machine
-integers.  A table holds its constants as two arrays in table order,
-``pairs`` (the stored ordered root-index pairs) and ``n`` (their
-constants): row-major for the builders, file order for the reader.
+structure constant N_{alpha,beta} of that basis, entirely in machine
+integers, and checks that the same recursion gives each [e_alpha,
+e_{-alpha}] over the h_i as the root system's co-roots state.  A table
+holds its constants as two arrays in table order, ``pairs`` (the stored
+ordered root-index pairs) and ``n`` (their constants): row-major for the
+builders, file order for the reader.
 
 The engine is the Jacobi identity applied to [[e_l, e_nu], e_beta] for a
-split mu = alpha_l + nu of each positive root by height, l the lowest
-node with mu - alpha_l a root: it expresses the row N_{mu,.} through
-rows whose first argument is lower, dividing by the known non-zero
-N_{alpha_l,nu}.  The table does not depend on which l is split off.
-Rows with negative first argument follow from N_{-a,-b} = -N_{a,b}.
+split mu = alpha_l + nu of each positive root, l the lowest node with
+mu - alpha_l a root: it expresses the row N_{mu,.} through rows of lower
+height, dividing by the known non-zero N_{alpha_l,nu}, so all the rows of
+one height are filled in one step.  The table does not depend on which l
+is split off.  Rows with negative first argument follow from N_{-a,-b} =
+-N_{a,b}.  The Cartan recursion is checked once, after the last height.
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ class BracketTable:
 
 
 def build_inductive(rs: RootSystem, eps: SignFunction) -> BracketTable:
-    """Construct the full canonical bracket table by height recursion.
+    """Construct the full canonical bracket table by height recursion, one step per height.
 
     Each positive root of height above 1 splits off its lowest simple
-    root that leaves a root.
+    root that leaves a root.  The [e_mu, e_{-mu}] recursion over the same
+    splits is checked against the co-roots after the loop.
     """
     if not eps.is_coloring_of(rs.cartan):
         raise InvalidEpsilon("epsilon must alternate along diagram edges")
@@ -143,51 +145,54 @@ def build_inductive(rs: RootSystem, eps: SignFunction) -> BracketTable:
     nn = np.zeros((pos, nr + 1), dtype=np.int64)
     node, bs = np.nonzero(si[simple] >= 0)
     nn[simple[node], bs] = np.array(eps.values)[node] * (rs.backward_lengths(simple[node], bs) + 1)
-    # hvec[k] = [e_alpha, e_{-alpha}] as an h-coordinate vector, positive k only.
-    hvec = np.zeros((pos, rs.rank), dtype=np.int64)
-    hvec[simple, np.arange(rs.rank)] = -1
-    # down[m, l]: mu - alpha_{l+1} is a root, for positive mu = roots[m].
-    down = si[:pos, neg[simple]] >= 0
+    # Row m of height > 1 splits as mu = alpha_l + nu, with l = ls[m], alpha_l at row
+    # sls[m], nu at row vs[m] and d[m] = N_{alpha_l,nu} != 0; simple rows get d = 1.
+    ls = (si[:pos, neg[simple]] >= 0).argmax(axis=1)
+    sls = simple[ls]
+    vs = si[np.arange(pos), neg[sls]].astype(np.intp)
+    d = nn[sls, vs]
+    d[:rs.rank] = 1
 
-    # Roots come by height, so every row read below is already filled.
-    for m in np.flatnonzero(rs.coeffs[:pos].sum(axis=1) > 1).tolist():
-        l = int(down[m].argmax())
-        sl = int(simple[l])
-        v = int(si[m, neg[sl]])
-        d = nn[sl, v]
-        neg_m = neg[m]
-        # Jacobi on [[e_l, e_nu], e_beta] with mu = alpha_l + nu, every beta at once.
-        num = nn[v, :nr] * nn[sl, si[v]] - nn[sl, :nr] * nn[v, si[sl]]
-        special = [v, neg[v], neg[sl]]
-        generic = si[m] >= 0
-        generic[special] = False
-        bad = generic & (num % d != 0)
-        if bad.any():
-            raise InternalInconsistency(f"non-exact division for N at {roots[m]}, {roots[int(bad.argmax())]}")
-        nn[m, :nr] = np.where(generic, num // d, 0)
-        nn[m, special] = -nn[v, m], nn[v, neg_m], nn[sl, neg_m]
-
-        # Same Jacobi split applied to [e_mu, e_{-mu}], kept as a vector
-        # over the h_i so no co-root formula is assumed here.
-        combo = -nn[sl, neg_m] * hvec[v]
-        combo[l] -= nn[v, neg_m]
-        if np.any(combo % d):
-            raise InternalInconsistency(f"non-exact Cartan division at {roots[m]}")
-        hvec[m] = combo // d
+    # Roots come by height, so each height is one row range that reads only lower
+    # rows, and its summing pairs are one range of the row-major rs.pairs.
+    height = rs.coeffs[:pos].sum(axis=1)
+    starts = np.searchsorted(height, np.arange(2, height[-1] + 2))
+    a, b = rs.pairs.T
+    rows, at = starts.tolist(), a.searchsorted(starts).tolist()
+    flat, width = nn.reshape(-1), nr + 1
+    for lo, hi, plo, phi in zip(rows, rows[1:], at, at[1:]):
+        m, c = a[plo:phi], b[plo:phi]
+        sl, v, dm = sls[m], vs[m], d[m]
+        # Jacobi on [[e_l, e_nu], e_beta] at every summing pair (mu, beta) of this
+        # height; the special beta = nu, -nu, -alpha_l are written after it.  A sum
+        # index of -1 reads the zero column that ends the row before.
+        vw, sw = v * width, sl * width
+        num = flat.take(vw + c) * flat.take(sw + si[v, c]) - flat.take(sw + c) * flat.take(vw + si[sl, c])
+        quot = num // dm
+        if (bad := (quot * dm != num) & (c != v) & (c != neg[v]) & (c != neg[sl])).any():
+            k = int(bad.argmax())
+            raise InternalInconsistency(f"non-exact division for N at {roots[m[k]]}, {roots[c[k]]}")
+        nn[m, c] = quot
+        r, v, sl = np.arange(lo, hi)[:, None], vs[lo:hi, None], sls[lo:hi, None]
+        nn[r, np.hstack([v, neg[v], neg[sl]])] = np.hstack([-nn[v, r], nn[v, neg[r]], nn[sl, neg[r]]])
 
     # N_{-a,-b} = -N_{a,b}: a negative row is read at the negated pair.
-    a, b = rs.pairs.T
     n = nn[a % pos, np.where(a < pos, b, neg[b])]
     n[a >= pos] *= -1
     t = BracketTable(rs=rs, eps=eps, pairs=rs.pairs, n=n,
                      cartan_action=rs.cartan_action, opposite=rs.coroots)
-    # The recursion must reproduce (-1)^ht h_alpha with h_alpha the co-root.
-    expected = t.opposite_brackets()[:pos]
-    bad = (hvec != expected).any(axis=1)
-    if bad.any():
+    # The same split gives w[mu] = [e_mu, e_{-mu}] over the h_i: w = -e_i at alpha_i
+    # and d w[mu] = -N_{l,-mu} w[nu] - N_{nu,-mu} e_l.  These hold for the table's
+    # w = (-1)^ht h_alpha exactly when the recursion reproduces it, and by induction
+    # on height the lowest root that fails is where it would first differ.
+    w = t.opposite_brackets()[:pos]
+    rhs = -nn[sls, neg[:pos], None] * w[vs]
+    rhs[np.arange(pos), ls] -= nn[vs, neg[:pos]]
+    rhs[:rs.rank] = 0
+    rhs[simple, np.arange(rs.rank)] = -1
+    if (bad := (d[:, None] * w != rhs).any(axis=1)).any():
         k = int(bad.argmax())
-        raise InternalInconsistency(
-            f"Cartan bracket for {roots[k]} is {tuple(hvec[k].tolist())}, expected {tuple(expected[k].tolist())}"
-        )
+        raise InternalInconsistency(f"Cartan bracket for {roots[k]} is {tuple(rhs[k].tolist())} / {d[k]}"
+                                    f" by the recursion, expected {tuple(w[k].tolist())}")
     return t
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import chevbasis as cb
-from chevbasis.errors import InvalidEpsilon
+from chevbasis.errors import InternalInconsistency, InvalidEpsilon
 from chevbasis.closedform import closed_table
 from chevbasis.serialize import document_from_table, from_json_bytes, table_from_document, to_json_bytes
 from conftest import (
@@ -119,8 +120,9 @@ def test_g2_double_constant():
     assert abs(constant(t, (0, 1), (1, 1))) == 2
 
 
-# The per-entry recursion that ``build_inductive`` replaced with one row
-# expression per positive root, kept as its reference.
+# The per-entry recursion, one positive root at a time with [e_mu, e_{-mu}]
+# divided out inside the loop, that ``build_inductive`` replaced with one step
+# per height and a Cartan check after the loop; kept as its reference.
 def _scalar_inductive_reference(rs, eps, tie_break):
     """(constants, hvec): the dict {(a, b): N} and the positive roots' [e_mu, e_{-mu}] vectors."""
     pick = min if tie_break == "min" else max
@@ -213,6 +215,55 @@ def test_invalid_epsilon_rejected():
     rs = system("A2")
     with pytest.raises(InvalidEpsilon):
         cb.build_inductive(rs, cb.SignFunction((1, 1)))
+
+
+def _with_coroot_moved(rs, k):
+    """``rs`` with the h_1 coordinate of row k's co-root raised by 1: the Cartan check must fail there."""
+    coroots = rs.coroots.copy()
+    coroots[k, 0] += 1
+    return dataclasses.replace(rs, coroots=coroots)
+
+
+def _with_longer_string(rs, a, b):
+    """``rs`` whose backward_lengths reads one step more at (a, b): N_{a,b} = eps (q + 2) if a is simple."""
+
+    class LongerString(type(rs)):
+        def backward_lengths(self, x, y):
+            return super().backward_lengths(x, y) + ((np.asarray(x) == a) & (np.asarray(y) == b))
+
+    return LongerString(**{f.name: getattr(rs, f.name) for f in dataclasses.fields(rs) if f.init})
+
+
+def _raises_at(rs, k):
+    """build_inductive(rs) refuses, naming roots[k]."""
+    with pytest.raises(InternalInconsistency, match=rf"(at|for) {re.escape(str(rs.roots[k]))}"):
+        cb.build_inductive(rs, cb.default_epsilon(rs.cartan))
+
+
+@pytest.mark.parametrize("label", ("A3", "B3", "G2", "F4", "D4", "E6"))
+def test_build_inductive_refuses_a_wrong_coroot_of_a_non_simple_root(label):
+    # The Cartan recursion first breaks at the moved root, not at the higher
+    # roots whose split reads it.
+    rs = system(label)
+    for k in (rs.rank, rs.positive_count // 2, rs.positive_count - 1):
+        _raises_at(_with_coroot_moved(rs, k), k)
+
+
+@pytest.mark.parametrize("label", ("A3", "B3", "G2", "F4", "D4", "E6"))
+def test_build_inductive_refuses_a_wrong_coroot_of_a_simple_root(label):
+    rs = system(label)
+    for k in rs.simple.tolist():
+        _raises_at(_with_coroot_moved(rs, k), k)
+
+
+@pytest.mark.parametrize("label", ("A2", "A3", "B3", "G2", "F4", "D4", "E6"))
+def test_build_inductive_refuses_a_wrong_simple_row_constant(label):
+    # Doubling N_{alpha_l,nu} for the lowest non-simple root mu = alpha_l + nu
+    # makes its row divide by the wrong constant; no lower row reads it.
+    rs = system(label)
+    m = rs.rank
+    sl = next(int(s) for s in rs.simple if rs.sum_index[m, rs.neg[s]] >= 0)
+    _raises_at(_with_longer_string(rs, sl, int(rs.sum_index[m, rs.neg[sl]])), m)
 
 
 def test_negation_symmetry_report():
