@@ -9,9 +9,11 @@ read back: the loaded table must match the built one under
 ``generate_roots`` for the type and, for B, C, F4 and G2, in ``fold`` of
 its simply-laced parent (both outside the build-and-verify seconds), and
 with the Jacobi route
-(``generators`` when the generator triples settled it, ``graded`` when
-it fell back to the full graded sweep) and its evaluated and
-implied-by-generation counts; exits non-zero on any failure, including
+(``generators`` when the unordered triples with a positive simple
+generator settled it, each evaluated once, ``graded`` when it fell back
+to the full graded sweep over the ordered triples) and its evaluated and
+implied-by-generation counts, the latter including the orderings that
+alternation settles; exits non-zero on any failure, including
 a clean table that falls back, since that means a precondition of the
 generator route is wrong.
 """

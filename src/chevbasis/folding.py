@@ -206,6 +206,7 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
             f"q disagreement at {x},{y}: string {q[0, i]}, count {q[1, i]}, case {q[2, i]}"
         )
     n = pair_signs(rs, fs.eps, ka, kb) * (q[0] + 1)
+    del xs, ys, ka, kb, found, q, bad  # released before the co-root orbit sums
 
     totals = np.zeros((len(rs_f.roots), rs.rank), dtype=np.int64)
     np.add.at(totals, fs.restriction, rs.coroots)

@@ -16,10 +16,12 @@ class VerificationReport:
     list is truncated.  ``zero_by_grading`` counts the covered instances
     that hold for any table by the root grading, without evaluation, and
     ``implied_by_generation`` those that follow from the evaluated ones
-    because the Chevalley generators generate the table and the Chevalley
-    involution is an automorphism of it (only the Jacobi sweep has
-    either); the rest are ``evaluated``, so ``checked =
-    evaluated + zero_by_grading + implied_by_generation``.
+    because the Chevalley generators generate the table, the Chevalley
+    involution is an automorphism of it and the bracket is antisymmetric,
+    which makes the Jacobi sum alternating, so that one evaluation settles
+    every ordering of a triple (only the Jacobi sweep has either); the
+    rest are ``evaluated``, so ``checked = evaluated + zero_by_grading +
+    implied_by_generation``.
     """
 
     suite: str

@@ -2,17 +2,18 @@
 
 Everything here treats a table as opaque data and re-derives what it
 claims from scratch: the Jacobi identity over the full adjoint basis
-(evaluated on the triples of the positive simple Chevalley generators
-wherever the root grading does not already force it, and implied on the
-rest because the generators generate the table and the Chevalley
-involution is an automorphism of it; a graded sweep over every triple is
-the fallback), the |N| = q+1 bound with string lengths walked in the root
-system, the canonical signs of the generator rows, and the co-roots and
-Cartan actions against the root system's, a differential comparison of
-two tables of the same root system (built independently by the caller),
-and the trace-zero matrix model of type A where brackets are literal
-integer matrix commutators.  All arithmetic is exact; numpy is used only
-as an integer array engine.
+(evaluated once on each unordered triple with a positive simple
+Chevalley generator wherever the root grading does not already force it,
+and implied on the rest because the generators generate the table, the
+Chevalley involution is an automorphism of it and the antisymmetric
+bracket makes the Jacobi sum alternating; a graded sweep over every
+ordered triple is the fallback), the |N| = q+1 bound with string lengths
+walked in the root system, the canonical signs of the generator rows,
+and the co-roots and Cartan actions against the root system's, a
+differential comparison of two tables of the same root system (built
+independently by the caller), and the trace-zero matrix model of type A
+where brackets are literal integer matrix commutators.  All arithmetic
+is exact; numpy is used only as an integer array engine.
 """
 
 from __future__ import annotations
@@ -104,7 +105,9 @@ def _generation_holds(t: BracketTable, arrays: tuple) -> bool:
     """The preconditions under which Jacobi on the positive simple generators' triples implies it on all.
 
     No stored key off the grading; an antisymmetric bracket, N(b, a) =
-    -N(a, b) and [e_{-alpha}, e_alpha] = -[e_alpha, e_{-alpha}]; the
+    -N(a, b) and [e_{-alpha}, e_alpha] = -[e_alpha, e_{-alpha}], which also
+    makes the Jacobi sum alternating, so that each unordered triple is
+    evaluated once (:func:`_generator_sweep`); the
     Chevalley involution omega(e_alpha) = -e_{-alpha}, omega(h) = -h an
     automorphism of it, N(-a, -b) = -N(a, b) and (-alpha)(h_i) =
     -alpha(h_i) (on the Cartan vectors it asks what antisymmetry does);
@@ -164,6 +167,49 @@ def _members(bs, cs, mine):
     return members, np.append(np.searchsorted(bs[keep], np.arange(len(mine) + 1)), len(members))
 
 
+def _one_cartan_sites(t: BracketTable, arrays: tuple, hb: np.ndarray, hc: np.ndarray, rows: np.ndarray):
+    """Sites of the non-zero Jacobi sums with one Cartan element h_i: (i, b, c) on pairs, (i, b, j) on the band.
+
+    On a summing pair (b, c) of (hb, hc) the identity reduces to additivity
+    of the action along b+c; on the band (b, -b), b in ``rows``, the two
+    surviving terms are Cartan vectors read from the table, and j is an
+    h-coordinate of their sum.  The layouts (h, b, c), (b, h, c) and (b, c,
+    h) give the same values up to sign.  The nodes come a few at a time,
+    about JACOBI_BLOCK entries of each check.
+    """
+    nn, _, act, w = arrays
+    r, neg = t.rs.rank, t.rs.neg
+    hs, hn = t.rs.sum_index[hb, hc], nn[hb, hc]
+    wy, wn = w[rows], w[neg[rows]]
+    pair_sites, band_sites = [], []
+    step = max(1, JACOBI_BLOCK // (len(hb) + len(rows) * r))
+    for lo in range(0, r, step):
+        i = slice(lo, lo + step)
+        node, k = np.nonzero(hn * (act[i, hs] - act[i, hb] - act[i, hc]))
+        pair_sites.append(np.column_stack([node + lo, hb[k], hc[k]]))
+        node, y, j = np.nonzero(act[i, neg[rows], None] * wy - act[i, rows, None] * wn)
+        band_sites.append(np.column_stack([node + lo, rows[y], j]))
+    return np.concatenate(pair_sites), np.concatenate(band_sites)
+
+
+def _zero_sum_sites(t: BracketTable, arrays: tuple, k: np.ndarray) -> np.ndarray:
+    """Sites (-(b+c), b, c) of the non-zero root triples with zero sum, over the summing pairs ``rs.pairs[k]``.
+
+    All three terms are Cartan vectors; the pairs come JACOBI_BLOCK at a time.
+    """
+    nn, _, _, w = arrays
+    neg, si = t.rs.neg, t.rs.sum_index
+    bs, cs = t.rs.pairs.T
+
+    def flagged(k):
+        b, c = bs[k], cs[k]
+        a = neg[si[b, c]]
+        return k[np.any(nn[b, c, None] * w[a] + nn[c, a, None] * w[b] + nn[a, b, None] * w[c], axis=1)]
+
+    k = np.concatenate([k[:0]] + [flagged(k[lo:lo + JACOBI_BLOCK]) for lo in range(0, len(k), JACOBI_BLOCK)])
+    return np.column_stack([neg[si[bs[k], cs[k]]], bs[k], cs[k]])
+
+
 def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport:
     """Check [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on every ordered basis triple.
 
@@ -175,34 +221,111 @@ def jacobi_sweep(t: BracketTable, max_recorded: int = 100) -> VerificationReport
     -e_{-alpha}, omega(h) = -h is also an automorphism of the bracket,
     ad e_{-alpha_i} = -omega ad(e_{alpha_i}) omega^-1 is a derivation
     whenever ad e_{alpha_i} is, so the r * dim**2 triples with a positive
-    simple generator first suffice (see :func:`_generation_holds`).  The
-    graded sweep restricted to those triples runs first, and the other
-    dim**3 - r * dim**2 are counted in ``implied_by_generation``.  If a
-    precondition fails or a generator triple is non-zero, the graded
-    sweep over all triples runs instead and its report, with its sites,
-    is returned.  ``checked`` is always dim**3.
+    simple generator first suffice (see :func:`_generation_holds`).  An
+    antisymmetric bracket also makes J alternating, J(x, z, y) = -J(x, y,
+    z) and J(x, y, y) = 0, so :func:`_generator_sweep` evaluates each
+    unordered triple with a positive simple member once.  The ordered
+    generator triples that grading settles are counted in
+    ``zero_by_grading``, as the full sweep counts them, and every other
+    triple not evaluated, the orderings that alternation settles among
+    them, in ``implied_by_generation``.  If a precondition fails or a
+    generator triple is non-zero, the graded sweep over all triples runs
+    instead and its report, with its sites, is returned.  ``checked`` is
+    always dim**3.
     """
     arrays = _table_arrays(t)
-    if _generation_holds(t, arrays):
-        report = _graded_sweep(t, max_recorded, arrays, t.rs.simple)
-        if report.passed:
-            report.implied_by_generation = t.dimension ** 3 - report.checked
-            report.checked = t.dimension ** 3
-            return report
+    if _generation_holds(t, arrays) and (counts := _generator_sweep(t, arrays)):
+        evaluated, zero = counts
+        checked = t.dimension ** 3
+        return VerificationReport(suite="jacobi", checked=checked, zero_by_grading=zero,
+                                  implied_by_generation=checked - zero - evaluated, max_recorded=max_recorded)
     return _graded_sweep(t, max_recorded, arrays)
 
 
-def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None = None,
-                  first: np.ndarray | None = None) -> VerificationReport:
-    """Check [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on the ordered basis triples.
+def _generator_sweep(t: BracketTable, arrays: tuple) -> tuple[int, int] | None:
+    """Jacobi once on each unordered basis triple with a positive simple root that grading leaves.
 
-    The triples are all dim**3 of them, or, given root indices ``first``,
-    the len(first) * dim**2 whose first element is e_x for an x in
-    ``first``; ``checked`` counts the triples covered.  Basis order:
-    h_1..h_rank then the roots in root-system order.  The algebra is
-    graded by the root lattice, so the Jacobi sum of a triple lies in the
-    space of weight x+y+z, and grading alone makes it zero for these
-    triples, counted in ``zero_by_grading``:
+    Returns (evaluated, zero_by_grading) if every evaluated sum vanishes,
+    and None at the first that does not.  J is alternating, as
+    :func:`_generation_holds` has checked that the bracket is
+    antisymmetric, so the r * dim**2 ordered triples with a positive simple
+    root first are each zero by grading or an ordering of such a triple:
+    of three distinct elements, 2 per positive simple member, all given by
+    its one evaluation; or of a root triple (a, a, b), one per positive
+    simple entry counted with multiplicity, all zero by alternation.
+    ``zero_by_grading`` is the rest of the r * dim**2, as the full sweep
+    counts it.  ``arrays`` are the table's :func:`_table_arrays`.
+    """
+    rs = t.rs
+    r, nr, neg = rs.rank, len(rs.neg), rs.neg
+    nn, _, act, w = arrays
+    mine = np.zeros(nr, dtype=bool)
+    mine[rs.simple] = True
+    bs, cs = rs.pairs.T
+
+    # One Cartan element: {h_i, b, c} with b + c a root and b positive simple,
+    # once (c positive simple too only if c > b), and {h_i, b, -b}.  J(b, h,
+    # c) = -J(b, c, h), so the two layouts with b first are one check.
+    own = np.flatnonzero(mine[bs])
+    ordered = 2 * r * (len(own) + r)
+    hb, hc = bs[own], cs[own]
+    once = ~(mine[hc] & (hc < hb))
+    if any(map(len, _one_cartan_sites(t, arrays, hb[once], hc[once], rs.simple))):
+        return None
+    evaluated = r * (int(np.count_nonzero(once)) + r)
+
+    # Zero-sum root triples {a, b, c}, a = -(b+c) positive simple, on one
+    # orientation b < c of each pair, once (b or c positive simple too only
+    # if it is above a).
+    zero = np.flatnonzero((bs < cs) & mine[neg].take(rs.sum_index[bs, cs]))
+    ordered += 2 * len(zero)
+    b, c = bs[zero], cs[zero]
+    a = neg[rs.sum_index[b, c]]
+    zero = zero[~(mine[b] & (b < a)) & ~(mine[c] & (c < a))]
+    if len(_zero_sum_sites(t, arrays, zero)):
+        return None
+    evaluated += len(zero)
+
+    # Root triples {m, y, z} with m + y + z a root, from the linked pairs y <
+    # z: the summing pairs in one orientation and the band (a, -a) with a
+    # positive.  A pair with a positive simple root meets all its members,
+    # any other pair only the positive simple ones.  A set is evaluated from
+    # its least linked pair in sorted-pair order: (m, y) and (m, z) may be
+    # linked only if they sort after (y, z), that is m > z and m > y.
+    link_y, link_z = rs.linked.T
+    members, start = _members(bs, cs, np.ones(nr, dtype=bool))
+    few, few_start = _members(bs, cs, mine)
+    # The groups: nr sums, the band (nr), an empty group nr + 1 (start[nr +
+    # 1] = start[nr + 2] = len(members)) for the other orientation, then the
+    # sums and the band of the few.
+    group = np.concatenate([rs.sum_index[bs, cs], np.full(nr, nr)])
+    group[~(mine[link_y] | mine[link_z])] += len(start)
+    group[link_y > link_z] = nr + 1
+    start = np.concatenate([start, few_start + len(members)])
+    members = np.concatenate([members, few])
+    linked, term = _root_terms(t, nn, act, w)
+    for seg, at in _blocks(start, group):
+        m = members[at]
+        y, z = link_y[seg], link_z[seg]
+        repeated = (m == y) | (m == z)
+        keep = ~(repeated | (linked(m, y) & (m < z)) | (linked(m, z) & (m < y)))
+        for u in (m, y, z):
+            simple = mine.take(u)
+            ordered += 2 * np.count_nonzero(simple & keep) + np.count_nonzero(simple & repeated)
+        m, y, z = m[keep], y[keep], z[keep]
+        evaluated += len(m)
+        if np.any(term(m, y, z) + term(y, z, m) + term(z, m, y)):
+            return None
+    return evaluated, r * t.dimension ** 2 - int(ordered)
+
+
+def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None = None) -> VerificationReport:
+    """Check [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on all dim**3 ordered basis triples.
+
+    Basis order: h_1..h_rank then the roots in root-system order.  The
+    algebra is graded by the root lattice, so the Jacobi sum of a triple
+    lies in the space of weight x+y+z, and grading alone makes it zero for
+    these triples, counted in ``zero_by_grading``:
 
     - two or three Cartan elements (the actions are scalars and commute);
     - one Cartan element and two roots that neither sum to a root nor are
@@ -210,20 +333,17 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
     - three roots whose sum is neither a root nor zero, or of which no
       two are linked (sum to a root, or are opposite).
 
-    Every other triple covered is evaluated from the table's data, in
-    vectorised batches, and each non-zero sum is recorded.  Grading holds
-    only if every stored constant sits on a pair that sums to a root, so
-    a stored key that does not is recorded as a violation too.
-    :func:`jacobi_sweep` runs this sweep with ``first`` the positive
-    simple roots, and falls back to it over all triples, passing the
-    :func:`_table_arrays` it built.
+    Every other triple is evaluated from the table's data, in vectorised
+    batches, and each non-zero sum is recorded.  Grading holds only if
+    every stored constant sits on a pair that sums to a root, so a stored
+    key that does not is recorded as a violation too.  :func:`jacobi_sweep`
+    falls back to this sweep, passing the :func:`_table_arrays` it built.
     """
     report = VerificationReport(suite="jacobi", max_recorded=max_recorded)
-    r, nr, neg = t.rs.rank, len(t.rs.neg), t.rs.neg
-    nn, stray, act, w = arrays or _table_arrays(t)
-    mine = np.ones(nr, dtype=bool) if first is None else np.bincount(first, minlength=nr) > 0
-    rows = np.flatnonzero(mine)
-    report.checked = t.dimension ** 2 * (t.dimension if first is None else len(rows))
+    r, nr = t.rs.rank, len(t.rs.neg)
+    arrays = arrays or _table_arrays(t)
+    nn, stray, act, w = arrays
+    report.checked = t.dimension ** 3
 
     def note(kind, sites):
         room = max(0, max_recorded - len(report.violations))
@@ -233,49 +353,18 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
 
     note("grading", stray)
 
-    # The root system's linked pairs (y, z) and the group of each, its sum:
-    # the summing pairs (bs, cs), then the band (y, -y) in group nr.
-    link_y, link_z = t.rs.linked.T
+    # One Cartan element, in the three layouts, sites by node, then pair.
     bs, cs = t.rs.pairs.T
-    group = np.concatenate([t.rs.sum_index[bs, cs], np.full(nr, nr)])
-
-    # One Cartan element.  On a summing pair (b, c) the identity reduces to
-    # additivity of the action along b+c; on the band c = -b the two
-    # surviving terms are Cartan vectors read from the table.  The three
-    # layouts (h, b, c), (b, h, c) and (b, c, h) give the same values up to
-    # sign, sites (i, b, c) by node, then pair; a restricted sweep covers
-    # the last two on the b in ``first``.  The nodes come a few at a time,
-    # about JACOBI_BLOCK entries of each check.
-    layouts = ("hee", "ehe", "eeh") if first is None else ("ehe", "eeh")
-    own = np.flatnonzero(mine[bs])
-    hb, hc, hs = bs[own], cs[own], group[own]
-    hn = nn[hb, hc]
-    wy, wn = w[rows], w[neg[rows]]
-    hee_sites, band_sites = [], []
-    step = max(1, JACOBI_BLOCK // (len(own) + len(rows) * r))
-    for lo in range(0, r, step):
-        i = slice(lo, lo + step)
-        node, k = np.nonzero(hn * (act[i, hs] - act[i, hb] - act[i, hc]))
-        hee_sites.append(np.column_stack([node + lo, hb[k], hc[k]]))
-        node, y, j = np.nonzero(act[i, neg[rows], None] * wy - act[i, rows, None] * wn)
-        band_sites.append(np.column_stack([node + lo, rows[y], j]))
-    hee_sites, band_sites = np.concatenate(hee_sites), np.concatenate(band_sites)
-    for kind in layouts:
-        note(kind, hee_sites)
+    pair_sites, band_sites = _one_cartan_sites(t, arrays, bs, cs, np.arange(nr))
+    for kind in ("hee", "ehe", "eeh"):
+        note(kind, pair_sites)
         note(kind + "-band", band_sites)
-    evaluated = len(layouts) * r * (len(own) + len(rows))
+    evaluated = 3 * r * (len(bs) + nr)
 
     # Root-only triples whose coefficients sum to zero: (-(b+c), b, c) for
-    # each summing pair with -(b+c) in ``first``, all three terms Cartan
-    # vectors, JACOBI_BLOCK pairs at a time.
-    def flagged(k):
-        a, b, c = neg[group[k]], bs[k], cs[k]
-        return k[np.any(nn[b, c, None] * w[a] + nn[c, a, None] * w[b] + nn[a, b, None] * w[c], axis=1)]
-
-    zero = np.flatnonzero(mine[neg[group[:len(bs)]]])
-    k = np.concatenate([zero[:0]] + [flagged(zero[lo:lo + JACOBI_BLOCK]) for lo in range(0, len(zero), JACOBI_BLOCK)])
-    note("eee0", np.column_stack([neg[group[k]], bs[k], cs[k]]))
-    evaluated += len(zero)
+    # each summing pair.
+    note("eee0", _zero_sum_sites(t, arrays, np.arange(len(bs))))
+    evaluated += len(bs)
 
     # Remaining root-only triples (x, y, z) with x+y+z a root.  Every term
     # is a multiple of e_{x+y+z}; an inner bracket that lands on Cartan
@@ -286,35 +375,27 @@ def _graded_sweep(t: BracketTable, max_recorded: int = 100, arrays: tuple | None
     # whose x run over all roots.  Each linked pair is placed at (1,2),
     # (2,0) and (0,1) of the triple, as (x, y, z), (z, x, y) and (y, z, x),
     # and a placement is kept only if no earlier position holds a linked
-    # pair and its first root is in ``first``, so every triple is evaluated
-    # once.  A linked pair with neither root in ``first`` keeps only the
-    # first placement, so it meets only the members in ``first``, listed
-    # after all members.  Sites are recorded by placement, in triple order
-    # within each, whatever the block size: up to max_recorded of each
-    # placement are kept across blocks and the rest only counted.
+    # pair, so every triple is evaluated once.  Sites are recorded by
+    # placement, in triple order within each, whatever the block size: up
+    # to max_recorded of each placement are kept across blocks and the rest
+    # only counted.
+    link_y, link_z = t.rs.linked.T
+    group = np.concatenate([t.rs.sum_index[bs, cs], np.full(nr, nr)])
     members, start = _members(bs, cs, np.ones(nr, dtype=bool))
-    if first is not None:
-        few, few_start = _members(bs, cs, mine)
-        group = np.where(mine[link_y] | mine[link_z], group, group + len(start))
-        start = np.concatenate([start, few_start + len(members)])
-        members = np.concatenate([members, few])
     linked, term = _root_terms(t, nn, act, w)
     kept = [np.empty((0, 3), dtype=np.intp)] * 3
     for seg, at in _blocks(start, group):
         x = members[at]
         y, z = link_y[seg], link_z[seg]
-        one = mine[x]
         second = ~linked(x, y)
-        third = second & ~linked(z, x) & mine[y]
-        second &= mine[z]
-        a = np.concatenate([x[one], z[second], y[third]])
-        b = np.concatenate([y[one], x[second], z[third]])
-        c = np.concatenate([z[one], y[second], x[third]])
+        third = second & ~linked(z, x)
+        a = np.concatenate([x, z[second], y[third]])
+        b = np.concatenate([y, x[second], z[third]])
+        c = np.concatenate([z, y[second], x[third]])
         evaluated += len(a)
         bad = np.flatnonzero(term(a, b, c) + term(b, c, a) + term(c, a, b))
         if len(bad):
-            ones = np.count_nonzero(one)
-            cuts = np.searchsorted(bad, [ones, ones + np.count_nonzero(second)])
+            cuts = np.searchsorted(bad, [len(x), len(x) + np.count_nonzero(second)])
             for k, part in enumerate(np.split(np.column_stack([a[bad], b[bad], c[bad]]), cuts)):
                 sites = np.concatenate([kept[k], part])
                 kept[k] = sites[:max_recorded]

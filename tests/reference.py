@@ -8,7 +8,9 @@ orbit case analysis (``folding._q_routes``), root strings
 (``RootSystem.backward_lengths``), root signs and names
 (``serialize.root_names``), the induced root permutation and the
 restriction (``folding.fold``), the split, negation, flip and invariance
-statements about whole tables, the trace-zero matrix model of type A
+statements about whole tables, the Jacobi sweep over the ordered triples
+with a given root first (what ``verify.jacobi_sweep`` evaluated before it
+used alternation), the trace-zero matrix model of type A
 (``verify._sl_n_matrices``), and the list writer that ``serialize``
 renders from arrays (a document of nested Python lists, encoded by
 ``json.dumps`` and one CSV line per row).  Roots are looked up in
@@ -23,6 +25,7 @@ from typing import Any
 
 import numpy as np
 
+from chevbasis import verify
 from chevbasis.bracket import BracketTable
 from chevbasis.cartan import CartanMatrix, DiagramAutomorphism, SignFunction
 from chevbasis.errors import DegeneratePair, NotARoot, NotSimplyLaced
@@ -320,6 +323,84 @@ def check_negation_symmetry(t: BracketTable) -> VerificationReport:
     for k in np.flatnonzero((at < 0) | (t.n[at] != -t.n)).tolist():
         got = int(t.n[at[k]]) if at[k] >= 0 else None
         report.record((rs.roots[a[k]], rs.roots[b[k]]), -int(t.n[k]), got)
+    return report
+
+
+# -- Jacobi on the ordered triples with a given root first --------------------
+
+
+def root_first_sweep(t: BracketTable, first: np.ndarray, max_recorded: int = 100) -> VerificationReport:
+    """Jacobi on the len(first) * dim**2 ordered triples whose first element is e_x for a root x in ``first``.
+
+    The ordered sweep that ``jacobi_sweep`` ran on the positive simple
+    roots before it used alternation, kept as the reference on tables that
+    are not antisymmetric, where J(x, z, y) = -J(x, y, z) fails.  Sites,
+    kinds and grading as in ``verify._graded_sweep``, whose enumeration it
+    restricts: the one-Cartan layouts (b, h, c) and (b, c, h) on the b in
+    ``first``, the zero-sum triples with -(b+c) in ``first``, and each root
+    triple from its linked pair placed at (1,2), (2,0) or (0,1), kept only
+    if no earlier position holds a linked pair and its first root is in
+    ``first``.  A linked pair with neither root in ``first`` keeps only the
+    first placement, so it meets only the members in ``first``, listed
+    after all members.
+    """
+    report = VerificationReport(suite="jacobi", max_recorded=max_recorded)
+    rs = t.rs
+    r, nr, neg = rs.rank, len(rs.neg), rs.neg
+    arrays = verify._table_arrays(t)
+    nn, stray, act, w = arrays
+    mine = np.bincount(first, minlength=nr) > 0
+    rows = np.flatnonzero(mine)
+    report.checked = len(rows) * t.dimension ** 2
+
+    def note(kind, sites):
+        room = max(0, max_recorded - len(report.violations))
+        for s in sites[:room]:
+            report.record((kind, *map(int, s)), 0, "nonzero")
+        report.violation_count += max(0, len(sites) - room)
+
+    note("grading", stray)
+    bs, cs = rs.pairs.T
+    own = np.flatnonzero(mine[bs])
+    pair_sites, band_sites = verify._one_cartan_sites(t, arrays, bs[own], cs[own], rows)
+    for kind in ("ehe", "eeh"):
+        note(kind, pair_sites)
+        note(kind + "-band", band_sites)
+    evaluated = 2 * r * (len(own) + len(rows))
+    zero = np.flatnonzero(mine[neg[rs.sum_index[bs, cs]]])
+    note("eee0", verify._zero_sum_sites(t, arrays, zero))
+    evaluated += len(zero)
+
+    link_y, link_z = rs.linked.T
+    group = np.concatenate([rs.sum_index[bs, cs], np.full(nr, nr)])
+    members, start = verify._members(bs, cs, np.ones(nr, dtype=bool))
+    few, few_start = verify._members(bs, cs, mine)
+    group = np.where(mine[link_y] | mine[link_z], group, group + len(start))
+    start = np.concatenate([start, few_start + len(members)])
+    members = np.concatenate([members, few])
+    linked, term = verify._root_terms(t, nn, act, w)
+    kept = [np.empty((0, 3), dtype=np.intp)] * 3
+    for seg, at in verify._blocks(start, group):
+        x = members[at]
+        y, z = link_y[seg], link_z[seg]
+        one = mine[x]
+        second = ~linked(x, y)
+        third = second & ~linked(z, x) & mine[y]
+        second &= mine[z]
+        a = np.concatenate([x[one], z[second], y[third]])
+        b = np.concatenate([y[one], x[second], z[third]])
+        c = np.concatenate([z[one], y[second], x[third]])
+        evaluated += len(a)
+        bad = np.flatnonzero(term(a, b, c) + term(b, c, a) + term(c, a, b))
+        if len(bad):
+            ones = np.count_nonzero(one)
+            cuts = np.searchsorted(bad, [ones, ones + np.count_nonzero(second)])
+            for k, part in enumerate(np.split(np.column_stack([a[bad], b[bad], c[bad]]), cuts)):
+                sites = np.concatenate([kept[k], part])
+                kept[k] = sites[:max_recorded]
+                report.violation_count += len(sites) - len(kept[k])
+    note("eee", np.concatenate(kept))
+    report.zero_by_grading = report.checked - evaluated
     return report
 
 

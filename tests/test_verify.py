@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -15,11 +16,13 @@ from chevbasis.bracket import ENTRY_BOUND, BracketTable
 from chevbasis.cartan import root_count
 from chevbasis.cli import main
 from chevbasis.closedform import closed_table
+from chevbasis.folding import independent_table
 from chevbasis.errors import ChevBasisError, IllegalType, IncompatibleTables
 from chevbasis.report import VerificationReport
 from chevbasis.serialize import document_from_table, from_json_bytes, table_from_document, to_json_bytes
 from chevbasis.verify import (
     _generation_holds,
+    _generator_sweep,
     _generators,
     _graded_sweep,
     _sl_n_matrices,
@@ -40,7 +43,7 @@ from conftest import (
     with_flipped_opposite,
     with_flipped_vectors,
 )
-from reference import MatrixModel, add, flip_epsilon_table, simple_root
+from reference import MatrixModel, add, flip_epsilon_table, root_first_sweep, simple_root
 
 GOLDEN_G2 = Path(__file__).parent / "golden" / "g2.json"
 
@@ -306,9 +309,9 @@ def test_graded_sweep_sites_do_not_depend_on_the_block(label, monkeypatch):
 
 
 def _generator_parts(t: BracketTable):
-    """Whether the fast path's preconditions hold, and the positive simple generator triples evaluated, or None if one is non-zero."""
+    """Whether the fast path's preconditions hold, and the ordered positive simple generator triples evaluated, or None if one is non-zero."""
     arrays = _table_arrays(t)
-    report = _graded_sweep(t, 10 ** 9, arrays, t.rs.simple)
+    report = root_first_sweep(t, t.rs.simple, 10 ** 9)
     # A stray key is recorded once, and is no triple.
     vanish = report.violation_count == len(arrays[1])
     return _generation_holds(t, arrays), report.evaluated if vanish else None
@@ -351,7 +354,8 @@ def test_jacobi_preconditions_each_detected():
         report = cb.jacobi_sweep(bad)
         assert report.implied_by_generation == 0
         assert report.to_json() == _graded_sweep(bad).to_json()
-    assert _generator_parts(t) == (True, cb.jacobi_sweep(t).evaluated)
+    # The ordered generator triples the fast path counts as settled by grading are the reference's.
+    assert _generator_parts(t) == (True, rs.rank * t.dimension ** 2 - cb.jacobi_sweep(t).zero_by_grading)
 
 
 def _with_vector_negated(t: BracketTable, k: int) -> BracketTable:
@@ -435,30 +439,117 @@ def _evaluated_by_brute_force(t: BracketTable, firsts) -> int:
     return evaluated
 
 
+def _unordered_by_brute_force(t: BracketTable) -> int:
+    """Count over root tuples the unordered triples with a positive simple root that grading and alternation leave.
+
+    They are {h_i, b, c} with b, c linked and one of them positive simple,
+    and sets of three distinct roots with a root or zero sum, a linked pair
+    and a positive simple member.  A triple with a repeated element is zero
+    by grading or, as (a, a, b), by alternation.
+    """
+    rs = t.rs
+    zero = (0,) * rs.rank
+    simple = {simple_root(rs, i) for i in rs.cartan.nodes}
+
+    def linked(u, v):
+        s = add(u, v)
+        return s == zero or s in tuple_index(rs)
+
+    pairs = sum(linked(u, v) and bool({u, v} & simple) for u, v in itertools.combinations(rs.roots, 2))
+    triples = 0
+    for x, y, z in itertools.combinations(rs.roots, 3):
+        s = add(add(x, y), z)
+        if ((s == zero or s in tuple_index(rs)) and {x, y, z} & simple
+                and (linked(y, z) or linked(z, x) or linked(x, y))):
+            triples += 1
+    return rs.rank * pairs + triples
+
+
 def test_jacobi_fast_path_evaluates_exactly_the_generator_triples():
-    # The triples with a positive simple generator e_{alpha_i} first that
-    # grading leaves; those of e_{-alpha_i} follow by the Chevalley involution.
+    # Each unordered triple with a positive simple generator e_{alpha_i} that
+    # grading leaves is evaluated once; the ordered triples with e_{alpha_i}
+    # first that grading settles are zero_by_grading, as the ordered sweep
+    # counted them; the rest follow by the involution and by alternation.
     for label in ("A1", "A3", "B3", "G2", "D4"):
         t = table(label)
         rs = t.rs
         gens = [simple_root(rs, i) for i in rs.cartan.nodes]
         report = cb.jacobi_sweep(t)
         dim = t.dimension
-        assert report.evaluated == _evaluated_by_brute_force(t, gens), label
-        assert report.implied_by_generation == dim ** 3 - rs.rank * dim ** 2
-        assert report.evaluated + report.zero_by_grading == rs.rank * dim ** 2
+        assert report.evaluated == _unordered_by_brute_force(t), label
+        assert report.zero_by_grading == rs.rank * dim ** 2 - _evaluated_by_brute_force(t, gens), label
+        assert report.checked == dim ** 3
+        assert report.implied_by_generation == dim ** 3 - report.zero_by_grading - report.evaluated
         doc = report.to_json()
         assert doc["implied_by_generation"] == report.implied_by_generation
         assert f"{report.implied_by_generation} implied by generation" in report.summary()
 
 
+# zero_by_grading of jacobi_sweep on the default tables of the verify_large
+# benchmark types, as the ordered sweep on the positive simple generators
+# counted it before the fast path used alternation.
+PINNED_ZERO_BY_GRADING = {"E8": 442264, "A24": 9173784, "B10": 411124, "C10": 411124}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_ZERO_BY_GRADING))
+def test_jacobi_fast_path_zero_by_grading_is_the_ordered_count(label):
+    rs = system(label)
+    t = independent_table(rs, cb.default_epsilon(rs.cartan))[0]
+    report = cb.jacobi_sweep(t)
+    ordered = root_first_sweep(t, rs.simple)
+    assert report.passed and ordered.passed
+    assert report.zero_by_grading == ordered.zero_by_grading == PINNED_ZERO_BY_GRADING[label]
+    assert report.evaluated < ordered.evaluated
+    assert report.evaluated + report.implied_by_generation == t.dimension ** 3 - report.zero_by_grading
+
+
+def _paired_corruptions(t: BracketTable, rng: np.random.Generator) -> BracketTable:
+    """1 to 3 summing pairs (a, b), each with (b, a), (-a, -b) and (-b, -a), negated, doubled or zeroed together.
+
+    The bracket stays antisymmetric and the Chevalley involution an
+    automorphism of it, so J stays alternating.
+    """
+    neg = t.rs.neg
+    original = constants(t)
+    n = dict(original)
+    keys = sorted(n)
+    for k in rng.choice(len(keys), size=min(len(keys), int(rng.integers(1, 4))), replace=False):
+        a, b = keys[k]
+        factor = int(rng.choice([-1, 2, 0]))
+        for key in ((a, b), (b, a), (neg[a], neg[b]), (neg[b], neg[a])):
+            n[key] = factor * original[key]
+    return with_constants(t, n)
+
+
+@pytest.mark.parametrize("label", DESK_TYPES)
+def test_jacobi_fast_path_verdict_is_the_ordered_sweeps(label):
+    # On antisymmetric tables the unordered generator triples vanish exactly
+    # when the ordered ones do, and jacobi_sweep passes on the fast path
+    # exactly when the preconditions hold and they vanish, with the ordered
+    # sweep's zero_by_grading; otherwise it returns the graded sweep's report.
+    rng = np.random.default_rng(29)
+    for flipped in (False, True):
+        t = table(label, flipped)
+        for v in [t] + [_paired_corruptions(t, rng) for _ in range(4)]:
+            arrays = _table_arrays(v)
+            holds, evaluated = _generator_parts(v)
+            assert (_generator_sweep(v, arrays) is not None) == (evaluated is not None)
+            report, graded = cb.jacobi_sweep(v), _graded_sweep(v)
+            if holds and evaluated is not None:
+                assert report.passed and report.implied_by_generation > 0
+                assert report.zero_by_grading == v.rs.rank * v.dimension ** 2 - evaluated
+            else:
+                assert report.to_json() == graded.to_json()
+            assert report.passed == graded.passed
+
+
 def test_restricted_sweep_evaluates_exactly_the_triples_it_covers():
-    # Every third root first: the restricted sweep covers len(first) * dim**2
-    # triples and evaluates those grading leaves, counted by brute force.
+    # Every third root first: the ordered reference sweep covers len(first) *
+    # dim**2 triples and evaluates those grading leaves, counted by brute force.
     for label in ("A1", "A3", "B3", "G2", "D4"):
         t = table(label)
         first = np.arange(0, len(t.rs.roots), 3)
-        report = _graded_sweep(t, first=first)
+        report = root_first_sweep(t, first)
         assert report.passed and report.implied_by_generation == 0
         assert report.checked == len(first) * t.dimension ** 2
         assert report.evaluated == _evaluated_by_brute_force(t, [t.rs.roots[k] for k in first]), label
@@ -474,10 +565,11 @@ def _first_root(site) -> int | None:
 
 @pytest.mark.parametrize("label", ("A3", "B3", "G2", "D4"))
 def test_restricted_sweeps_partition_the_root_first_triples(label):
-    # Restricted to each residue class of the roots mod 3, the sweeps record
-    # only sites whose triple starts with a root of the class; together they
-    # give the full sweep's root-first sites, and their evaluated triples
-    # with those of (h_i, b, c) make up the full sweep's.
+    # Restricted to each residue class of the roots mod 3, the ordered
+    # reference sweeps record only sites whose triple starts with a root of
+    # the class; together they give the full sweep's root-first sites, and
+    # their evaluated triples with those of (h_i, b, c) make up the full
+    # sweep's.
     everything = 10 ** 9
     t = table(label)
     rs = t.rs
@@ -487,7 +579,7 @@ def test_restricted_sweeps_partition_the_root_first_triples(label):
         sites, evaluated = set(), rs.rank * linked
         for residue in range(3):
             first = np.arange(residue, len(rs.roots), 3)
-            part = _graded_sweep(v, everything, first=first)
+            part = root_first_sweep(v, first, everything)
             triples = {site for site in _sites(part) if site[0] != "grading"}
             assert {_first_root(site) for site in triples} <= set(first.tolist())
             sites |= triples
@@ -886,7 +978,7 @@ def test_reports_at_the_entry_bound_are_exact(label):
         assert (holds and evaluated is not None) == exact.passed == (v.rs.rank == 1 and name == "signs")
         report = cb.jacobi_sweep(v)
         if exact.passed:
-            assert report.passed and report.evaluated == evaluated
+            assert report.passed and report.zero_by_grading == v.rs.rank * v.dimension ** 2 - evaluated
         else:
             assert report.to_json() == _graded_sweep(v).to_json() and report.implied_by_generation == 0
         assert cb.chevalley_audit(v).to_json() == _scalar_chevalley_reference(v).to_json()
