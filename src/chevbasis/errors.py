@@ -33,13 +33,13 @@ class FoldingPreconditionViolated(ChevBasisError):
     """Automorphism or sign function unsuitable for folding."""
 
 
-class RepresentativeNotFound(ChevBasisError):
-    """No orbit representative produced a root sum (must never happen)."""
-
-
 class IncompatibleTables(ChevBasisError):
     """Two bracket tables do not share a Cartan matrix, so cannot be compared."""
 
 
 class InternalInconsistency(ChevBasisError):
     """An exact-arithmetic invariant failed during construction."""
+
+
+class RepresentativeNotFound(InternalInconsistency):
+    """No orbit representative produced a root sum (must never happen)."""

@@ -63,14 +63,13 @@ def folded_type(cm: CartanMatrix, order: int) -> tuple[str, int]:
 class FoldedSystem:
     """A simply-laced root system together with its folded image.
 
-    Three read-only intp arrays, computed once in :func:`fold`, hold the
-    orbit structure: ``perm[k]`` is the image of parent root k under the
-    induced root permutation, ``restriction[k]`` the folded root that
-    parent root k restricts to, and row x of ``orbits`` (folded roots x
+    Two read-only intp arrays, computed once in :func:`fold`, hold the
+    orbit structure: ``restriction[k]`` is the folded root that parent
+    root k restricts to, and row x of ``orbits`` (folded roots x
     automorphism order) the parent orbit restricting to folded root x, in
-    cycle order from its smallest index and padded with -1.  Parents
-    restrict equally exactly when they share an orbit.  Instances are
-    never mutated and compare by identity.
+    cycle order of the induced root permutation from its smallest index
+    and padded with -1.  Parents restrict equally exactly when they share
+    an orbit.  Instances are never mutated and compare by identity.
     """
 
     parent: RootSystem
@@ -78,7 +77,6 @@ class FoldedSystem:
     auto: DiagramAutomorphism
     folded_eps: SignFunction
     folded_rs: RootSystem
-    perm: np.ndarray = field(repr=False)
     restriction: np.ndarray = field(repr=False)
     orbits: np.ndarray = field(repr=False)
 
@@ -143,87 +141,35 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
     if (owner < 0).any():
         raise InternalInconsistency("restrictions do not cover the folded root system")
     orbits = cycles.T[owner]
-    for a in (perm, restriction, orbits):
+    for a in (restriction, orbits):
         a.flags.writeable = False
 
     return FoldedSystem(parent=rs, eps=eps, auto=auto, folded_eps=folded_eps, folded_rs=folded_rs,
-                        perm=perm, restriction=restriction, orbits=orbits)
-
-
-def _q_routes(fs: FoldedSystem) -> tuple[np.ndarray, ...]:
-    """Folded pairs, parent representatives and their q by all three routes.
-
-    Returns (xs, ys, ka, kb, found, q): the folded pairs (xs[i], ys[i])
-    with a root sum, in row-major order; ka the first parent of x and kb
-    the first member of y's parent orbit with ka + kb a root (valid where
-    ``found``); and q, a 3 x P array of the folded backward string length
-    by string walk, orbit pair count and orbit case analysis.  The orbits
-    are the rows xs and ys of ``fs.orbits``, and the case analysis moves
-    ka and kb by ``fs.perm``, all in whole-array gathers.  The tests
-    hold each route to its statement on coefficient tuples, pair by pair,
-    in ``tests/reference.py``.
-    """
-    rs, rs_f, orbits, perm = fs.parent, fs.folded_rs, fs.orbits, fs.perm
-    xs, ys = rs_f.pairs.T
-    oa, ob = orbits[xs], orbits[ys]
-    ka = oa[:, 0]
-    hit = (ob >= 0) & (rs.sum_index[ka[:, None], ob] >= 0)
-    kb = ob[np.arange(len(ys)), hit.argmax(axis=1)]
-    s = rs.sum_index[ka, kb]
-    q_string = rs_f.backward_lengths(xs, ys)
-    pairs = (oa[:, :, None] >= 0) & (ob[:, None, :] >= 0)
-    same = pairs & (rs.sum_index[oa[:, :, None], ob[:, None, :]] == s[:, None, None])
-    q_count = same.sum(axis=(1, 2)) - 1
-    d = fs.auto.order
-    q_case = np.where((perm[ka] == ka) | (perm[kb] == kb), 0,
-                      np.where(rs.sum_index[perm[ka], perm[kb]] == s, d - 1, 0 if d == 2 else 1))
-    return xs, ys, ka, kb, hit.any(axis=1), np.stack([q_string, q_count, q_case])
+                        restriction=restriction, orbits=orbits)
 
 
 def folded_table(fs: FoldedSystem) -> BracketTable:
     """The canonical bracket table of the folded algebra.
 
-    For each folded pair, a parent representative pair with a root sum is
-    located by cycling beta through its orbit; the constant is then the
-    parent closed-form sign times (q+1).  The backward length q is
-    computed three independent ways (folded string walk, orbit pair
-    count, orbit case analysis) which must agree exactly.  Co-roots of
-    folded roots are orbit sums of parent co-roots, re-expressed over the
-    folded Cartan generators and checked against the folded root system's
-    own co-root construction.  All of it runs on index arrays; the first
-    failing pair or root, in index order, is the one reported.
+    For each folded pair (x, y) with a root sum, ka is the first parent of
+    x and kb the first member of y's parent orbit whose sum with ka is a
+    root; the constant is the parent closed-form sign of (ka, kb) times
+    (q+1), with q the folded backward string length.  The co-roots are
+    the folded root system's own.  All of it runs on index arrays; the
+    first pair without a representative, in row-major order, is the one
+    reported.
     """
-    rs = fs.parent
-    rs_f = fs.folded_rs
-    xs, ys, ka, kb, found, q = _q_routes(fs)
-    bad = ~found | (q != q[0]).any(axis=0)
-    if bad.any():
-        i = int(bad.argmax())
-        x, y = rs_f.roots[xs[i]], rs_f.roots[ys[i]]
-        if not found[i]:
-            raise RepresentativeNotFound(f"no representative pair for folded {x} + {y}")
-        raise InternalInconsistency(
-            f"q disagreement at {x},{y}: string {q[0, i]}, count {q[1, i]}, case {q[2, i]}"
+    rs, rs_f = fs.parent, fs.folded_rs
+    xs, ys = rs_f.pairs.T
+    ka = fs.orbits[xs, 0]
+    ob = fs.orbits[ys]
+    hit = (ob >= 0) & (rs.sum_index[ka[:, None], ob] >= 0)
+    if (i := _first(~hit.any(axis=1))) is not None:
+        raise RepresentativeNotFound(
+            f"no representative pair for folded {rs_f.roots[xs[i]]} + {rs_f.roots[ys[i]]}"
         )
-    n = pair_signs(rs, fs.eps, ka, kb) * (q[0] + 1)
-    del xs, ys, ka, kb, found, q, bad  # released before the co-root orbit sums
-
-    totals = np.zeros((len(rs_f.roots), rs.rank), dtype=np.int64)
-    np.add.at(totals, fs.restriction, rs.coroots)
-    columns = [np.array(orbit) - 1 for orbit in fs.auto.orbits]
-    coords = totals[:, [c[0] for c in columns]]
-    expected = rs_f.coroots
-    uneven = np.any([(totals[:, c] != totals[:, c[:1]]).any(axis=1) for c in columns], axis=0)
-    bad = uneven | (coords != expected).any(axis=1)
-    if bad.any():
-        fa = int(bad.argmax())
-        fra = rs_f.roots[fa]
-        if uneven[fa]:
-            raise InternalInconsistency(f"orbit co-root sum not constant on node orbit at {fra}")
-        raise InternalInconsistency(
-            f"folded co-root mismatch at {fra}: {tuple(coords[fa].tolist())} vs {tuple(expected[fa].tolist())}"
-        )
-
+    kb = ob[np.arange(len(ys)), hit.argmax(axis=1)]
+    n = pair_signs(rs, fs.eps, ka, kb) * (rs_f.backward_lengths(xs, ys) + 1)
     return BracketTable(
         rs=rs_f,
         eps=fs.folded_eps,

@@ -4,7 +4,9 @@ Each function states one property per root or per pair, the way the
 paper does: the closed sign formula (``closedform.pair_signs`` evaluates
 it on index arrays, and :func:`product_pair_signs` is its earlier dense
 form), the folded backward string length by orbit pair count and by
-orbit case analysis (``folding._q_routes``), root strings
+orbit case analysis, the folded co-roots as orbit sums of parent
+co-roots (``folding.folded_table`` reads the folded string length and
+co-roots of the folded root system instead), root strings
 (``RootSystem.backward_lengths``), root signs and names
 (``serialize.root_names``), the induced root permutation and the
 restriction (``folding.fold``), the split, negation, flip and invariance
@@ -288,6 +290,30 @@ def check_orbit_sign_constancy(rs: RootSystem, eps: SignFunction, auto: DiagramA
                     got = constant_sign(rs, eps, a0, b0)
                     if got != base:
                         report.record((alpha, beta, a0, b0), base, got)
+    return report
+
+
+def check_coroot_orbit_sums(fs: FoldedSystem) -> VerificationReport:
+    """Verify the folded co-roots are the orbit sums of parent co-roots.
+
+    The parent co-roots of each root orbit, grouped by ``fs.restriction``,
+    add up to a vector that must be constant across every node orbit; its
+    entries at the first node of each orbit must be the folded root's own
+    co-root.
+    """
+    rs, rs_f = fs.parent, fs.folded_rs
+    report = VerificationReport(suite="coroot-orbit-sums", checked=len(rs_f.roots))
+    totals = [(0,) * rs.rank for _ in rs_f.roots]
+    for x, h in zip(fs.restriction.tolist(), rs.coroots.tolist()):
+        totals[x] = add(totals[x], h)
+    for x, total in enumerate(totals):
+        for orbit in fs.auto.orbits:
+            if len({total[i - 1] for i in orbit}) != 1:
+                report.record((rs_f.roots[x], orbit), "constant", tuple(total[i - 1] for i in orbit))
+        expected = tuple(rs_f.coroots[x].tolist())
+        got = tuple(total[i - 1] for i in fs.auto.reps)
+        if got != expected:
+            report.record(rs_f.roots[x], expected, got)
     return report
 
 

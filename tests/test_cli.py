@@ -100,6 +100,28 @@ def test_fold_consistency_faults_exit_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_missing_fold_representative_exits_3(tmp_path, monkeypatch, capsys):
+    # G2's (0, 1) orbit restricted as its negative and back: the folded pair
+    # (0, 1), (1, 0) then has no parent representative, a package defect.
+    real = folding.fold
+
+    def swapped(rs, eps, auto):
+        fs = real(rs, eps, auto)
+        x = fs.folded_rs.roots.index((0, 1))
+        y = int(fs.folded_rs.neg[x])
+        swap = np.arange(len(fs.folded_rs.roots))
+        swap[[x, y]] = y, x
+        return dataclasses.replace(fs, orbits=fs.orbits[swap], restriction=swap[fs.restriction])
+
+    monkeypatch.setattr(folding, "fold", swapped)
+    out = tmp_path / "g2.json"
+    assert run("gen", "--type", "G2", "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "error: internal inconsistency: no representative pair for folded (0, 1) + (1, 0)\n"
+    )
+    assert not out.exists()
+
+
 def test_e7_closed_then_jacobi(tmp_path):
     out = tmp_path / "e7.json"
     assert run("gen", "--type", "E7", "--method", "closed", "--out", str(out)) == 0

@@ -16,13 +16,14 @@ from chevbasis.errors import (
     InternalInconsistency,
     RepresentativeNotFound,
 )
-from chevbasis.folding import _q_routes, fold_onto
+from chevbasis.folding import fold_onto
 from chevbasis.serialize import document_from_table, to_json_bytes
 from chevbasis.verify import differential
 from conftest import FOLDS, constant, folded, system, table, tuple_index, with_flipped_constant
 from reference import (
     add,
     check_automorphism_invariance,
+    check_coroot_orbit_sums,
     check_orbit_sign_constancy,
     constant_sign,
     contains,
@@ -174,50 +175,55 @@ def _fold_case(case: str) -> tuple[cb.RootSystem, cb.DiagramAutomorphism]:
     return system(cm.label), auto
 
 
+def _representatives(fs: cb.FoldedSystem, x: int, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(alpha, beta): the first parent of x and the first member of y's orbit summing with it to a root."""
+    rs = fs.parent
+    alpha = rs.roots[fs.orbits[x][0]]
+    beta = next(rs.roots[k] for k in fs.orbits[y] if k >= 0 and contains(rs, add(alpha, rs.roots[k])))
+    return alpha, beta
+
+
 @pytest.mark.parametrize("flipped", [False, True])
 @pytest.mark.parametrize("case", FOLD_CASES)
 def test_q_routes_match_scalar_references(case, flipped):
-    # Every folded pair's representatives and its three q values must be
-    # those of the scalar references.
+    # Every folded constant must be the parent sign of its representatives
+    # times (q+1), and q by the string walk must be q by the orbit count
+    # and by the orbit case analysis.
     rs, auto = _fold_case(case)
     eps = cb.default_epsilon(rs.cartan)
     fs = cb.fold(rs, eps.flipped() if flipped else eps, auto)
     rs_f = fs.folded_rs
-    xs, ys, ka, kb, found, q = _q_routes(fs)
-    assert found.all()
-    assert np.array_equal(np.stack([xs, ys], axis=1), np.argwhere(rs_f.sum_index >= 0))
-    for i, (x, y, a, b) in enumerate(zip(xs.tolist(), ys.tolist(), ka.tolist(), kb.tolist())):
-        assert a == fs.orbits[x][0]
-        assert b == next(k for k in fs.orbits[y] if k >= 0 and rs.sum_index[a, k] >= 0)
-        alpha, beta = rs.roots[a], rs.roots[b]
-        assert q[:, i].tolist() == [
-            string_lengths(rs_f, rs_f.roots[x], rs_f.roots[y])[1],
-            q_tilde_by_count(fs, alpha, beta),
-            q_tilde_by_case(fs, alpha, beta),
-        ]
+    tf = cb.folded_table(fs)
+    assert np.array_equal(tf.pairs, np.argwhere(rs_f.sum_index >= 0))
+    for (x, y), n in zip(tf.pairs.tolist(), tf.n.tolist()):
+        alpha, beta = _representatives(fs, x, y)
+        q = string_lengths(rs_f, rs_f.roots[x], rs_f.roots[y])[1]
+        assert n == constant_sign(rs, fs.eps, alpha, beta) * (q + 1)
+        assert q == q_tilde_by_count(fs, alpha, beta) == q_tilde_by_case(fs, alpha, beta)
 
 
-def test_folded_table_flags_q_disagreement():
-    # An order-2 automorphism on the triality system changes only the case
-    # analysis, which must then disagree with the string walk and the orbit
-    # count.
+def test_q_case_reference_flags_a_wrong_order():
+    # Negative control of the case analysis: under an order-2 automorphism
+    # of the triality system it must disagree with the string walk, which
+    # the orbit count under triality matches.
     fs, _ = folded("D4")
     bad = dataclasses.replace(fs, auto=cb.fold_source("B", 3)[1])
-    with pytest.raises(InternalInconsistency,
-                       match=r"^q disagreement at \(0, 1\),\(1, 1\): string 1, count 1, case 0$"):
-        cb.folded_table(bad)
+    index = tuple_index(fs.folded_rs)
+    alpha, beta = _representatives(fs, index[0, 1], index[1, 1])
+    assert string_lengths(fs.folded_rs, (0, 1), (1, 1))[1] == q_tilde_by_count(fs, alpha, beta) == 1
+    assert q_tilde_by_case(bad, alpha, beta) == 0
 
 
 @pytest.mark.parametrize("root,error,message", [
     ((0, 1), RepresentativeNotFound, r"no representative pair for folded \(0, 1\) \+ \(1, 0\)"),
-    ((1, 1), InternalInconsistency, r"q disagreement at \(0, 1\),\(1, 1\): string 1, count 2, case 2"),
+    ((1, 1), RepresentativeNotFound, r"no representative pair for folded \(1, 0\) \+ \(-1, -1\)"),
     ((2, 3), RepresentativeNotFound, r"no representative pair for folded \(1, 0\) \+ \(-2, -3\)"),
 ])
 def test_folded_table_flags_swapped_restriction(root, error, message):
     # Restricting the parent orbit of a folded root to its negative and
-    # back breaks the representative search or the q agreement; the first
-    # failing pair in row-major order names the error (as the scalar loop
-    # that preceded the array code did).
+    # back breaks the representative search; the first failing pair in
+    # row-major order names the error (as the scalar loop that preceded
+    # the array code did).
     fs, _ = folded("D4")
     x = tuple_index(fs.folded_rs)[root]
     y = int(fs.folded_rs.neg[x])
@@ -226,21 +232,6 @@ def test_folded_table_flags_swapped_restriction(root, error, message):
     bad = dataclasses.replace(fs, orbits=fs.orbits[swap], restriction=swap[fs.restriction])
     with pytest.raises(error, match=f"^{message}$"):
         cb.folded_table(bad)
-
-
-def test_folded_table_flags_coroot_faults():
-    # Node orbits listed in swapped order read the orbit co-root sums in
-    # the wrong folded coordinates.  A node orbit (3, 4, 2) next to
-    # (1, 2, 4) keeps the representatives' columns and the order 3, so only
-    # the sums differing across it fail.
-    fs, _ = folded("D4")
-    with pytest.raises(InternalInconsistency,
-                       match=r"^folded co-root mismatch at \(0, 1\): \(1, 0\) vs \(0, 1\)$"):
-        cb.folded_table(dataclasses.replace(fs, auto=cb.DiagramAutomorphism(((1, 2, 4), (3,)))))
-    uneven = cb.DiagramAutomorphism(((3, 4, 2), (1, 2, 4)))
-    with pytest.raises(InternalInconsistency,
-                       match=r"^orbit co-root sum not constant on node orbit at \(0, 1\)$"):
-        cb.folded_table(dataclasses.replace(fs, auto=uneven))
 
 
 # SHA-256 of the fold_onto JSON document, pinned from the per-pair scalar
@@ -300,17 +291,22 @@ def test_fold_orbits_and_restriction_are_pinned(label):
     assert hashlib.sha256(data).hexdigest() == FOLD_DIGESTS[label]
 
 
-@pytest.mark.parametrize("case", FOLD_CASES + ["identity"])
-def test_fold_arrays_are_one_orbit_structure(case):
-    # "identity" is D4 under the identity automorphism.
+def _fold_case_or_identity(case: str) -> cb.FoldedSystem:
+    """The default-epsilon fold of a FOLD_CASES entry, or of D4 under the identity for "identity"."""
     if case == "identity":
         rs = system("D4")
         auto = identity_automorphism(rs.cartan)
     else:
         rs, auto = _fold_case(case)
-    fs = cb.fold(rs, cb.default_epsilon(rs.cartan), auto)
+    return cb.fold(rs, cb.default_epsilon(rs.cartan), auto)
+
+
+@pytest.mark.parametrize("case", FOLD_CASES + ["identity"])
+def test_fold_arrays_are_one_orbit_structure(case):
+    fs = _fold_case_or_identity(case)
+    rs, auto = fs.parent, fs.auto
     nr, nf = len(rs.roots), len(fs.folded_rs.roots)
-    for a, shape in ((fs.perm, (nr,)), (fs.restriction, (nr,)), (fs.orbits, (nf, auto.order))):
+    for a, shape in ((fs.restriction, (nr,)), (fs.orbits, (nf, auto.order))):
         assert a.dtype == np.intp and a.shape == shape and not a.flags.writeable
     members = fs.orbits[fs.orbits >= 0]
     assert np.array_equal(np.sort(members), np.arange(nr))
@@ -320,9 +316,27 @@ def test_fold_arrays_are_one_orbit_structure(case):
         assert cycle[0] == min(cycle)
         for t, k in enumerate(cycle):
             assert fs.restriction[k] == x
-            assert fs.perm[k] == cycle[(t + 1) % len(cycle)]
+            assert permute_root(auto, rs.roots[k]) == rs.roots[cycle[(t + 1) % len(cycle)]]
     other = cb.fold(rs, cb.default_epsilon(rs.cartan), auto)
     assert fs == fs and fs != other
+
+
+@pytest.mark.parametrize("case", FOLD_CASES + ["identity"])
+def test_coroot_orbit_sums_are_the_folded_coroots(case):
+    report = check_coroot_orbit_sums(_fold_case_or_identity(case))
+    assert report.passed and report.checked > 0
+
+
+def test_coroot_orbit_sums_negative_controls():
+    # Node orbits listed in swapped order read the orbit co-root sums in
+    # the wrong folded coordinates.  A node orbit (3, 4, 2) next to
+    # (1, 2, 4) keeps the representatives' columns and the order 3, so only
+    # the sums differing across it fail.
+    fs, _ = folded("D4")
+    swapped = check_coroot_orbit_sums(dataclasses.replace(fs, auto=cb.DiagramAutomorphism(((1, 2, 4), (3,)))))
+    assert swapped.violations[0] == ((0, 1), (0, 1), (1, 0))
+    uneven = check_coroot_orbit_sums(dataclasses.replace(fs, auto=cb.DiagramAutomorphism(((3, 4, 2), (1, 2, 4)))))
+    assert uneven.violations[0] == (((0, 1), (3, 4, 2)), "constant", (0, 1, 1))
 
 
 def test_q_case_values():
