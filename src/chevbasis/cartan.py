@@ -56,11 +56,11 @@ def root_count(family: str, rank: int) -> int:
     return _EXCEPTIONAL_ROOTS[family, rank]
 
 
-# The cap on the root count nr.  It keeps every root index below 2^15, so the
-# nr x nr sum_index is int16 (32 MiB at the cap, beside the verifiers' int32
-# nr x (nr + 1) dense view of the constants, 64 MiB), and it keeps every rank
-# at 63 or below, so packed_parity fits one uint64 per root.  A63 (4032
-# roots), B45 and C45 (4050) and D45 (3960) are built; A64 (4160) is refused.
+# The cap on the root count nr of a requested type; fold parents are not
+# capped.  It keeps every root index below 2^15, so the nr x nr sum_index is
+# int16 (32 MiB at the cap, beside the verifiers' int32 nr x (nr + 1) dense
+# view of the constants, 64 MiB).  A63 (4032 roots), B45 and C45 (4050) and
+# D45 (3960) are built; A64 (4160) is refused.
 MAX_ROOTS = 2**12
 
 
@@ -161,7 +161,11 @@ def build_cartan(type_label: str, rank: int) -> CartanMatrix:
         raise IllegalType(f"no simple type {family}{rank}")
     if (nr := root_count(family, rank)) > MAX_ROOTS:
         raise IllegalType(f"{family}{rank} has {nr} roots, above the limit of {MAX_ROOTS}")
+    return uncapped_cartan(family, rank)
 
+
+def uncapped_cartan(family: str, rank: int) -> CartanMatrix:
+    """Cartan matrix of a valid (upper-case family, rank) of any size, as fold_source builds parents."""
     edges: dict[tuple[int, int], int] = {}
 
     def single(i: int, j: int) -> None:

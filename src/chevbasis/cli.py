@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .bracket import BracketTable, build_inductive
 from .cartan import build_cartan, default_epsilon, parse_type_label
 from .closedform import closed_table
 from .errors import ChevBasisError, DegeneratePair, IllegalType, InternalInconsistency, NotARoot, NotSimplyLaced
-from .folding import fold_onto, fold_source, folded_type, independent_table, standard_automorphism
+from .folding import fold_onto, folded_type, independent_table, standard_automorphism
 from .report import VerificationReport
 from .roots import generate_roots
 from .serialize import (
@@ -39,25 +40,17 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-def _epsilon_for(cm, choice: str):
-    eps = default_epsilon(cm)
-    return eps.flipped() if choice == "flipped" else eps
-
-
 def _build(family: str, rank: int, eps_choice: str, method: str) -> tuple[BracketTable, dict]:
     """Build a table for the requested type by the requested route: inductive, closed or fold."""
     cm = build_cartan(family, rank)
-    eps = _epsilon_for(cm, eps_choice)
+    eps = default_epsilon(cm).flipped() if eps_choice == "flipped" else default_epsilon(cm)
     if method == "inductive":
         return build_inductive(generate_roots(cm), eps), {}
     if method == "closed":
         if not cm.simply_laced:
             raise NotSimplyLaced(f"--method closed needs a simply-laced type, not {cm.label}")
         return closed_table(generate_roots(cm), eps), {}
-    try:
-        return fold_onto(cm, eps)
-    except IllegalType as exc:
-        raise IllegalType(f"{exc}; --method inductive builds {cm.label} without folding") from None
+    return fold_onto(cm, eps)
 
 
 def _write_outputs(table: BracketTable, method: str, meta: dict, out: str, csv: str | None) -> None:
@@ -99,9 +92,6 @@ def _cmd_verify(args) -> int:
     cm = table.rs.cartan
     if suites is None:
         suites = ["jacobi", "chevalley", "differential"] + (["slN"] if cm.type_label == "A" and cm.rank <= 7 else [])
-    if "differential" in suites and method == "inductive" and not cm.simply_laced:
-        # The fold route must be buildable before any suite runs.
-        fold_source(cm.type_label, cm.rank)
     reports: list[VerificationReport] = []
     for suite in suites:
         if suite == "jacobi":
@@ -117,8 +107,6 @@ def _cmd_verify(args) -> int:
         else:
             reports.append(sl_n_oracle(table))
     if args.json:
-        import json
-
         print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
     else:
         for r in reports:

@@ -29,9 +29,10 @@ def pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) 
     """The sign of N_{a,b} for index arrays a, b whose sums are roots, as int64 +-1.
 
     The exponent n diag[eps = -1] A m is read mod 2 as the parity of
-    left[a] & right[b], each 0/1 row of rank bits packed once into a
-    uint64 and each pair's word folded by XOR; root signs are read off
-    the index, negative roots coming after positive_count.
+    left[a] & right[b], each 0/1 row of rank bits packed once into uint64
+    words and each pair's words folded by XOR.  Root signs are read off
+    the index, negative roots coming after positive_count, and the sign
+    of each sum off its height, so no ``sum_index`` is read.
     """
     odd = np.array(eps.values) == -1
     left = packed_parity(rs.coeffs[:, odd] @ np.array(rs.cartan.entries)[odd])
@@ -40,10 +41,13 @@ def pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) 
     parity &= right[b]
     for k in (32, 16, 8, 4, 2, 1):
         parity ^= parity >> np.uint64(k)
-    parity = (parity & np.uint64(1)).astype(bool)
-    s = rs.sum_index[a, b]
+    parity &= np.uint64(1)
+    parity = np.bitwise_xor.reduce(parity, axis=1).astype(bool)
+    # a + b is a root, of height in [-89, 89] on every type built (A89, the
+    # largest fold parent, included), so the int8 sum cannot wrap.
+    height = rs.coeffs.sum(axis=1).astype(np.int8)
     pos = rs.positive_count
-    bit = parity ^ (a >= pos) ^ (b >= pos) ^ (s >= pos)
+    bit = parity ^ (a >= pos) ^ (b >= pos) ^ (height[a] + height[b] < 0)
     return 1 - 2 * bit.astype(np.int64)
 
 

@@ -19,13 +19,12 @@ import numpy as np
 
 from .bracket import BracketTable
 from .cartan import (
-    MAX_ROOTS,
     CartanMatrix,
     DiagramAutomorphism,
     SignFunction,
     build_cartan,
     default_epsilon,
-    root_count,
+    uncapped_cartan,
 )
 from .closedform import closed_table, pair_signs
 from .errors import (
@@ -155,7 +154,8 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
     x and kb the first member of y's parent orbit whose sum with ka is a
     root; the constant is the parent closed-form sign of (ka, kb) times
     (q+1), with q the folded backward string length.  The co-roots are
-    the folded root system's own.  All of it runs on index arrays; the
+    the folded root system's own.  All of it runs on index arrays and
+    reads only the parent's coefficients, never its ``sum_index``; the
     first pair without a representative, in row-major order, is the one
     reported.
     """
@@ -163,7 +163,14 @@ def folded_table(fs: FoldedSystem) -> BracketTable:
     xs, ys = rs_f.pairs.T
     ka = fs.orbits[xs, 0]
     ob = fs.orbits[ys]
-    hit = (ob >= 0) & (rs.sum_index[ka[:, None], ob] >= 0)
+    # In the simply-laced parent ka + m is a root exactly when (ka, m) =
+    # coeffs[m] . cartan_action[:, ka] is -1.  Each result, alpha(h_i) or
+    # (ka, m), lies in [-2, 2], so the int8 sums, exact mod 2^8, cannot wrap.
+    # The -1 orbit padding is masked; blocks of 2^14 pairs keep memory small.
+    small, action = rs.coeffs.astype(np.int8), rs.cartan_action.T.astype(np.int8)
+    hit = ob >= 0
+    for lo in range(0, len(ys), 2**14):
+        hit[lo:lo + 2**14] &= np.einsum("kdr,kr->kd", small[ob[lo:lo + 2**14]], action[ka[lo:lo + 2**14]]) == -1
     if (i := _first(~hit.any(axis=1))) is not None:
         raise RepresentativeNotFound(
             f"no representative pair for folded {rs_f.roots[xs[i]]} + {rs_f.roots[ys[i]]}"
@@ -185,8 +192,8 @@ def fold_source(family: str, rank: int) -> tuple[CartanMatrix, DiagramAutomorphi
 
     The one table of the four folds, each as its parent and node orbits:
     B_n from D_{n+1} by the fork swap, C_n from A_{2n-1} by i <-> 2n-i, G2
-    from triality on D4 and F4 from the E6 symmetry.  A parent with more
-    than ``MAX_ROOTS`` roots is refused, naming the type it would fold onto.
+    from triality on D4 and F4 from the E6 symmetry.  The parent is not
+    capped by ``MAX_ROOTS``: the fold reads only its coefficients.
     """
     family = family.upper()
     if family == "B" and rank >= 2:
@@ -199,10 +206,7 @@ def fold_source(family: str, rank: int) -> tuple[CartanMatrix, DiagramAutomorphi
         parent, orbits = ("E", 6), ((2,), (4,), (3, 5), (1, 6))
     else:
         raise IllegalType(f"{family}{rank} is not a folded type")
-    if (nr := root_count(*parent)) > MAX_ROOTS:
-        raise IllegalType(f"{family}{rank} folds from {parent[0]}{parent[1]}, which has {nr} roots, "
-                          f"above the limit of {MAX_ROOTS}")
-    cm = build_cartan(*parent)
+    cm = uncapped_cartan(*parent)
     auto = DiagramAutomorphism(orbits)
     auto.validate(cm)
     return cm, auto

@@ -6,9 +6,9 @@ q - <alpha_i, beta> > 0, with q the backward string length.  A
 coefficient vector is found among the roots in one way only, by its
 linear uint64 key with the hit confirmed on the coefficients
 (``RootSystem._search``); ``sum_index`` and ``find`` both go through
-it.  Every layer asks "is alpha + beta a root, and which one?" through
-``sum_index``, one nr x nr int16 array, and root strings are walks over
-it; the pairs with a root or zero sum are listed once in ``linked``.
+it.  Every layer but the fold asks "is alpha + beta a root, and which
+one?" through ``sum_index``, one nr x nr int16 array, and root strings
+are walks over it; the pairs with a root or zero sum are in ``linked``.
 ``sum_index`` is searched only at the pairs of positive roots b < c whose
 sum has a root's norm and, on B, C and F4, an integral co-root: exactly
 the summing pairs.  Each root index in it is a key hit of such a pair,
@@ -52,8 +52,8 @@ class RootSystem:
     ``norms`` (nr) holds (alpha, alpha) / 2 under the invariant form
     (alpha_i, alpha_j) = s_i a_ij with s the minimal symmetrizer, so
     ``norms[simple[i - 1]]`` is s_i.  ``sum_index[a, b]`` (nr x nr int16,
-    derived on construction) is the index of roots[a] + roots[b], or -1;
-    int16 holds every index because nr <= MAX_ROOTS < 2^15.
+    built on first use) is the index of roots[a] + roots[b], or -1; int16
+    holds every index, as nr < 2^15 on every type built (at most 8010).
     Only positive pairs b < c are looked up, where the sum's norm norms[b]
     + norms[c] + (beta, gamma) is a root norm and, if it is 2, s_i beta_i =
     s_i gamma_i mod 2 at every node; each key hit s, confirmed on the
@@ -71,7 +71,6 @@ class RootSystem:
     cartan_action: np.ndarray = field(repr=False)
     coroots: np.ndarray = field(repr=False)
     norms: np.ndarray = field(repr=False)
-    sum_index: np.ndarray = field(init=False, repr=False)
     neg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -83,15 +82,23 @@ class RootSystem:
         # Roots and sums of two roots have entries in [-12, 12].
         self._small = self.coeffs.astype(np.int8)
         self._small.flags.writeable = False
+        self.neg = (np.arange(len(keys)) + self.positive_count) % len(keys)
+        self.neg.flags.writeable = False
+
+    @cached_property
+    def roots(self) -> tuple[Root, ...]:
+        return tuple(map(tuple, self.coeffs.tolist()))
+
+    @cached_property
+    def sum_index(self) -> np.ndarray:
         # roots[a] + roots[b] can be a root only if its norm, norms[a] + norms[b]
         # + (alpha, beta) with (alpha, beta) = sum_i alpha_i s_i beta(h_i), is one
         # of the at most two root norms; only the pairs that pass are looked up.
         # left @ right gives these norms: its entries and sums are integers far
         # below 2^24, so float32 holds them exactly.  Blocks of 2^14 entries keep
         # the working set small.
-        nr, norms, p = len(keys), self.norms, self.positive_count
-        self.neg = (np.arange(nr) + p) % nr
-        self.neg.flags.writeable = False
+        nr, norms, p = len(self.neg), self.norms, self.positive_count
+        keys = _key(self.coeffs[:p])
         left = np.concatenate([self.coeffs[:p], norms[:p, None], np.ones((p, 1))], axis=1, dtype=np.float32)
         right = np.concatenate([self.cartan_action[:, :p] * norms[self.simple, None], [np.ones(p), norms[:p]]], dtype=np.float32)
         short, long = int(norms.min()), int(norms.max())
@@ -102,25 +109,21 @@ class RootSystem:
         parity = packed_parity(self.coeffs[:p] * norms[self.simple]) if long == 2 else None
         # A zero-sum triple of roots has two members of one sign, so searching the
         # positive pairs b < c finds each triple once; its twelve entries go together.
-        self.sum_index = np.full((nr, nr), -1, dtype=np.int16)
-        flat = self.sum_index.reshape(-1)
+        index = np.full((nr, nr), -1, dtype=np.int16)
+        flat = index.reshape(-1)
         step = max(1, 2**14 // p)
         for lo in range(0, p, step):
             norm = left[lo:lo + step] @ right[:, lo:]
             admit = norm == long
             if parity is not None:
-                admit &= parity[lo:lo + step, None] == parity[lo:]
+                admit &= (parity[lo:lo + step, None] == parity[lo:]).all(-1)
             b, c = divmod(np.flatnonzero(admit | (norm == short)), p - lo)
             b, c = b[b < c] + lo, c[b < c] + lo
             s = self._search(keys[b] + keys[c], lambda hits: self._small.take(b[hits], 0) + self._small.take(c[hits], 0))
             bcs = np.array([b, c, s]).compress(s >= 0, axis=1)
             u = np.concatenate([bcs, bcs + p])
             flat[u[_TRIPLE_X] * nr + u[_TRIPLE_Y]] = u[_TRIPLE_SUM].astype(np.int16)
-        self.sum_index.flags.writeable = False
-
-    @cached_property
-    def roots(self) -> tuple[Root, ...]:
-        return tuple(map(tuple, self.coeffs.tolist()))
+        return _read_only(index)
 
     @cached_property
     def linked(self) -> np.ndarray:
@@ -271,15 +274,9 @@ def generate_roots(cm: CartanMatrix) -> RootSystem:
 
 
 def packed_parity(rows: np.ndarray) -> np.ndarray:
-    """Each row's entries mod 2 as the bits of one uint64.
-
-    A row has one entry per node; MAX_ROOTS keeps every type at rank 63 or
-    below (A63 is the largest A type it admits), so the bits fit.
-    """
-    if rows.shape[1] > 64:
-        raise InternalInconsistency(f"cannot pack {rows.shape[1]} parity bits into one uint64")
-    bits = (rows % 2).astype(np.uint64)
-    return (bits << np.arange(rows.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    """Each row's entries mod 2 as ceil(width / 64) uint64 words, entry j at bit j % 64 of word j // 64."""
+    bits = (rows % 2).astype(np.uint64) << (np.arange(rows.shape[1], dtype=np.uint64) % np.uint64(64))
+    return np.add.reduceat(bits, np.arange(0, rows.shape[1], 64), axis=1, dtype=np.uint64)
 
 
 def _key(vectors: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from .roots import Root, _first, _read_only, generate_roots
 
 SCHEMA_VERSION = 1
 METHODS = ("inductive", "closed", "folded")
+_REQUIRED_FIELDS = ("type", "rank", "roots", "positive_count", "epsilon", "constants", "cartan_action", "opposite")
 
 
 def document_from_table(t: BracketTable, method: str, provenance: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -72,6 +73,8 @@ def table_from_document(doc: dict[str, Any]) -> BracketTable:
     """Rebuild a table, validating the document against a fresh root system."""
     if not isinstance(doc, dict):
         raise ChevBasisError("a table document must be a JSON object")
+    if missing := [f for f in _REQUIRED_FIELDS if f not in doc]:
+        raise ChevBasisError(f"document has no {missing[0]!r} field")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ChevBasisError(f"unsupported schema version {version!r}")

@@ -434,18 +434,21 @@ def root_first_sweep(t: BracketTable, first: np.ndarray, max_recorded: int = 100
 
 
 def product_pair_signs(rs: RootSystem, eps: SignFunction, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``closedform.pair_signs`` by the nr x nr uint8 product of the 0/1 exponent matrices.
+    """``closedform.pair_signs`` by the uint8 product of the 0/1 exponent matrices.
 
-    uint8 sums wrap mod 256, which keeps the parity; root signs are read
-    off the index, negative roots coming after positive_count.
+    The product is taken at the rows of ``a`` only, all nr of them when
+    ``a`` holds every root.  uint8 sums wrap mod 256, which keeps the
+    parity; the signs of a and b are read off the index, negative roots
+    coming after positive_count, and that of a + b off its int64 height.
     """
     odd = np.array(eps.values) == -1
     left = ((rs.coeffs[:, odd] @ np.array(rs.cartan.entries)[odd]) % 2).astype(np.uint8)
     right = (rs.coeffs % 2).astype(np.uint8)
-    parity = (left @ right.T)[a, b] & 1
-    s = rs.sum_index[a, b]
+    rows, inverse = np.unique(a, return_inverse=True)
+    parity = (left[rows] @ right.T)[inverse.reshape(-1), b] & 1
+    height = rs.coeffs.sum(axis=1)
     pos = rs.positive_count
-    bit = parity ^ (a >= pos) ^ (b >= pos) ^ (s >= pos)
+    bit = parity ^ (a >= pos) ^ (b >= pos) ^ (height[a] + height[b] < 0)
     return 1 - 2 * bit.astype(np.int64)
 
 

@@ -197,20 +197,19 @@ def test_verify_checks_suite_names_before_running_any(tmp_path, capsys, monkeypa
     assert captured.err == "error: unknown suite 'bogus'\n"
 
 
-def test_verify_refuses_an_unbuildable_fold_route_before_running_any(tmp_path, capsys, monkeypatch):
-    # C33 folds from A65, above the root limit: default verify of an
-    # inductive C33 file stops before any suite runs.
+def test_default_verify_of_an_inductive_c33_file_folds_from_above_the_root_cap(tmp_path, capsys):
+    # C33 folds from A65, which has more roots than MAX_ROOTS: the
+    # differential suite of an inductive C33 file still takes the fold route.
+    assert root_count("A", 65) > MAX_ROOTS >= root_count("C", 33)
     out = tmp_path / "c33.json"
     assert run("gen", "--type", "C33", "--method", "inductive", "--out", str(out)) == 0
-    calls = []
-    for name in ("jacobi_sweep", "chevalley_audit", "differential"):
-        monkeypatch.setattr(cli, name, lambda *tables, name=name: calls.append(name))
     capsys.readouterr()
-    assert run("verify", "--in", str(out)) == 2
-    captured = capsys.readouterr()
-    assert calls == []
-    assert captured.out == ""
-    assert captured.err == "error: C33 folds from A65, which has 4290 roots, above the limit of 4096\n"
+    assert run("verify", "--json", "--in", str(out)) == 0
+    reports = {r["suite"]: r for r in json.loads(capsys.readouterr().out)}
+    assert sorted(reports) == ["chevalley", "differential", "jacobi"]
+    assert all(r["passed"] for r in reports.values())
+    # Every stored constant, both orders, is compared with the folded table.
+    assert reports["differential"]["checked"] > 2 * len(from_json_bytes(out.read_bytes())["constants"])
 
 
 @pytest.fixture(scope="module", params=["G2", "B3"])
@@ -273,8 +272,9 @@ def _limited_main(tmp_path, *argv: str) -> subprocess.CompletedProcess:
 
 
 def test_oversized_types_are_refused_before_building(tmp_path):
-    # A300 would need 30 GiB for sum_index alone; the fold parent of C40 is
-    # A79, with 6320 roots.  A file that names A300 is refused by its lengths.
+    # A300 would need 30 GiB for sum_index alone.  A file that names A300 is
+    # refused by its lengths.  C45 is built: its fold parent, A89 with 8010
+    # roots, is not capped and never builds its sum_index.
     assert root_count("A", 300) > MAX_ROOTS >= root_count("A", 63)
     big = tmp_path / "a300.json"
     big.write_text(json.dumps({"schema_version": 1, "type": "A300", "rank": 300, "cartan_matrix": [],
@@ -282,21 +282,20 @@ def test_oversized_types_are_refused_before_building(tmp_path):
                                "cartan_action": [], "opposite": [], "provenance": {"method": "closed"}}))
     for argv in (["gen", "--type", "A300", "--out", "x.json"],
                  ["gen", "--type", "A2000", "--method", "inductive", "--out", "x.json"],
-                 ["gen", "--type", "C40", "--out", "x.json"],
                  ["fold", "--type", "A301", "--out", "x.json"],
                  ["verify", "--in", str(big)],
                  ["show", "--in", str(big), "--alpha", "1", "--beta", "1"]):
         done = _limited_main(tmp_path, *argv)
         assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr)
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, argv
-        if argv[2] == "C40":
-            # The fold route names the requested type, its parent and the way round it.
-            assert done.stderr == ("error: C40 folds from A79, which has 6320 roots, above the limit of 4096; "
-                                   "--method inductive builds C40 without folding\n")
     assert not (tmp_path / "x.json").exists()
     done = _limited_main(tmp_path, "gen", "--type", "A60", "--out", "x.json")
     assert done.returncode == 0, done.stderr
     assert from_json_bytes((tmp_path / "x.json").read_bytes())["positive_count"] == 1830
+    done = _limited_main(tmp_path, "gen", "--type", "C45", "--out", "c45.json")
+    assert done.returncode == 0, done.stderr
+    doc = from_json_bytes((tmp_path / "c45.json").read_bytes())
+    assert (doc["positive_count"], doc["provenance"]["parent"]) == (2025, "A89")
 
 
 def test_show(tmp_path, capsys):
@@ -382,6 +381,23 @@ def test_deeply_nested_json_is_refused(tmp_path, capsys, command):
     assert run(command, "--in", str(path), *extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["type", "rank", "roots", "positive_count", "epsilon", "constants",
+                                   "cartan_action", "opposite"])
+@pytest.mark.parametrize("command", ["verify", "show"])
+def test_a_missing_field_is_named(tmp_path, capsys, command, field):
+    # A default B3 file without one required field: one line naming it, not a bare key.
+    path = tmp_path / "b3.json"
+    assert run("gen", "--type", "B3", "--out", str(path)) == 0
+    doc = json.loads(path.read_bytes())
+    del doc[field]
+    path.write_text(json.dumps(doc))
+    extra = ["--alpha", "1,0,0", "--beta", "0,1,0"] if command == "show" else []
+    capsys.readouterr()
+    assert run(command, "--in", str(path), *extra) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: document has no '{field}' field\n")
 
 
 def test_chevalley_checks_cartan_action(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chevbasis as cb
+from chevbasis.cartan import uncapped_cartan
 from chevbasis.closedform import closed_table, pair_signs
 from chevbasis.errors import NotARoot, NotSimplyLaced
 from conftest import SIMPLY_LACED_TYPES, constants, system, table
@@ -143,6 +144,22 @@ def test_pair_signs_match_scalar_formula(label):
     for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
         expected = [constant_sign(rs, eps, rs.roots[x], rs.roots[y]) for x, y in zip(a, b)]
         assert pair_signs(rs, eps, a, b).tolist() == expected
+
+
+# A64, A65 and A89 are above MAX_ROOTS (A89 is the fold parent of C45) and
+# pack 65 or more bits per row into two words.  Their summing pairs are
+# found at a sample of rows by key lookups, so no sum_index is built.
+@pytest.mark.parametrize("rank", (63, 64, 65, 89))
+def test_pair_signs_match_the_product_across_word_boundaries(rank):
+    rs = cb.generate_roots(uncapped_cartan("A", rank))
+    rows = np.arange(0, len(rs.roots), 257)
+    hits = np.stack([rs.find(rs.coeffs[x] + rs.coeffs) for x in rows]) >= 0
+    k, b = np.nonzero(hits)
+    a = rows[k]
+    assert len(a) and (rank < 65 or rs.coeffs[a, 64:].any())
+    for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
+        assert np.array_equal(pair_signs(rs, eps, a, b), product_pair_signs(rs, eps, a, b))
+    assert "sum_index" not in vars(rs)
 
 
 @pytest.mark.parametrize("label", ("A33", "A63"))

@@ -10,6 +10,7 @@ import pytest
 
 import chevbasis as cb
 from chevbasis import folding
+from chevbasis.cartan import MAX_ROOTS, root_count
 from chevbasis.errors import (
     FoldingPreconditionViolated,
     IllegalType,
@@ -131,6 +132,21 @@ def test_folded_tables_match_direct_inductive():
         assert fs.folded_rs.cartan.label == target
         ti = cb.build_inductive(fs.folded_rs, fs.folded_eps)
         assert differential(tf, ti).passed
+
+
+# C33 to C45 fold from A65 to A89, and B45 from D46: parents above
+# MAX_ROOTS, which fold_source builds uncapped and which never build their
+# sum_index.
+@pytest.mark.parametrize("label", ("C33", "C40", "C45", "B45"))
+def test_folds_from_parents_above_the_root_cap_match_build_inductive(label):
+    cm = cb.build_cartan(*cb.parse_type_label(label))
+    rs = cb.generate_roots(cm)
+    for eps in (cb.default_epsilon(cm), cb.default_epsilon(cm).flipped()):
+        tf, meta = fold_onto(cm, eps)
+        assert root_count(*cb.parse_type_label(meta["parent"])) > MAX_ROOTS
+        ti = cb.build_inductive(rs, eps)
+        for name in ("pairs", "n", "cartan_action", "opposite"):
+            assert np.array_equal(getattr(tf, name), getattr(ti, name)), (label, eps, name)
 
 
 def test_folded_tables_pass_jacobi():

@@ -295,6 +295,7 @@ def _confirmed_sums(label, monkeypatch) -> tuple[cb.RootSystem, list[int]]:
     with monkeypatch.context() as patch:
         patch.setattr(cb.RootSystem, "_search", recording)
         rs = cb.generate_roots(cm)
+        rs.sum_index  # built on first use, and searched here
     return rs, found
 
 
@@ -365,7 +366,7 @@ def test_length_and_parity_tests_admit_exactly_the_summing_pairs(label):
     sn = rs.coeffs * rs.norms[rs.simple]
     even = ((sn[:, None] + sn[None]) % 2 == 0).all(-1)
     words = packed_parity(sn)
-    assert np.array_equal(words[:, None] == words, even)
+    assert np.array_equal((words[:, None] == words).all(-1), even)
     admitted = _length_test(rs) & (even | (_sum_norms(rs) != 2))
     assert np.array_equal(admitted, rs.sum_index >= 0)
 
@@ -387,22 +388,27 @@ def test_linked_lists_the_summing_pairs_then_the_band(label):
 
 def test_linked_is_built_on_first_use_and_never_for_a_fold_parent():
     rs = cb.generate_roots(cb.build_cartan("A", 5))
-    assert "linked" not in vars(rs)
+    assert "linked" not in vars(rs) and "sum_index" not in vars(rs)
     fs = cb.fold(rs, cb.default_epsilon(rs.cartan), cb.standard_automorphism(rs.cartan))
     cb.folded_table(fs)
     assert "linked" not in vars(rs) and "linked" in vars(fs.folded_rs)
+    assert "sum_index" not in vars(rs) and "sum_index" in vars(fs.folded_rs)
     assert len(rs.pairs) == len(rs.linked) - len(rs.roots) and "linked" in vars(rs)
 
 
-def test_packed_parity_refuses_rows_past_64_entries():
-    row = np.zeros((1, 64), dtype=np.int64)
-    row[0, 63] = 3
-    assert packed_parity(row).tolist() == [1 << 63]
-    for width, odd in ((65, 64), (66, 64), (66, 65)):
-        row = np.zeros((1, width), dtype=np.int64)
-        row[0, odd] = 1
-        with pytest.raises(InternalInconsistency, match=f"^cannot pack {width} parity bits into one uint64$"):
-            packed_parity(row)
+def test_packed_parity_packs_64_entries_per_word():
+    # Entry j is bit j % 64 of word j // 64; even entries leave no bit.
+    for width, words in ((64, 1), (65, 2), (66, 2), (128, 2)):
+        for odd in (0, 63, 64, 65, 127):
+            if odd >= width:
+                continue
+            row = np.zeros((1, width), dtype=np.int64)
+            row[0, odd] = -3
+            row[0, (odd + 1) % width] = 2
+            expected = [0] * words
+            expected[odd // 64] = 1 << odd % 64
+            packed = packed_parity(row)
+            assert packed.dtype == np.uint64 and packed.tolist() == [expected], (width, odd)
 
 
 def test_generate_roots_memory_on_a40():
@@ -410,6 +416,7 @@ def test_generate_roots_memory_on_a40():
     tracemalloc.start()
     try:
         rs = cb.generate_roots(cm)
+        rs.sum_index  # built on first use, inside the traced region
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
