@@ -7,7 +7,8 @@ independent route (closed formula or folding), and written to JSON and
 read back: the loaded table must match the built one under
 ``differential``.  Prints one line per type with the seconds spent in
 ``generate_roots`` for the type and, for B, C, F4 and G2, in ``fold`` of
-its simply-laced parent (both outside the build-and-verify seconds), and
+its simply-laced parent onto it (both outside the build-and-verify
+seconds), and
 with the Jacobi route
 (``generators`` when the unordered triples with a positive simple
 generator settled it, each evaluated once, ``graded`` when it fell back
@@ -53,7 +54,7 @@ def run() -> int:
             parent_cm, auto = cb.fold_source(family, rank)
             parent = cb.generate_roots(parent_cm)
             start = time.perf_counter()
-            cb.fold(parent, cb.default_epsilon(parent_cm), auto)
+            cb.fold(parent, cb.default_epsilon(parent_cm), auto, rs)
             timings += f"fold {time.perf_counter() - start:6.4f}s  "
         else:
             timings += " " * 14

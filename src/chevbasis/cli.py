@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .bracket import BracketTable, build_inductive
-from .cartan import build_cartan, default_epsilon, parse_type_label
-from .closedform import closed_table
-from .errors import ChevBasisError, DegeneratePair, IllegalType, InternalInconsistency, NotARoot, NotSimplyLaced
-from .folding import fold_onto, folded_type, independent_table, standard_automorphism
+from .cartan import CartanMatrix, build_cartan, default_epsilon, parse_type_label
+from .errors import ChevBasisError, DegeneratePair, IllegalType, InternalInconsistency, NotARoot
+from .folding import folded_type, independent_table, standard_automorphism
 from .report import VerificationReport
 from .roots import generate_roots
 from .serialize import (
@@ -40,17 +39,13 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-def _build(family: str, rank: int, eps_choice: str, method: str) -> tuple[BracketTable, dict]:
-    """Build a table for the requested type by the requested route: inductive, closed or fold."""
-    cm = build_cartan(family, rank)
+def _build(cm: CartanMatrix, eps_choice: str, method: str | None) -> tuple[BracketTable, dict]:
+    """Build the table of cm: by build_inductive for ``--method inductive``, else by independent_table."""
+    rs = generate_roots(cm)
     eps = default_epsilon(cm).flipped() if eps_choice == "flipped" else default_epsilon(cm)
     if method == "inductive":
-        return build_inductive(generate_roots(cm), eps), {}
-    if method == "closed":
-        if not cm.simply_laced:
-            raise NotSimplyLaced(f"--method closed needs a simply-laced type, not {cm.label}")
-        return closed_table(generate_roots(cm), eps), {}
-    return fold_onto(cm, eps)
+        return build_inductive(rs, eps), {}
+    return independent_table(rs, eps)
 
 
 def _write_outputs(table: BracketTable, method: str, meta: dict, out: str, csv: str | None) -> None:
@@ -61,18 +56,21 @@ def _write_outputs(table: BracketTable, method: str, meta: dict, out: str, csv: 
 
 
 def _cmd_gen(args) -> int:
-    family, rank = parse_type_label(args.type)
-    method = args.method or ("closed" if family in ("A", "D", "E") else "fold")
-    table, meta = _build(family, rank, args.epsilon, method)
-    _write_outputs(table, "folded" if method == "fold" else method, meta, args.out, args.csv)
-    print(f"wrote {table.rs.cartan.label} table ({method}) to {args.out}")
+    cm = build_cartan(*parse_type_label(args.type))
+    if args.method in ("closed", "fold"):
+        takes = "closed" if cm.simply_laced else "fold"
+        if args.method != takes:
+            raise IllegalType(f"--method {args.method} does not apply to {cm.label}, which takes --method {takes}")
+    table, meta = _build(cm, args.epsilon, args.method)
+    method = "fold" if meta else args.method or "closed"
+    _write_outputs(table, "folded" if meta else method, meta, args.out, args.csv)
+    print(f"wrote {cm.label} table ({method}) to {args.out}")
     return 0
 
 
 def _cmd_fold(args) -> int:
-    family, rank = parse_type_label(args.type)
-    cm = build_cartan(family, rank)
-    table, meta = _build(*folded_type(cm, standard_automorphism(cm).order), args.epsilon, "fold")
+    cm = build_cartan(*parse_type_label(args.type))
+    table, meta = _build(build_cartan(*folded_type(cm, standard_automorphism(cm).order)), args.epsilon, "fold")
     _write_outputs(table, "folded", meta, args.out, args.csv)
     print(f"folded {cm.label} onto {table.rs.cartan.label}, wrote {args.out}")
     return 0

@@ -22,7 +22,6 @@ from .cartan import (
     CartanMatrix,
     DiagramAutomorphism,
     SignFunction,
-    build_cartan,
     default_epsilon,
     uncapped_cartan,
 )
@@ -80,12 +79,15 @@ class FoldedSystem:
     orbits: np.ndarray = field(repr=False)
 
 
-def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> FoldedSystem:
-    """Fold a simply-laced root system by a diagram automorphism.
+def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism, folded_rs: RootSystem) -> FoldedSystem:
+    """Fold a simply-laced root system by a diagram automorphism onto ``folded_rs``.
 
-    Raises FoldingPreconditionViolated unless the parent is simply laced,
-    the automorphism is a genuine diagram symmetry with unconnected
-    orbits, and epsilon is constant on every node orbit.
+    The caller supplies the folded root system, and the returned
+    ``FoldedSystem`` holds that very object.  Raises
+    FoldingPreconditionViolated unless the parent is simply laced, the
+    automorphism is a genuine diagram symmetry with unconnected orbits,
+    epsilon is constant on every node orbit, and the folded Cartan matrix
+    is the one of ``folded_rs``.
     """
     cm = rs.cartan
     if not cm.simply_laced:
@@ -102,13 +104,10 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
     sizes = [len(orbit) for orbit in auto.orbits]
     ent = tuple(tuple(cm.a(i, j) * (si if si > sj == 1 else 1) for j, sj in zip(reps, sizes))
                 for i, si in zip(reps, sizes))
-    family, rank = folded_type(cm, auto.order)
-    reference = build_cartan(family, rank)
-    if ent != reference.entries:
-        raise InternalInconsistency(f"folded matrix of {cm.label} does not match {family}{rank}")
+    if ent != folded_rs.cartan.entries:
+        raise FoldingPreconditionViolated(f"this fold of {cm.label} does not give {folded_rs.cartan.label}")
     folded_eps = SignFunction(tuple(eps.value(i) for i in reps))
-    folded_rs = generate_roots(reference)
-    if eps.is_coloring_of(cm) and not folded_eps.is_coloring_of(reference):
+    if eps.is_coloring_of(cm) and not folded_eps.is_coloring_of(folded_rs.cartan):
         raise InternalInconsistency("restricted epsilon lost the coloring property")
 
     # The induced root permutation, by one lookup of the permuted roots; its
@@ -129,7 +128,7 @@ def fold(rs: RootSystem, eps: SignFunction, auto: DiagramAutomorphism) -> Folded
     restriction = folded_rs.find(coords)
     if (k := _first(restriction < 0)) is not None:
         raise InternalInconsistency(
-            f"restriction {tuple(coords[k].tolist())} of {rs.roots[k]} is not a root of {reference.label}"
+            f"restriction {tuple(coords[k].tolist())} of {rs.roots[k]} is not a root of {folded_rs.cartan.label}"
         )
     # Restrictions must separate orbits and exhaust the folded system; then
     # owner[x] is the smallest member of the orbit restricting to x.
@@ -194,6 +193,8 @@ def fold_source(family: str, rank: int) -> tuple[CartanMatrix, DiagramAutomorphi
     B_n from D_{n+1} by the fork swap, C_n from A_{2n-1} by i <-> 2n-i, G2
     from triality on D4 and F4 from the E6 symmetry.  The parent is not
     capped by ``MAX_ROOTS``: the fold reads only its coefficients.
+    :func:`independent_table` builds the parent's root system from it and
+    folds it onto the caller's folded one.
     """
     family = family.upper()
     if family == "B" and rank >= 2:
@@ -227,28 +228,24 @@ def standard_automorphism(cm: CartanMatrix) -> DiagramAutomorphism:
     raise NoFoldableSymmetry(f"type {cm.label} has no foldable symmetry")
 
 
-def fold_onto(cm: CartanMatrix, eps: SignFunction) -> tuple[BracketTable, dict]:
-    """The folded table of a B, C, F4 or G2 type with sign function ``eps``.
-
-    The parent comes from :func:`fold_source`; its epsilon is the parent
-    default when ``eps`` is the default of ``cm`` (the parent default
-    restricts to it, see ``default_epsilon``) and its flip otherwise.  The
-    second value is the provenance: parent label and node orbits.
-    """
-    parent_cm, auto = fold_source(cm.type_label, cm.rank)
-    parent_eps = default_epsilon(parent_cm)
-    if eps != default_epsilon(cm):
-        parent_eps = parent_eps.flipped()
-    fs = fold(generate_roots(parent_cm), parent_eps, auto)
-    return folded_table(fs), {"parent": parent_cm.label, "orbits": [list(o) for o in auto.orbits]}
-
-
 def independent_table(rs: RootSystem, eps: SignFunction) -> tuple[BracketTable, dict]:
     """The table of (rs, eps) by the route independent of build_inductive.
 
-    The closed formula for A, D and E; folding for B, C, F4 and G2.  The
-    second value is the provenance, empty for closed tables.
+    The one place that picks that route: the closed formula for A, D and
+    E, and for B, C, F4 and G2 the fold of the :func:`fold_source` parent
+    onto ``rs`` itself, so the table's ``rs`` is the one passed in.  The
+    parent epsilon is the parent default when ``eps`` is the default of
+    ``rs`` (the parent default restricts to it, see ``default_epsilon``)
+    and its flip otherwise.  The second value is the provenance: empty for
+    closed tables, parent label and node orbits for folded ones.
     """
-    if rs.cartan.simply_laced:
+    cm = rs.cartan
+    if cm.simply_laced:
         return closed_table(rs, eps), {}
-    return fold_onto(rs.cartan, eps)
+    parent_cm, auto = fold_source(cm.type_label, cm.rank)
+    parent = generate_roots(parent_cm)
+    parent_eps = default_epsilon(parent_cm)
+    if eps != default_epsilon(cm):
+        parent_eps = parent_eps.flipped()
+    table = folded_table(fold(parent, parent_eps, auto, rs))
+    return table, {"parent": parent_cm.label, "orbits": [list(o) for o in auto.orbits]}

@@ -15,6 +15,7 @@ import numpy as np
 import chevbasis as cb
 from chevbasis.bracket import BracketTable
 from chevbasis.errors import DegeneratePair, NotARoot
+from chevbasis.folding import folded_type
 from chevbasis.serialize import ENTRY_BOUND
 
 DESK_TYPES = (
@@ -46,12 +47,18 @@ def table(label: str, flipped: bool = False) -> BracketTable:
     return cb.build_inductive(rs, eps)
 
 
+def fold(rs: cb.RootSystem, eps: cb.SignFunction, auto: cb.DiagramAutomorphism) -> cb.FoldedSystem:
+    """``cb.fold`` onto the cached system of the type that ``folded_type`` names for (rs, auto)."""
+    family, rank = folded_type(rs.cartan, auto.order)
+    return cb.fold(rs, eps, auto, system(f"{family}{rank}"))
+
+
 @lru_cache(maxsize=None)
 def folded(parent_label: str) -> tuple[cb.FoldedSystem, BracketTable]:
     rs = system(parent_label)
     eps = cb.default_epsilon(rs.cartan)
     auto = cb.standard_automorphism(rs.cartan)
-    fs = cb.fold(rs, eps, auto)
+    fs = fold(rs, eps, auto)
     return fs, cb.folded_table(fs)
 
 

@@ -117,7 +117,7 @@ def test_criterion_4_folding_reproduction():
         # flipped epsilon side
         rs = system(parent)
         eps_f = cb.default_epsilon(rs.cartan).flipped()
-        fs_f = cb.fold(rs, eps_f, fs.auto)
+        fs_f = cb.fold(rs, eps_f, fs.auto, fs.folded_rs)
         tf_f = cb.folded_table(fs_f)
         direct_f = cb.build_inductive(fs_f.folded_rs, fs_f.folded_eps)
         assert differential(tf_f, direct_f).passed, (parent, target)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chevbasis.roots
 from chevbasis import cli, folding
 from chevbasis.cartan import MAX_ROOTS, root_count
 from chevbasis.cli import main
@@ -67,6 +68,38 @@ def test_usage_errors(tmp_path):
     assert run("verify", "--in", str(tmp_path / "missing.json")) == 2
 
 
+@pytest.mark.parametrize("label,method,takes", [("A3", "fold", "closed"), ("E7", "fold", "closed"),
+                                                ("B3", "closed", "fold")])
+def test_a_method_the_type_does_not_take_is_refused_before_building(tmp_path, monkeypatch, capsys,
+                                                                    label, method, takes):
+    def refused(cm):
+        raise AssertionError(f"built {cm.label}")
+
+    monkeypatch.setattr(cli, "generate_roots", refused)
+    out = tmp_path / "x.json"
+    assert run("gen", "--type", label, "--method", method, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: --method {method} does not apply to {label}, which takes --method {takes}\n"
+    assert not out.exists()
+
+
+def test_default_verify_of_an_inductive_b3_file_builds_b3_roots_once(tmp_path, monkeypatch):
+    # The differential suite folds D4 onto the file's own B3 root system.
+    out = tmp_path / "b3.json"
+    assert run("gen", "--type", "B3", "--method", "inductive", "--out", str(out)) == 0
+    built = []
+    real = chevbasis.roots.generate_roots
+
+    def counted(cm):
+        built.append(cm.label)
+        return real(cm)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chevbasis") and getattr(module, "generate_roots", None) is real:
+            monkeypatch.setattr(module, "generate_roots", counted)
+    assert run("verify", "--in", str(out)) == 0
+    assert sorted(built) == ["B3", "D4"]
+
+
 def test_internal_inconsistency_exits_3(tmp_path, monkeypatch, capsys):
     def broken(fs):
         raise InternalInconsistency("injected")
@@ -79,9 +112,10 @@ def test_internal_inconsistency_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_fold_consistency_faults_exit_3(tmp_path, monkeypatch, capsys):
-    # A B4 root system with its highest root doubled, as fold sees it: the
-    # restriction of a D5 root is then no folded root, a package defect.
-    real = folding.generate_roots
+    # A B4 root system with its highest root doubled, as gen builds it and
+    # fold sees it: the restriction of a D5 root is then no folded root, a
+    # package defect.
+    real = cli.generate_roots
 
     def altered(cm):
         rs = real(cm)
@@ -91,7 +125,7 @@ def test_fold_consistency_faults_exit_3(tmp_path, monkeypatch, capsys):
         coeffs[rs.positive_count - 1] *= 2
         return dataclasses.replace(rs, coeffs=coeffs)
 
-    monkeypatch.setattr(folding, "generate_roots", altered)
+    monkeypatch.setattr(cli, "generate_roots", altered)
     out = tmp_path / "b4.json"
     assert run("gen", "--type", "B4", "--out", str(out)) == 3
     assert capsys.readouterr().err == (
@@ -105,8 +139,8 @@ def test_missing_fold_representative_exits_3(tmp_path, monkeypatch, capsys):
     # (0, 1), (1, 0) then has no parent representative, a package defect.
     real = folding.fold
 
-    def swapped(rs, eps, auto):
-        fs = real(rs, eps, auto)
+    def swapped(rs, eps, auto, folded_rs):
+        fs = real(rs, eps, auto, folded_rs)
         x = fs.folded_rs.roots.index((0, 1))
         y = int(fs.folded_rs.neg[x])
         swap = np.arange(len(fs.folded_rs.roots))

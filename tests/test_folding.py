@@ -17,10 +17,10 @@ from chevbasis.errors import (
     InternalInconsistency,
     RepresentativeNotFound,
 )
-from chevbasis.folding import fold_onto
+from chevbasis.folding import independent_table
 from chevbasis.serialize import document_from_table, to_json_bytes
 from chevbasis.verify import differential
-from conftest import FOLDS, constant, folded, system, table, tuple_index, with_flipped_constant
+from conftest import FOLDS, constant, fold, folded, system, table, tuple_index, with_flipped_constant
 from reference import (
     add,
     check_automorphism_invariance,
@@ -136,13 +136,13 @@ def test_folded_tables_match_direct_inductive():
 
 # C33 to C45 fold from A65 to A89, and B45 from D46: parents above
 # MAX_ROOTS, which fold_source builds uncapped and which never build their
-# sum_index.
+# sum_index; independent_table folds them onto the system passed in.
 @pytest.mark.parametrize("label", ("C33", "C40", "C45", "B45"))
 def test_folds_from_parents_above_the_root_cap_match_build_inductive(label):
     cm = cb.build_cartan(*cb.parse_type_label(label))
     rs = cb.generate_roots(cm)
     for eps in (cb.default_epsilon(cm), cb.default_epsilon(cm).flipped()):
-        tf, meta = fold_onto(cm, eps)
+        tf, meta = independent_table(rs, eps)
         assert root_count(*cb.parse_type_label(meta["parent"])) > MAX_ROOTS
         ti = cb.build_inductive(rs, eps)
         for name in ("pairs", "n", "cartan_action", "opposite"):
@@ -161,7 +161,7 @@ def test_folded_table_flipped_epsilon():
     rs = system("D4")
     eps = cb.default_epsilon(rs.cartan).flipped()
     auto = cb.standard_automorphism(rs.cartan)
-    fs = cb.fold(rs, eps, auto)
+    fs = fold(rs, eps, auto)
     assert fs.folded_eps.values == (1, -1)
     tf = cb.folded_table(fs)
     ti = cb.build_inductive(fs.folded_rs, fs.folded_eps)
@@ -207,7 +207,7 @@ def test_q_routes_match_scalar_references(case, flipped):
     # and by the orbit case analysis.
     rs, auto = _fold_case(case)
     eps = cb.default_epsilon(rs.cartan)
-    fs = cb.fold(rs, eps.flipped() if flipped else eps, auto)
+    fs = fold(rs, eps.flipped() if flipped else eps, auto)
     rs_f = fs.folded_rs
     tf = cb.folded_table(fs)
     assert np.array_equal(tf.pairs, np.argwhere(rs_f.sum_index >= 0))
@@ -250,7 +250,7 @@ def test_folded_table_flags_swapped_restriction(root, error, message):
         cb.folded_table(bad)
 
 
-# SHA-256 of the fold_onto JSON document, pinned from the per-pair scalar
+# SHA-256 of the independent_table JSON document, pinned from the per-pair scalar
 # loop that the array code replaced; no golden file covers these ranks.
 LARGE_FOLD_DIGESTS = {
     ("B16", "default"): "7f4db7cb4b49c68b5402f5e35dacc4690382bd25bea6209b3e930b15b0b43352",
@@ -264,7 +264,7 @@ LARGE_FOLD_DIGESTS = {
 def test_large_folded_tables_are_byte_stable(label, epsilon):
     cm = cb.build_cartan(*cb.parse_type_label(label))
     eps = cb.default_epsilon(cm)
-    table, meta = fold_onto(cm, eps.flipped() if epsilon == "flipped" else eps)
+    table, meta = independent_table(cb.generate_roots(cm), eps.flipped() if epsilon == "flipped" else eps)
     data = to_json_bytes(document_from_table(table, "folded", meta))
     assert hashlib.sha256(data).hexdigest() == LARGE_FOLD_DIGESTS[label, epsilon]
 
@@ -300,7 +300,7 @@ def test_fold_orbits_and_restriction_are_pinned(label):
         fs, _ = folded(label)
     else:
         cm, auto = cb.fold_source(*cb.parse_type_label(label))
-        fs = cb.fold(system(cm.label), cb.default_epsilon(cm), auto)
+        fs = fold(system(cm.label), cb.default_epsilon(cm), auto)
     orbits = tuple(root_orbits(fs))
     orbit_id = np.searchsorted([o[0] for o in orbits], fs.orbits[fs.restriction, 0])
     data = repr((orbits, tuple(orbit_id.tolist()), tuple(fs.restriction.tolist()))).encode()
@@ -314,7 +314,7 @@ def _fold_case_or_identity(case: str) -> cb.FoldedSystem:
         auto = identity_automorphism(rs.cartan)
     else:
         rs, auto = _fold_case(case)
-    return cb.fold(rs, cb.default_epsilon(rs.cartan), auto)
+    return fold(rs, cb.default_epsilon(rs.cartan), auto)
 
 
 @pytest.mark.parametrize("case", FOLD_CASES + ["identity"])
@@ -333,7 +333,7 @@ def test_fold_arrays_are_one_orbit_structure(case):
         for t, k in enumerate(cycle):
             assert fs.restriction[k] == x
             assert permute_root(auto, rs.roots[k]) == rs.roots[cycle[(t + 1) % len(cycle)]]
-    other = cb.fold(rs, cb.default_epsilon(rs.cartan), auto)
+    other = fold(rs, cb.default_epsilon(rs.cartan), auto)
     assert fs == fs and fs != other
 
 
@@ -421,15 +421,34 @@ def test_orbit_sign_constancy_negative_control():
 def test_fold_preconditions():
     b2 = system("B2")
     with pytest.raises(FoldingPreconditionViolated):
-        cb.fold(b2, cb.default_epsilon(b2.cartan), cb.DiagramAutomorphism(((1,), (2,))))
+        cb.fold(b2, cb.default_epsilon(b2.cartan), cb.DiagramAutomorphism(((1,), (2,))), system("B2"))
     a5 = system("A5")
     auto = cb.standard_automorphism(a5.cartan)
     with pytest.raises(FoldingPreconditionViolated):
-        cb.fold(a5, cb.SignFunction((1, -1, 1, 1, -1)), auto)
+        cb.fold(a5, cb.SignFunction((1, -1, 1, 1, -1)), auto, system("C3"))
     a4 = system("A4")
     reflection = cb.DiagramAutomorphism(((3,), (2, 4), (1, 5)))
     with pytest.raises(FoldingPreconditionViolated):
-        cb.fold(a4, cb.default_epsilon(a4.cartan), reflection)
+        cb.fold(a4, cb.default_epsilon(a4.cartan), reflection, system("C2"))
+
+
+@pytest.mark.parametrize("label", ["B3", "C4", "F4", "G2"])
+def test_independent_table_folds_onto_the_system_passed_in(label):
+    rs = system(label)
+    for eps in (cb.default_epsilon(rs.cartan), cb.default_epsilon(rs.cartan).flipped()):
+        tf, meta = independent_table(rs, eps)
+        assert tf.rs is rs and tf.eps == eps and meta["parent"] == cb.fold_source(*cb.parse_type_label(label))[0].label
+
+
+def test_fold_onto_a_system_of_another_type_is_refused():
+    # D4 by triality folds onto G2; B3 and G2 folded onto each other's
+    # systems are the caller's error, named in one line.
+    d4 = system("D4")
+    for auto, wrong, right in ((cb.standard_automorphism(d4.cartan), "B3", "G2"),
+                               (cb.fold_source("B", 3)[1], "G2", "B3")):
+        with pytest.raises(FoldingPreconditionViolated, match=f"^this fold of D4 does not give {wrong}$"):
+            cb.fold(d4, cb.default_epsilon(d4.cartan), auto, system(wrong))
+        assert cb.fold(d4, cb.default_epsilon(d4.cartan), auto, system(right)).folded_rs is system(right)
 
 
 def _with_rows(rs, rows: dict[int, tuple[int, ...]]):
@@ -440,29 +459,28 @@ def _with_rows(rs, rows: dict[int, tuple[int, ...]]):
     return dataclasses.replace(rs, coeffs=coeffs)
 
 
-def _fold_with_folded_system(monkeypatch, target: str, make):
-    """Fold onto ``target`` with ``folding.generate_roots`` returning ``make(rs)`` for it."""
-    real = folding.generate_roots
-    monkeypatch.setattr(folding, "generate_roots", lambda cm: make(real(cm)) if cm.label == target else real(cm))
+def _fold_onto_altered(target: str, make):
+    """Fold the ``fold_source`` parent of ``target`` onto ``make(rs)``, rs the root system of ``target``."""
     cm, auto = cb.fold_source(*cb.parse_type_label(target))
-    return cb.fold(system(cm.label), cb.default_epsilon(cm), auto)
+    return cb.fold(system(cm.label), cb.default_epsilon(cm), auto, make(system(target)))
 
 
-def test_fold_flags_a_restriction_that_is_not_a_folded_root(monkeypatch):
+def test_fold_flags_a_restriction_that_is_not_a_folded_root():
     # The highest root of B4 doubled: its parent orbit restricts to nothing.
     def altered(rs):
         return _with_rows(rs, {rs.positive_count - 1: tuple(2 * rs.coeffs[rs.positive_count - 1])})
 
     with pytest.raises(InternalInconsistency,
                        match=r"^restriction \(2, 2, 2, 1\) of \(1, 1, 2, 2, 1\) is not a root of B4$"):
-        _fold_with_folded_system(monkeypatch, "B4", altered)
+        _fold_onto_altered("B4", altered)
 
 
-def test_fold_flags_restrictions_that_do_not_cover(monkeypatch):
+def test_fold_flags_restrictions_that_do_not_cover():
     # The roots of C2 are roots of G2 in the same coordinates, so every
-    # restriction is found but half of G2's roots are never reached.
+    # restriction is found but half of G2's roots are never reached.  The
+    # G2 roots carry C2's Cartan matrix, which the fold's matrix matches.
     with pytest.raises(InternalInconsistency, match="^restrictions do not cover the folded root system$"):
-        _fold_with_folded_system(monkeypatch, "C2", lambda rs: system("G2"))
+        _fold_onto_altered("C2", lambda rs: dataclasses.replace(system("G2"), cartan=rs.cartan))
 
 
 def test_fold_flags_orbits_that_share_a_restriction():
@@ -472,7 +490,7 @@ def test_fold_flags_orbits_that_share_a_restriction():
     assert rs.roots[0] == (0, 0, 1) and rs.roots[2] == (1, 0, 0)
     bad = _with_rows(rs, {0: (-1, 1, 2), 2: (2, 1, -1), 6: (1, -1, -2), 8: (-2, -1, 1)})
     with pytest.raises(InternalInconsistency, match="^two distinct orbits share a restriction$"):
-        cb.fold(bad, cb.default_epsilon(rs.cartan), cb.standard_automorphism(rs.cartan))
+        cb.fold(bad, cb.default_epsilon(rs.cartan), cb.standard_automorphism(rs.cartan), system("C2"))
 
 
 def test_fold_source_targets():
@@ -504,7 +522,7 @@ def test_folded_type_needs_a_chain_of_rank_three():
 def test_identity_fold_round_trips():
     rs = system("A3")
     eps = cb.default_epsilon(rs.cartan)
-    fs = cb.fold(rs, eps, identity_automorphism(rs.cartan))
+    fs = fold(rs, eps, identity_automorphism(rs.cartan))
     assert fs.folded_rs.cartan.entries == rs.cartan.entries
     tf = cb.folded_table(fs)
     assert differential(tf, table("A3")).passed

@@ -389,7 +389,8 @@ def test_linked_lists_the_summing_pairs_then_the_band(label):
 def test_linked_is_built_on_first_use_and_never_for_a_fold_parent():
     rs = cb.generate_roots(cb.build_cartan("A", 5))
     assert "linked" not in vars(rs) and "sum_index" not in vars(rs)
-    fs = cb.fold(rs, cb.default_epsilon(rs.cartan), cb.standard_automorphism(rs.cartan))
+    c3 = cb.generate_roots(cb.build_cartan("C", 3))
+    fs = cb.fold(rs, cb.default_epsilon(rs.cartan), cb.standard_automorphism(rs.cartan), c3)
     cb.folded_table(fs)
     assert "linked" not in vars(rs) and "linked" in vars(fs.folded_rs)
     assert "sum_index" not in vars(rs) and "sum_index" in vars(fs.folded_rs)

@@ -414,6 +414,35 @@ def test_jacobi_pair_and_involution_checks_each_detected():
     assert _generator_parts(one_sided) == _generator_parts(bumped) == (False, None)
 
 
+def test_jacobi_fast_path_needs_its_one_cartan_or_zero_sum_check(monkeypatch):
+    # On A2 the action column of alpha_1 set to (1, -1), and the Cartan
+    # vector of alpha_1 + alpha_2 to (3, 2), each with its negative: every
+    # precondition holds and every root triple through a positive simple root
+    # vanishes, yet Jacobi fails.  The one-Cartan check and the zero-sum
+    # check each catch it alone; with both emptied the fast path passes it.
+    t = table("A2")
+    index = tuple_index(t.rs)
+    assert t.rs.roots == ((0, 1), (1, 0), (1, 1), (0, -1), (-1, 0), (-1, -1))
+    action, opposite = t.cartan_action.copy(), t.opposite.copy()
+    assert action[:, index[1, 0]].tolist() == [2, -1] and opposite[index[1, 1]].tolist() == [1, 1]
+    action[:, index[1, 0]], action[:, index[-1, 0]] = (1, -1), (-1, 1)
+    opposite[index[1, 1]], opposite[index[-1, -1]] = (3, 2), (-3, -2)
+    bad = with_constants(t, cartan_action=action, opposite=opposite)
+    arrays = _table_arrays(bad)
+    assert _generation_holds(bad, arrays)
+    report = cb.jacobi_sweep(bad)
+    assert report.violation_count == len(report.violations) == 48 and report.implied_by_generation == 0
+    kinds = [site[0] for site, _, _ in report.violations]
+    assert {kind: kinds.count(kind) for kind in kinds} == {"hee": 12, "ehe": 12, "eeh": 12, "eee0": 12}
+    one_cartan, zero_sum = cb.verify._one_cartan_sites, cb.verify._zero_sum_sites
+    for kept in ((), ("one-Cartan",), ("zero-sum",)):
+        monkeypatch.setattr(cb.verify, "_one_cartan_sites", one_cartan if "one-Cartan" in kept
+                            else lambda *args: (np.empty((0, 3), dtype=np.intp),) * 2)
+        monkeypatch.setattr(cb.verify, "_zero_sum_sites", zero_sum if "zero-sum" in kept
+                            else lambda *args: np.empty((0, 3), dtype=np.intp))
+        assert (_generator_sweep(bad, arrays) is None) == bool(kept), kept
+
+
 def _evaluated_by_brute_force(t: BracketTable, firsts) -> int:
     """Count over root tuples the triples with a root of ``firsts`` first that grading leaves.
 
